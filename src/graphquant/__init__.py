@@ -40,20 +40,14 @@ from .quantify import (
     variance_inflation_nodes,
 )
 from .samplers import (
-    EdgeSample,
-    NodeSample,
-    ResampledSet,
-    SnowballSample,
-    WalkSample,
+    Sample,
     edge_sample,
     estimate_edge_vector,
     estimate_proportions,
     estimate_visibility,
     importance_resample,
     node_sample,
-    rwrw_estimate,
     rwrw_walk,
-    shares_in_top_quantile,
     snowball_sample,
     with_noisy_labels,
     write_sample_records,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -34,7 +35,6 @@ from .graph import (
 )
 from .noise import ConfusionMatrix, apply_noise, empirical_confusion, symmetric_confusion
 from .quantify import (
-    PropVector,
     SingularCorrectionError,
     UndefinedShareError,
     adjust_edge_proportions,
@@ -45,13 +45,13 @@ from .quantify import (
 )
 from .samplers import (
     NoObservedEdgesError,
-    WalkSample,
     edge_sample,
     estimate_edge_vector,
     estimate_proportions,
     importance_resample,
     node_sample,
     rwrw_walk,
+    shares_in_top_quantile,
     snowball_sample,
     with_noisy_labels,
 )
@@ -241,7 +241,11 @@ def _build_graph(spec: GraphSpec, seed) -> UndirectedGraph:
         return generate_homophilous_graph(
             spec.n, spec.m, spec.minority_frac, spec.ingroup_pref, seed
         )
-    key = (spec.edge_file, spec.label_file, spec.directed)
+    # Size and mtime are part of the key, so a rewritten file is read again.
+    stats = [os.stat(path) for path in (spec.edge_file, spec.label_file)]
+    key = (spec.edge_file, spec.label_file, spec.directed) + tuple(
+        (st.st_size, st.st_mtime_ns) for st in stats
+    )
     if key not in _GRAPH_CACHE:
         _GRAPH_CACHE[key] = load_graph_files(
             spec.edge_file, spec.label_file, directed=spec.directed
@@ -341,13 +345,7 @@ def _variant_estimates(
         out["visibility"] = (None, "failed:undefined_share")
     else:
         try:
-            labels = (
-                vis_source.true_labels
-                if label_field == "true"
-                else vis_source.noisy_labels
-            )
-            share_b = float(np.count_nonzero(labels[vis_top] == 1)) / vis_top.shape[0]
-            v_vec = PropVector(1.0 - share_b, share_b, role="measured_m")
+            v_vec = shares_in_top_quantile(vis_source, vis_top, label_field)
             if correction:
                 v_vec = adjust_visibility(v_vec, correction)
             out["visibility"] = (v_vec.b, "out_of_range" if v_vec.out_of_range else "")
@@ -380,14 +378,14 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
     for si, sampler in enumerate(cfg.samplers):
         for zi, size in enumerate(cfg.sample_sizes):
             base = _draw_sample(cfg, g, sampler, size, _stream(cfg.master_seed, _SAMPLE, rep, si, zi))
-            resampled = None
-            if isinstance(base, WalkSample):
-                resampled = importance_resample(
+            # Walk visibility reads a uniform-node resample of the walk.
+            vis_source = base
+            if sampler == "rwrw":
+                vis_source = importance_resample(
                     base,
                     cfg.resample_factor * len(base),
                     _stream(cfg.master_seed, _RESAMPLE, rep, si, zi),
                 )
-            vis_source = resampled if resampled is not None else base
             try:
                 vis_top = top_quantile_indices(
                     vis_source.degrees, cfg.top_quantile, node_ids=vis_source.nodes
@@ -398,9 +396,9 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
             for ri, rate in enumerate(cfg.rates):
                 noisy_sample = with_noisy_labels(base, noisy_maps[ri])
                 noisy_vis = (
-                    with_noisy_labels(resampled, noisy_maps[ri])
-                    if resampled is not None
-                    else noisy_sample
+                    noisy_sample
+                    if vis_source is base
+                    else with_noisy_labels(vis_source, noisy_maps[ri])
                 )
                 correction: ConfusionMatrix | None = confusions[ri]
                 correction_flag = ""
@@ -458,16 +456,13 @@ def _estimated_confusion(
     cfg: ExperimentConfig, sample, noisy_map: np.ndarray, rep: int, si: int, zi: int, ri: int
 ) -> ConfusionMatrix:
     """Confusion matrix estimated from k labeled nodes drawn from the sample."""
-    unique = np.unique(sample.nodes)
+    unique, first = np.unique(sample.nodes, return_index=True)
     k = min(cfg.confusion_from_labeled, unique.shape[0])
     rng = np.random.default_rng(_stream(cfg.master_seed, _LABELED, rep, si, zi, ri))
-    chosen = rng.choice(unique, size=k, replace=False)
-    # Look true labels up through the sample's own records; the labeled
-    # subset only ever comes from nodes the sampler actually saw.
-    label_of = dict(zip(sample.nodes.tolist(), sample.true_labels.tolist()))
-    true = np.array([label_of[int(n)] for n in chosen], dtype=np.int8)
-    pred = noisy_map[chosen]
-    return empirical_confusion(true, pred)
+    idx = rng.choice(unique.shape[0], size=k, replace=False)
+    # True labels come from the sample's own records (first record of each
+    # chosen node); the labeled subset only holds nodes the sampler saw.
+    return empirical_confusion(sample.true_labels[first[idx]], noisy_map[unique[idx]])
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:

@@ -67,9 +67,6 @@ class UndirectedGraph:
     def mean_degree(self) -> float:
         return self.total_degree / self.node_count
 
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.adjacency[node]
-
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.adjacency[u]
         k = int(np.searchsorted(nbrs, v))
@@ -210,7 +207,9 @@ def generate_homophilous_graph(
             if buf_at + 2 > 16384:
                 buf = draw(16384).tolist()
                 buf_at = 0
-            pool = rep_a if buf[buf_at] * total < wa else rep_b
+            # A pool with zero mass is never picked, even when rounding
+            # pushes the draw to the boundary (denormal weights).
+            pool = rep_a if wb == 0.0 or buf[buf_at] * total < wa else rep_b
             u = pool[int(buf[buf_at + 1] * len(pool))]
             buf_at += 2
             if u not in targets:

@@ -59,9 +59,6 @@ class ConfusionMatrix:
         )
 
 
-IDENTITY_CONFUSION = ConfusionMatrix(1.0, 0.0, 0.0, 1.0)
-
-
 def symmetric_confusion(rate: float) -> ConfusionMatrix:
     """Confusion matrix with equal off-diagonal misclassification rate.
 

@@ -3,13 +3,23 @@
 Four samplers observe a graph through different windows: a degree-biased
 random walk (single chain, uniform transitions over neighbors), uniform
 node sampling, uniform edge sampling, and breadth-first snowball
-expansion. Each sampler returns a self-contained record set (node id,
-degree, true label, optional noisy label) plus the edges it legitimately
-observed, so every estimator below works from sample data alone.
+expansion. Each returns the same ``Sample`` record, so every estimator
+below works from sample data alone and never asks which sampler ran:
 
-Walk estimates are reweighted by inverse degree; importance resampling
-with the same weights recovers an approximately uniform node sample from
-a walk, which is what the degree-quantile visibility estimate needs.
+- ``nodes``, ``degrees``, ``true_labels`` and ``noisy_labels`` hold one
+  entry per record (the noisy labels once attached).
+- ``weights`` is the per-record weight of share estimates: ``1/d`` for
+  walk steps, which undoes the walk's degree bias (the RWRW ratio
+  estimator), and 1 for every other sampler.
+- ``edge_positions`` holds the edges the sampler legitimately observed
+  as pairs of record indices: consecutive steps ``(i, i+1)`` for a walk,
+  ``(2i, 2i+1)`` for edge samples, the induced edges for node samples,
+  and the discovery edges for snowball samples.
+
+Importance resampling with the walk weights recovers an approximately
+uniform node sample from a walk, which is what the degree-quantile
+visibility estimate needs; the resample carries unit weights and no
+edges.
 """
 
 from __future__ import annotations
@@ -31,89 +41,40 @@ class NoObservedEdgesError(ValueError):
 
 
 @dataclass(frozen=True)
-class WalkSample:
-    """Single-chain random walk: one record per step, revisits included."""
+class Sample:
+    """Records one sampler observed, with their weights and observed edges.
 
-    nodes: np.ndarray
-    degrees: np.ndarray
-    true_labels: np.ndarray
-    noisy_labels: np.ndarray | None
-    walk_edges: np.ndarray  # consecutive recorded pairs, shape (n-1, 2)
-    seed_mode: str
-    burn_in: int
-
-    def __len__(self) -> int:
-        return self.nodes.shape[0]
-
-
-@dataclass(frozen=True)
-class NodeSample:
-    """Uniform without-replacement node records plus induced-subgraph edges.
-
-    ``edge_positions`` indexes each induced edge's endpoints into the
-    record arrays, so edge-level estimates stay vectorized.
+    Records may repeat a node (walk revisits, edge endpoints shared
+    between edges, resample draws). ``burn_in`` counts the walk steps
+    discarded before recording started.
     """
 
     nodes: np.ndarray
     degrees: np.ndarray
     true_labels: np.ndarray
     noisy_labels: np.ndarray | None
-    induced_edges: np.ndarray
-    edge_positions: np.ndarray
+    weights: np.ndarray  # per-record weight of share estimates
+    edge_positions: np.ndarray  # (E, 2) record indices of each observed edge
+    burn_in: int = 0
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
 
 
-@dataclass(frozen=True)
-class EdgeSample:
-    """Uniform without-replacement edges; records cover both endpoints.
-
-    Endpoint records are flattened in edge order, so ``nodes`` has two
-    entries per sampled edge and repeats nodes shared between edges.
-    """
-
-    edges: np.ndarray
-    nodes: np.ndarray
-    degrees: np.ndarray
-    true_labels: np.ndarray
-    noisy_labels: np.ndarray | None
-
-    def __len__(self) -> int:
-        return self.nodes.shape[0]
+def _records(g: UndirectedGraph, nodes, edge_positions, weights=None, burn_in=0) -> Sample:
+    """Sample of graph nodes; unit weights unless given."""
+    return Sample(
+        nodes=nodes,
+        degrees=g.degrees[nodes],
+        true_labels=g.labels[nodes],
+        noisy_labels=None,
+        weights=np.ones(nodes.shape[0]) if weights is None else weights,
+        edge_positions=np.asarray(edge_positions, dtype=np.int64).reshape(-1, 2),
+        burn_in=burn_in,
+    )
 
 
-@dataclass(frozen=True)
-class SnowballSample:
-    """Breadth-first expansion from uniform seeds, whole waves at a time."""
-
-    nodes: np.ndarray
-    degrees: np.ndarray
-    true_labels: np.ndarray
-    noisy_labels: np.ndarray | None
-    waves: np.ndarray  # wave index per record, seeds are wave 0
-    traversed_edges: np.ndarray  # discovery edges into retained nodes
-    edge_positions: np.ndarray  # traversed-edge endpoints as record indices
-
-    def __len__(self) -> int:
-        return self.nodes.shape[0]
-
-
-@dataclass(frozen=True)
-class ResampledSet:
-    """With-replacement redraw of walk records under normalized weights."""
-
-    nodes: np.ndarray
-    degrees: np.ndarray
-    true_labels: np.ndarray
-    noisy_labels: np.ndarray | None
-    weights: np.ndarray  # normalized weight per source record
-
-    def __len__(self) -> int:
-        return self.nodes.shape[0]
-
-
-def with_noisy_labels(sample, noisy_by_node):
+def with_noisy_labels(sample: Sample, noisy_by_node) -> Sample:
     """Copy of a sample with noisy labels looked up per visited node.
 
     The lookup is a per-node array for the whole graph, so a node keeps
@@ -129,13 +90,14 @@ def rwrw_walk(
     seed_mode: str = SEED_DEGREE,
     burn_in: int = 0,
     rng_seed=None,
-) -> WalkSample:
+) -> Sample:
     """Random-walk the graph and record one node per step.
 
     The seed node is drawn proportional to degree (the walk's stationary
     distribution) or uniformly; with a uniform seed, ``burn_in`` leading
     steps are discarded before recording starts. Transitions are uniform
-    over the current node's neighbors.
+    over the current node's neighbors. Records carry ``1/d`` weights and
+    consecutive steps as observed edges.
     """
     if n_steps < 1:
         raise ValueError("walk needs at least one step")
@@ -161,34 +123,17 @@ def rwrw_walk(
             cur = int(nbrs[int(u * nbrs.shape[0])])
             pos += 1
     recorded = nodes[burn_in:]
-    return WalkSample(
-        nodes=recorded,
-        degrees=g.degrees[recorded],
-        true_labels=g.labels[recorded],
-        noisy_labels=None,
-        walk_edges=np.column_stack([recorded[:-1], recorded[1:]]),
-        seed_mode=seed_mode,
+    steps = np.arange(n_steps)
+    return _records(
+        g,
+        recorded,
+        np.column_stack([steps[:-1], steps[1:]]),
+        weights=1.0 / g.degrees[recorded],
         burn_in=burn_in,
     )
 
 
-def rwrw_estimate(sample: WalkSample, g_of_node) -> float:
-    """Inverse-degree weighted walk mean of a node function.
-
-    Computes sum(g(X_j)/d_j) / sum(1/d_j) over the recorded steps, which
-    removes the walk's degree bias; with an indicator function this
-    estimates that group's population share.
-    """
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    inv_d = 1.0 / sample.degrees
-    values = np.fromiter(
-        (g_of_node(int(v)) for v in sample.nodes), dtype=float, count=len(sample)
-    )
-    return float((values * inv_d).sum() / inv_d.sum())
-
-
-def node_sample(g: UndirectedGraph, n: int, rng_seed=None) -> NodeSample:
+def node_sample(g: UndirectedGraph, n: int, rng_seed=None) -> Sample:
     """Uniform sample of n distinct nodes, with their induced edges."""
     if not 1 <= n <= g.node_count:
         raise ValueError(f"need 1 <= n <= {g.node_count}, got {n}")
@@ -197,42 +142,28 @@ def node_sample(g: UndirectedGraph, n: int, rng_seed=None) -> NodeSample:
     mask = np.zeros(g.node_count, dtype=bool)
     mask[ids] = True
     keep = mask[g.edges[:, 0]] & mask[g.edges[:, 1]]
-    induced = g.edges[keep]
-    return NodeSample(
-        nodes=ids,
-        degrees=g.degrees[ids],
-        true_labels=g.labels[ids],
-        noisy_labels=None,
-        induced_edges=induced,
-        edge_positions=np.searchsorted(ids, induced),
-    )
+    return _records(g, ids, np.searchsorted(ids, g.edges[keep]))
 
 
-def edge_sample(g: UndirectedGraph, n_edges: int, rng_seed=None) -> EdgeSample:
-    """Uniform sample of n distinct undirected edges with endpoint records."""
+def edge_sample(g: UndirectedGraph, n_edges: int, rng_seed=None) -> Sample:
+    """Uniform sample of n distinct undirected edges with endpoint records.
+
+    Endpoint records are flattened in edge order, so there are two
+    records per sampled edge and nodes shared between edges repeat.
+    """
     if not 1 <= n_edges <= g.edge_count:
         raise ValueError(f"need 1 <= n_edges <= {g.edge_count}, got {n_edges}")
     rng = np.random.default_rng(rng_seed)
     idx = np.sort(rng.choice(g.edge_count, size=n_edges, replace=False))
-    edges = g.edges[idx]
-    flat = edges.reshape(-1)
-    return EdgeSample(
-        edges=edges,
-        nodes=flat,
-        degrees=g.degrees[flat],
-        true_labels=g.labels[flat],
-        noisy_labels=None,
-    )
+    return _records(g, g.edges[idx].reshape(-1), np.arange(2 * n_edges))
 
 
-def snowball_sample(
-    g: UndirectedGraph, n_target: int, n_seeds: int = 10, rng_seed=None
-) -> SnowballSample:
+def snowball_sample(g: UndirectedGraph, n_target: int, n_seeds: int = 10, rng_seed=None) -> Sample:
     """Breadth-first crawl from uniform seeds up to exactly n_target nodes.
 
     Whole waves are added while they fit; the wave that would overshoot is
-    truncated by a uniform draw. Traversed edges are the discovery edges
-    into nodes that were kept.
+    truncated by a uniform draw. Observed edges are the discovery edges
+    into nodes that were kept, from parent record to child record.
     """
     if not 1 <= n_target <= g.node_count:
         raise ValueError(f"need 1 <= n_target <= {g.node_count}, got {n_target}")
@@ -246,80 +177,56 @@ def snowball_sample(
     visited = np.zeros(g.node_count, dtype=bool)
     visited[seeds] = True
     accepted = seeds.tolist()
-    waves = [0] * len(accepted)
-    tree: list[tuple[int, int]] = []
-    frontier = accepted[:]
-    wave = 0
+    tree: list[tuple[int, int]] = []  # (parent, child) record indices
+    frontier = range(len(accepted))
     while len(accepted) < n_target:
-        wave += 1
         discovered: list[int] = []
-        disc_edges: list[tuple[int, int]] = []
-        for u in frontier:
-            for w in g.adjacency[u].tolist():
+        parents: list[int] = []
+        for at in frontier:
+            for w in g.adjacency[accepted[at]].tolist():
                 if not visited[w]:
                     visited[w] = True
                     discovered.append(w)
-                    disc_edges.append((u, w))
+                    parents.append(at)
         if not discovered:
             raise ValueError("ran out of reachable nodes before n_target")
         room = n_target - len(accepted)
         if len(discovered) > room:
             keep = np.sort(rng.choice(len(discovered), size=room, replace=False))
             discovered = [discovered[i] for i in keep]
-            disc_edges = [disc_edges[i] for i in keep]
+            parents = [parents[i] for i in keep]
+        frontier = range(len(accepted), len(accepted) + len(discovered))
         accepted.extend(discovered)
-        waves.extend([wave] * len(discovered))
-        tree.extend(disc_edges)
-        frontier = discovered
+        tree.extend(zip(parents, frontier))
 
-    nodes = np.array(accepted, dtype=np.int64)
-    traversed = (
-        np.array(tree, dtype=np.int64).reshape(-1, 2)
-        if tree
-        else np.empty((0, 2), dtype=np.int64)
-    )
-    position = {node: i for i, node in enumerate(accepted)}
-    edge_positions = (
-        np.array([(position[u], position[v]) for u, v in tree], dtype=np.int64).reshape(-1, 2)
-        if tree
-        else np.empty((0, 2), dtype=np.int64)
-    )
-    return SnowballSample(
-        nodes=nodes,
-        degrees=g.degrees[nodes],
-        true_labels=g.labels[nodes],
-        noisy_labels=None,
-        waves=np.array(waves, dtype=np.int64),
-        traversed_edges=traversed,
-        edge_positions=edge_positions,
-    )
+    return _records(g, np.array(accepted, dtype=np.int64), tree)
 
 
-def importance_resample(sample: WalkSample, out_size: int, rng_seed=None) -> ResampledSet:
-    """Redraw walk records with replacement, weighted by inverse degree.
+def importance_resample(sample: Sample, out_size: int, rng_seed=None) -> Sample:
+    """Redraw records with replacement, in proportion to their weights.
 
-    Normalized 1/d weights undo the walk's degree bias, so the resampled
-    multiset approximates a uniform-node sample.
+    On a walk the normalized 1/d weights undo the degree bias, so the
+    resampled multiset approximates a uniform-node sample. The resample
+    has unit weights and no observed edges.
     """
     if len(sample) == 0:
         raise ValueError("empty sample")
     if out_size < 1:
         raise ValueError("out_size must be positive")
     rng = np.random.default_rng(rng_seed)
-    weights = 1.0 / sample.degrees
-    weights = weights / weights.sum()
-    idx = rng.choice(len(sample), size=out_size, replace=True, p=weights)
-    noisy = None if sample.noisy_labels is None else sample.noisy_labels[idx]
-    return ResampledSet(
+    p = sample.weights / sample.weights.sum()
+    idx = rng.choice(len(sample), size=out_size, replace=True, p=p)
+    return Sample(
         nodes=sample.nodes[idx],
         degrees=sample.degrees[idx],
         true_labels=sample.true_labels[idx],
-        noisy_labels=noisy,
-        weights=weights,
+        noisy_labels=None if sample.noisy_labels is None else sample.noisy_labels[idx],
+        weights=np.ones(out_size),
+        edge_positions=np.empty((0, 2), dtype=np.int64),
     )
 
 
-def _label_array(sample, label_field: str) -> np.ndarray:
+def _label_array(sample: Sample, label_field: str) -> np.ndarray:
     if label_field == "true":
         return sample.true_labels
     if label_field == "noisy":
@@ -329,77 +236,47 @@ def _label_array(sample, label_field: str) -> np.ndarray:
     raise ValueError(f"label_field must be 'true' or 'noisy', got {label_field!r}")
 
 
-def _prop_role(label_field: str) -> str:
-    return "true_p" if label_field == "true" else "measured_m"
+def _weighted_share(labels: np.ndarray, weights: np.ndarray, label_field: str) -> PropVector:
+    share_b = float((weights * (labels == 1)).sum() / weights.sum())
+    role = "true_p" if label_field == "true" else "measured_m"
+    return PropVector(1.0 - share_b, share_b, role=role)
 
 
-def estimate_proportions(sample, label_field: str = "true") -> PropVector:
-    """Group-share estimate appropriate to the sample type.
+def estimate_proportions(sample: Sample, label_field: str = "true") -> PropVector:
+    """Weighted group-share estimate over the sample records.
 
     Walks are reweighted by inverse degree; node, snowball and resampled
-    records use the plain share; edge samples use the endpoint share,
-    which is degree-biased by design and documents what edge sampling can
+    records count equally; edge samples give the endpoint share, which is
+    degree-biased by design and documents what edge sampling can
     actually see.
     """
     labels = _label_array(sample, label_field)
     if labels.shape[0] == 0:
         raise ValueError("empty sample")
-    if isinstance(sample, WalkSample):
-        inv_d = 1.0 / sample.degrees
-        share_b = float((inv_d * (labels == 1)).sum() / inv_d.sum())
-    else:
-        share_b = float(np.count_nonzero(labels == 1)) / labels.shape[0]
-    return PropVector(1.0 - share_b, share_b, role=_prop_role(label_field))
+    return _weighted_share(labels, sample.weights, label_field)
 
 
-def observed_edges(sample) -> np.ndarray:
-    """Edge observations a sampler is entitled to: walk pairs, sampled
-    edges, traversed snowball edges, or the node sample's induced edges."""
-    if isinstance(sample, WalkSample):
-        return sample.walk_edges
-    if isinstance(sample, EdgeSample):
-        return sample.edges
-    if isinstance(sample, SnowballSample):
-        return sample.traversed_edges
-    if isinstance(sample, NodeSample):
-        return sample.induced_edges
-    raise TypeError(f"no edge observations for {type(sample).__name__}")
-
-
-def estimate_edge_vector(sample, label_field: str = "true") -> EdgeVector:
+def estimate_edge_vector(sample: Sample, label_field: str = "true") -> EdgeVector:
     """Edge-type shares (aa, ab, bb) over the sample's observed edges."""
     labels = _label_array(sample, label_field)
-    if isinstance(sample, WalkSample):
-        pair = labels[:-1].astype(np.int64) + labels[1:]
-    elif isinstance(sample, EdgeSample):
-        pair = labels.reshape(-1, 2).astype(np.int64).sum(axis=1)
-    elif isinstance(sample, (NodeSample, SnowballSample)):
-        pos = sample.edge_positions
-        pair = labels[pos[:, 0]].astype(np.int64) + labels[pos[:, 1]]
-    else:
-        raise TypeError(f"no edge observations for {type(sample).__name__}")
-    if pair.shape[0] == 0:
+    pos = sample.edge_positions
+    if pos.shape[0] == 0:
         raise NoObservedEdgesError("sample observed no edges")
-    n = pair.shape[0]
+    pair = labels[pos[:, 0]].astype(np.int64) + labels[pos[:, 1]]
+    shares = np.bincount(pair, minlength=3) / pos.shape[0]
     role = "true_s" if label_field == "true" else "measured_t"
-    return EdgeVector(
-        float(np.count_nonzero(pair == 0)) / n,
-        float(np.count_nonzero(pair == 1)) / n,
-        float(np.count_nonzero(pair == 2)) / n,
-        role=role,
-    )
+    return EdgeVector(*shares.tolist(), role=role)
 
 
-def shares_in_top_quantile(sample, top_quantile: float, label_field: str = "true") -> PropVector:
-    """Group shares among the top degree quantile of the sample records."""
+def shares_in_top_quantile(sample: Sample, top: np.ndarray, label_field: str = "true") -> PropVector:
+    """Weighted group shares among the records at indices ``top``, the
+    sample's top degree quantile as ``top_quantile_indices`` selects it."""
     labels = _label_array(sample, label_field)
-    top = top_quantile_indices(sample.degrees, top_quantile, node_ids=sample.nodes)
-    share_b = float(np.count_nonzero(labels[top] == 1)) / top.shape[0]
-    return PropVector(1.0 - share_b, share_b, role=_prop_role(label_field))
+    return _weighted_share(labels[top], sample.weights[top], label_field)
 
 
 def estimate_visibility(
-    sample: WalkSample,
+    sample: Sample,
     top_quantile: float = 0.2,
     out_size: int | None = None,
     label_field: str = "true",
@@ -416,7 +293,8 @@ def estimate_visibility(
     if int(out_size * top_quantile) < 1:
         raise ValueError("resample too small for the requested quantile")
     resampled = importance_resample(sample, out_size, rng_seed)
-    return shares_in_top_quantile(resampled, top_quantile, label_field)
+    top = top_quantile_indices(resampled.degrees, top_quantile, node_ids=resampled.nodes)
+    return shares_in_top_quantile(resampled, top, label_field)
 
 
 def write_sample_records(sample, path) -> None:

@@ -225,6 +225,23 @@ class TestRunExperiment:
         row = res.rows_for(sampler="node", measure="proportion", variant="no_noise")[0]
         assert row.estimate - row.error == pytest.approx(truth, abs=1e-12)
 
+    def test_rewritten_files_are_read_again(self, tmp_path):
+        edges = tmp_path / "g.edges"
+        labels = tmp_path / "g.labels"
+        cfg = small_config(
+            graph=GraphSpec(kind="files", edge_file=str(edges), label_file=str(labels)),
+            sample_sizes=(40,),
+            replications=1,
+        )
+        for n, frac in ((120, 0.3), (150, 0.5)):
+            g = generate_homophilous_graph(n, 3, frac, 0.7, rng_seed=4)
+            write_edge_list(g, edges)
+            write_label_file(g, labels)
+            row = run_experiment(cfg).rows_for(
+                sampler="node", measure="proportion", variant="no_noise"
+            )[0]
+            assert row.estimate - row.error == pytest.approx(ground_truth(g).p.b, abs=1e-12)
+
     def test_estimated_confusion_mode_runs(self):
         cfg = small_config(
             confusion_from_labeled=40, rates=(0.2,), sample_sizes=(120,), replications=3

@@ -1,5 +1,7 @@
 """Sampler mechanics, the reweighted walk estimator, and resampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,7 +16,6 @@ from graphquant.samplers import (
     estimate_visibility,
     importance_resample,
     node_sample,
-    rwrw_estimate,
     rwrw_walk,
     snowball_sample,
     with_noisy_labels,
@@ -43,6 +44,48 @@ def complete_bipartite(n_a, n_b):
     return UndirectedGraph.from_edges(n_a + n_b, edges, [0] * n_a + [1] * n_b)
 
 
+def waves(sample):
+    """BFS wave per snowball record: seeds have no discovery edge and are
+    wave 0; each child is one wave past its parent, which precedes it."""
+    out = np.zeros(len(sample), dtype=np.int64)
+    for parent, child in sample.edge_positions.tolist():
+        out[child] = out[parent] + 1
+    return out
+
+
+# Every sampler with the edge count it implies on a graph, given its draw.
+RECORD_CASES = {
+    "walk": (lambda g: rwrw_walk(g, 400, rng_seed=70), lambda g, s: len(s) - 1),
+    "node": (
+        lambda g: node_sample(g, 60, rng_seed=71),
+        lambda g, s: sum(g.has_edge(int(u), int(v)) for u in s.nodes for v in s.nodes if u < v),
+    ),
+    "edge": (lambda g: edge_sample(g, 50, rng_seed=72), lambda g, s: 50),
+    "snowball": (lambda g: snowball_sample(g, 80, n_seeds=4, rng_seed=73), lambda g, s: 80 - 4),
+    "resample": (
+        lambda g: importance_resample(rwrw_walk(g, 400, rng_seed=74), 900, rng_seed=75),
+        lambda g, s: 0,
+    ),
+}
+
+
+class TestSampleRecord:
+    @pytest.mark.parametrize("kind", sorted(RECORD_CASES))
+    def test_weights_and_observed_edges(self, kind):
+        g = generate_homophilous_graph(200, 3, 0.3, 0.7, rng_seed=69)
+        draw, implied_edges = RECORD_CASES[kind]
+        sample = draw(g)
+        assert sample.degrees.tolist() == g.degrees[sample.nodes].tolist()
+        assert sample.true_labels.tolist() == g.labels[sample.nodes].tolist()
+        if kind == "walk":
+            assert np.array_equal(sample.weights, 1.0 / sample.degrees)
+        else:
+            assert np.array_equal(sample.weights, np.ones(len(sample)))
+        assert sample.edge_positions.shape == (implied_edges(g, sample), 2)
+        for u, v in sample.nodes[sample.edge_positions].tolist():
+            assert g.has_edge(u, v)
+
+
 class TestWalk:
     def test_two_node_path_alternates(self):
         g = path_graph(2, labels=[0, 1])
@@ -54,8 +97,9 @@ class TestWalk:
     def test_walk_edges_are_graph_edges(self):
         g = generate_homophilous_graph(100, 2, 0.3, 0.7, rng_seed=6)
         walk = rwrw_walk(g, 500, rng_seed=2)
-        assert walk.walk_edges.shape == (499, 2)
-        for u, v in walk.walk_edges[:100]:
+        walk_edges = walk.nodes[walk.edge_positions]
+        assert walk_edges.shape == (499, 2)
+        for u, v in walk_edges[:100]:
             assert g.has_edge(int(u), int(v))
 
     def test_triangle_visits_uniform(self):
@@ -76,7 +120,7 @@ class TestWalk:
         walk = rwrw_walk(g, 50, seed_mode="uniform_with_burnin", burn_in=20, rng_seed=5)
         assert len(walk) == 50
         assert walk.burn_in == 20
-        assert walk.walk_edges.shape == (49, 2)
+        assert walk.edge_positions.shape == (49, 2)
 
     def test_bad_arguments(self):
         g = triangle()
@@ -103,8 +147,9 @@ class TestWalk:
             4, [(0, 1), (1, 2), (0, 2), (2, 3)], [0, 1, 0, 1]
         )
         walk = rwrw_walk(g, 300_000, rng_seed=10)
-        lo = np.minimum(walk.walk_edges[:, 0], walk.walk_edges[:, 1])
-        hi = np.maximum(walk.walk_edges[:, 0], walk.walk_edges[:, 1])
+        walk_edges = walk.nodes[walk.edge_positions]
+        lo = np.minimum(walk_edges[:, 0], walk_edges[:, 1])
+        hi = np.maximum(walk_edges[:, 0], walk_edges[:, 1])
         keys = lo * 10 + hi
         counts = {key: np.mean(keys == key) for key in (1, 12, 2, 23)}
         for share in counts.values():
@@ -115,35 +160,22 @@ class TestRwrwEstimate:
     def test_constant_function_is_exactly_one(self):
         g = generate_homophilous_graph(50, 2, 0.2, 0.8, rng_seed=11)
         walk = rwrw_walk(g, 1000, rng_seed=12)
-        assert rwrw_estimate(walk, lambda _: 1.0) == 1.0
+        constant = dataclasses.replace(walk, true_labels=np.ones_like(walk.true_labels))
+        assert estimate_proportions(constant, "true").b == 1.0
 
     def test_two_term_hand_computation(self):
         # Records (d=4, g=1) and (d=1, g=0): (1/4) / (1/4 + 1) = 0.2.
         g = star_graph(4)
         walk = rwrw_walk(g, 2, rng_seed=0)
-        values = {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
         assert set(walk.degrees) == {4, 1}
-        assert rwrw_estimate(walk, lambda v: values[v]) == pytest.approx(0.2)
+        assert estimate_proportions(walk, "true").b == pytest.approx(0.2)
 
     def test_relabeling_invariance(self):
         g = generate_homophilous_graph(80, 2, 0.3, 0.7, rng_seed=13)
         walk = rwrw_walk(g, 500, rng_seed=14)
         perm = np.random.default_rng(15).permutation(g.node_count)
-        relabeled = walk.__class__(
-            nodes=perm[walk.nodes],
-            degrees=walk.degrees,
-            true_labels=walk.true_labels,
-            noisy_labels=None,
-            walk_edges=perm[walk.walk_edges],
-            seed_mode=walk.seed_mode,
-            burn_in=walk.burn_in,
-        )
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(g.node_count)
-        g_of = lambda v: float(g.labels[v])
-        assert rwrw_estimate(walk, g_of) == rwrw_estimate(
-            relabeled, lambda v: g_of(int(inverse[v]))
-        )
+        relabeled = dataclasses.replace(walk, nodes=perm[walk.nodes])
+        assert estimate_proportions(walk, "true") == estimate_proportions(relabeled, "true")
 
     def test_converges_to_truth(self):
         g = generate_homophilous_graph(50, 3, 0.2, 0.8, rng_seed=16)
@@ -158,7 +190,7 @@ class TestNodeSample:
         g = generate_homophilous_graph(40, 2, 0.3, 0.7, rng_seed=18)
         sample = node_sample(g, g.node_count, rng_seed=19)
         assert np.array_equal(sample.nodes, np.arange(g.node_count))
-        assert sample.induced_edges.shape[0] == g.edge_count
+        assert sample.edge_positions.shape[0] == g.edge_count
         gt = ground_truth(g)
         assert estimate_proportions(sample, "true").b == gt.p.b
         assert estimate_edge_vector(sample, "true").as_tuple() == gt.s.as_tuple()
@@ -226,8 +258,9 @@ class TestSnowball:
         )
         sample = snowball_sample(g, 3, n_seeds=1, rng_seed=seed)
         assert sorted(sample.nodes.tolist()) == [1, 2, 3]
-        assert sample.waves.tolist() == [0, 1, 1]
-        assert sorted(map(tuple, sample.traversed_edges.tolist())) == [(2, 1), (2, 3)]
+        assert waves(sample).tolist() == [0, 1, 1]
+        traversed = sample.nodes[sample.edge_positions]
+        assert sorted(map(tuple, traversed.tolist())) == [(2, 1), (2, 3)]
 
     def test_exact_target_size_with_truncated_wave(self):
         g = generate_homophilous_graph(500, 3, 0.2, 0.8, rng_seed=28)
@@ -235,8 +268,8 @@ class TestSnowball:
         assert len(sample) == 123
         assert len(set(sample.nodes.tolist())) == 123
         # Waves are contiguous from the seeds.
-        assert sample.waves.min() == 0
-        assert set(np.diff(np.unique(sample.waves))) <= {1}
+        assert waves(sample).min() == 0
+        assert set(np.diff(np.unique(waves(sample)))) <= {1}
 
     def test_more_biased_than_node_sampling(self):
         # Qualitative check on a homophilous graph over 500 replications.
@@ -260,7 +293,7 @@ class TestImportanceResample:
         g = triangle()
         walk = rwrw_walk(g, 1000, rng_seed=33)
         resampled = importance_resample(walk, 5000, rng_seed=34)
-        assert np.allclose(resampled.weights, 1.0 / len(walk))
+        assert np.allclose(walk.weights / walk.weights.sum(), 1.0 / len(walk))
         assert len(resampled) == 5000
 
     def test_star_hub_recovers_uniform_share(self):
@@ -316,7 +349,7 @@ class TestEstimateEdgeVector:
     def test_no_edges_raises(self):
         g = generate_homophilous_graph(200, 2, 0.3, 0.7, rng_seed=50)
         sparse = node_sample(g, 2, rng_seed=51)
-        if sparse.induced_edges.shape[0] == 0:
+        if sparse.edge_positions.shape[0] == 0:
             with pytest.raises(NoObservedEdgesError):
                 estimate_edge_vector(sparse, "true")
 
