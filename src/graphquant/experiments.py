@@ -23,6 +23,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,6 +45,8 @@ from .quantify import (
     ingroup_share,
 )
 from .samplers import (
+    SEED_DEGREE,
+    SEED_UNIFORM,
     NoObservedEdgesError,
     edge_sample,
     estimate_edge_vector,
@@ -137,6 +140,16 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.graph.validate()
+        # bool is an int subclass, and a float size only fails inside numpy.
+        names = ("replications", "master_seed", "burn_in", "snowball_seeds", "resample_factor")
+        integers = [(name, getattr(self, name)) for name in names]
+        integers += [("n", self.graph.n), ("m", self.graph.m)]
+        integers += [("sample_sizes", z) for z in self.sample_sizes]
+        if self.confusion_from_labeled is not None:
+            integers.append(("confusion_from_labeled", self.confusion_from_labeled))
+        for name, value in integers:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.samplers:
             raise ValueError("need at least one sampler")
         for s in self.samplers:
@@ -157,6 +170,12 @@ class ExperimentConfig:
             raise ValueError("top_quantile must lie in (0, 1]")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
+        if self.seed_mode not in (SEED_DEGREE, SEED_UNIFORM):
+            raise ValueError(f"unknown seed_mode {self.seed_mode!r}")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be nonnegative")
+        if self.snowball_seeds < 1:
+            raise ValueError("need at least one snowball seed")
         if self.resample_factor < 1:
             raise ValueError("resample_factor must be positive")
         if self.confusion_from_labeled is not None and self.confusion_from_labeled < 2:
@@ -241,12 +260,15 @@ def _build_graph(spec: GraphSpec, seed) -> UndirectedGraph:
         return generate_homophilous_graph(
             spec.n, spec.m, spec.minority_frac, spec.ingroup_pref, seed
         )
-    # Size and mtime are part of the key, so a rewritten file is read again.
+    # Size and mtime are part of the key, so a rewritten file is read again,
+    # and the graph of its previous contents is evicted.
     stats = [os.stat(path) for path in (spec.edge_file, spec.label_file)]
     key = (spec.edge_file, spec.label_file, spec.directed) + tuple(
         (st.st_size, st.st_mtime_ns) for st in stats
     )
     if key not in _GRAPH_CACHE:
+        for stale in [k for k in _GRAPH_CACHE if k[:3] == key[:3]]:
+            del _GRAPH_CACHE[stale]
         _GRAPH_CACHE[key] = load_graph_files(
             spec.edge_file, spec.label_file, directed=spec.directed
         )
@@ -576,53 +598,19 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
     return out
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path, header: tuple[str, ...], rows) -> None:
+    """One line per row with the fields the header names. The csv module
+    writes None as an empty field and a float as its shortest repr."""
+    fields = attrgetter(*header)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(fields, rows))
 
 
 def write_rows_csv(result: ExperimentResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROWS_HEADER)
-        for r in result.rows:
-            writer.writerow(
-                [
-                    r.sampler,
-                    _fmt(r.rate),
-                    r.size,
-                    r.rep,
-                    r.measure,
-                    r.variant,
-                    _fmt(r.estimate),
-                    _fmt(r.error),
-                    r.flags,
-                ]
-            )
+    _write_csv(path, ROWS_HEADER, result.rows)
 
 
 def write_summary_csv(summary: list[SummaryRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for s in summary:
-            writer.writerow(
-                [
-                    s.sampler,
-                    _fmt(s.rate),
-                    s.size,
-                    s.measure,
-                    s.variant,
-                    s.reps,
-                    s.failures,
-                    _fmt(s.mean_error),
-                    _fmt(s.p2_5),
-                    _fmt(s.p97_5),
-                    _fmt(s.nrmse),
-                    _fmt(s.out_of_range_rate),
-                    _fmt(s.failure_rate),
-                ]
-            )
+    _write_csv(path, SUMMARY_HEADER, summary)

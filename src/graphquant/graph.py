@@ -1,5 +1,8 @@
 """Two-group undirected graphs: synthetic generation, file ingestion and
-preprocessing, and exact whole-graph measures by full enumeration."""
+preprocessing, and exact whole-graph measures by full enumeration. Graphs
+keep neighbours in CSR arrays, and one breadth-first wave (``_wave``)
+serves snowball sampling, the connectivity check and component extraction.
+"""
 
 from __future__ import annotations
 
@@ -39,6 +42,8 @@ def group_token(value: int) -> str:
 class UndirectedGraph:
     """Simple connected graph over dense node ids 0..N-1 with group labels.
 
+    Neighbours are stored in CSR form: the neighbours of node u are
+    ``indices[indptr[u]:indptr[u + 1]]``, in ascending id order.
     Construction enforces the structural invariants: no self loops or
     duplicate edges, every node incident to at least one edge, and (when
     checked) a single connected component. Instances are treated as
@@ -47,13 +52,14 @@ class UndirectedGraph:
 
     labels: np.ndarray  # int8 group per node
     edges: np.ndarray  # (E, 2) int64, each undirected edge once with src < dst
-    adjacency: list[np.ndarray]  # sorted neighbor ids per node
+    indptr: np.ndarray  # (N + 1,) int64 offsets into indices
+    indices: np.ndarray  # (2E,) int64 neighbour ids, ascending per node
     degrees: np.ndarray
     id_map: np.ndarray | None = None  # dense id -> original id, when remapped
 
     @property
     def node_count(self) -> int:
-        return len(self.adjacency)
+        return self.indptr.shape[0] - 1
 
     @property
     def edge_count(self) -> int:
@@ -68,7 +74,7 @@ class UndirectedGraph:
         return self.total_degree / self.node_count
 
     def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.adjacency[u]
+        nbrs = self.indices[self.indptr[u] : self.indptr[u + 1]]
         k = int(np.searchsorted(nbrs, v))
         return k < nbrs.shape[0] and nbrs[k] == v
 
@@ -94,52 +100,71 @@ class UndirectedGraph:
         if label_arr.min() < 0 or label_arr.max() > 1:
             raise ValueError("labels must be 0 or 1")
 
-        lo = edge_arr.min(axis=1)
-        hi = edge_arr.max(axis=1)
+        keys = np.sort(edge_arr.min(axis=1) * node_count + edge_arr.max(axis=1))
+        lo, hi = np.divmod(keys, node_count)
         if (lo == hi).any():
             raise ValueError("self loops are not allowed")
-        canon = np.column_stack([lo, hi])
-        order = np.lexsort((canon[:, 1], canon[:, 0]))
-        canon = canon[order]
-        dup = (np.diff(canon[:, 0]) == 0) & (np.diff(canon[:, 1]) == 0)
-        if dup.any():
+        if (np.diff(keys) == 0).any():
             raise ValueError("duplicate edges are not allowed")
 
-        src = np.concatenate([canon[:, 0], canon[:, 1]])
-        dst = np.concatenate([canon[:, 1], canon[:, 0]])
-        half_order = np.lexsort((dst, src))
-        src_sorted = src[half_order]
-        dst_sorted = dst[half_order]
-        offsets = np.searchsorted(src_sorted, np.arange(node_count + 1))
-        adjacency = [dst_sorted[offsets[i] : offsets[i + 1]] for i in range(node_count)]
-        degrees = np.diff(offsets).astype(np.int64)
+        indptr, indices = _csr(node_count, lo, hi)
+        degrees = np.diff(indptr)
         if (degrees == 0).any():
             raise ValueError("every node must be incident to at least one edge")
-        if check_connected and not _connected(adjacency, node_count):
+        if check_connected and not _connected(indptr, indices):
             raise ValueError("graph must be a single connected component")
         return cls(
             labels=label_arr,
-            edges=canon,
-            adjacency=adjacency,
+            edges=np.column_stack([lo, hi]),
+            indptr=indptr,
+            indices=indices,
             degrees=degrees,
             id_map=id_map,
         )
 
 
-def _connected(adjacency, node_count: int) -> bool:
-    seen = np.zeros(node_count, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    found = 1
-    while stack:
-        u = stack.pop()
-        nbrs = adjacency[u]
-        fresh = nbrs[~seen[nbrs]]
-        if fresh.size:
-            seen[fresh] = True
-            found += fresh.size
-            stack.extend(fresh.tolist())
-    return found == node_count
+def _csr(node_count: int, lo: np.ndarray, hi: np.ndarray):
+    """CSR ``(indptr, indices)`` of the edges ``lo[i]-hi[i]``, neighbours
+    ascending, from one stable argsort of the half-edge keys."""
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    return indptr, dst[np.argsort(src * node_count + dst, kind="stable")]
+
+
+def _wave(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, visited: np.ndarray):
+    """One breadth-first wave: the unvisited neighbours of ``frontier``.
+
+    They come in frontier order, each node's neighbours ascending, and a
+    node reached twice belongs to its first discoverer. Returns the new
+    nodes, now marked visited, and the frontier position of each one's
+    discoverer.
+    """
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    offsets = np.cumsum(counts) - counts  # where each node's neighbours land in slots
+    slots = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+    nbrs = indices[slots]
+    fresh = ~visited[nbrs]
+    nbrs = nbrs[fresh]
+    first = np.sort(np.unique(nbrs, return_index=True)[1])
+    visited[nbrs[first]] = True
+    return nbrs[first], np.repeat(np.arange(frontier.shape[0]), counts)[fresh][first]
+
+
+def _component(indptr: np.ndarray, indices: np.ndarray, start: int, visited: np.ndarray):
+    """Nodes reachable from ``start``, wave by wave; all end up visited."""
+    visited[start] = True
+    waves = [np.array([start], dtype=np.int64)]
+    while waves[-1].shape[0]:
+        waves.append(_wave(indptr, indices, waves[-1], visited)[0])
+    return np.concatenate(waves)
+
+
+def _connected(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    visited = np.zeros(indptr.shape[0] - 1, dtype=bool)
+    return _component(indptr, indices, 0, visited).shape[0] == visited.shape[0]
 
 
 def graphs_equal(g1: UndirectedGraph, g2: UndirectedGraph) -> bool:
@@ -259,64 +284,58 @@ def load_and_preprocess(
         if value is not None:
             labels[int(node)] = value
 
-    raw_pairs: set[tuple[int, int]] = set()
-    for record in edge_records:
-        try:
-            u, v = record
-            u = int(u)
-            v = int(v)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed edge record {record!r}") from exc
-        if directed_input:
-            raw_pairs.add((u, v))
-        elif u != v:
-            raw_pairs.add((min(u, v), max(u, v)))
+    try:
+        pairs = np.array(list(edge_records), dtype=np.int64)
+        labelled_ids = np.fromiter(labels, dtype=np.int64, count=len(labels))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed records: {exc}") from exc
+    if pairs.size and pairs.shape[1:] != (2,):
+        raise ValueError("malformed edge records: expected (u, v) integer pairs")
+    pairs = pairs.reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+
+    # Dense ids 0..K-1 rise with the original ids, so pair keys lo*K + hi
+    # cannot overflow and sort like the original pairs.
+    ids, dense = np.unique(pairs, return_inverse=True)
+    dense = dense.reshape(-1, 2)
+    k = ids.shape[0]
+    keys = dense.min(axis=1) * k + dense.max(axis=1)
     if directed_input:
-        raw_pairs = {
-            (min(u, v), max(u, v))
-            for (u, v) in raw_pairs
-            if u != v and (v, u) in raw_pairs
-        }
-
-    kept = [(u, v) for (u, v) in raw_pairs if u in labels and v in labels]
-    if not kept:
+        keys = 2 * keys + (dense[:, 0] > dense[:, 1])  # tag the direction
+    # Sorting drops repeats tens of times faster than numpy's hash-based
+    # np.unique does on arrays this large.
+    keys = np.sort(keys)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    if directed_input:
+        # A pair is reciprocated when both of its directions remain.
+        keys = keys[1:][keys[1:] // 2 == keys[:-1] // 2] // 2
+    lo, hi = np.divmod(keys, k)
+    labelled = np.isin(ids, labelled_ids)
+    keep = labelled[lo] & labelled[hi]
+    if not keep.any():
         raise ValueError("empty graph after preprocessing")
+    lo, hi = lo[keep], hi[keep]
 
-    neighbors: dict[int, list[int]] = {}
-    for u, v in kept:
-        neighbors.setdefault(u, []).append(v)
-        neighbors.setdefault(v, []).append(u)
+    # Scanning from the lowest id and replacing the best component only by
+    # a strictly larger one keeps, among equal sizes, the lowest-id one.
+    indptr, indices = _csr(k, lo, hi)
+    visited = indptr[1:] == indptr[:-1]  # ids without a kept edge
+    best = np.empty(0, dtype=np.int64)
+    for start in range(k):
+        if not visited[start]:
+            component = _component(indptr, indices, start, visited)
+            if component.shape[0] > best.shape[0]:
+                best = component
 
-    best: set[int] = set()
-    unvisited = set(neighbors)
-    while unvisited:
-        start = min(unvisited)
-        component = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for w in neighbors[node]:
-                if w not in component:
-                    component.add(w)
-                    frontier.append(w)
-        unvisited -= component
-        if len(component) > len(best):
-            best = component
-
-    ordered = sorted(best)
-    remap = {orig: i for i, orig in enumerate(ordered)}
-    edge_arr = np.array(
-        sorted(
-            (remap[u], remap[v]) if remap[u] < remap[v] else (remap[v], remap[u])
-            for (u, v) in kept
-            if u in best
-        ),
-        dtype=np.int64,
-    )
-    label_arr = np.array([labels[orig] for orig in ordered], dtype=np.int8)
-    id_map = np.array(ordered, dtype=np.int64)
+    members = np.sort(best)
+    new_id = np.full(k, -1, dtype=np.int64)
+    new_id[members] = np.arange(members.shape[0])
+    inside = new_id[lo] >= 0
+    edge_arr = np.column_stack([new_id[lo[inside]], new_id[hi[inside]]])
+    id_map = ids[members]
+    label_arr = [labels[orig] for orig in id_map.tolist()]
     return UndirectedGraph.from_edges(
-        len(ordered), edge_arr, label_arr, id_map=id_map, check_connected=False
+        members.shape[0], edge_arr, label_arr, id_map=id_map, check_connected=False
     )
 
 

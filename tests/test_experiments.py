@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from graphquant import experiments
 from graphquant.cli import main as cli_main
 from graphquant.experiments import (
     ExperimentConfig,
@@ -58,6 +59,18 @@ class TestConfig:
             {"sample_sizes": (0,)},
             {"top_quantile": 0.0},
             {"master_seed": -1},
+            {"seed_mode": "bogus"},
+            {"burn_in": -1},
+            {"snowball_seeds": 0},
+            {"sample_sizes": (20.0,)},
+            {"graph": GraphSpec(n=200.0, m=3)},
+            {"replications": True},
+            {"graph": GraphSpec(n=300, m=3.0)},
+            {"burn_in": 1.0},
+            {"snowball_seeds": 2.5},
+            {"resample_factor": True},
+            {"confusion_from_labeled": 40.0},
+            {"master_seed": 1.5},
         ],
     )
     def test_invariant_violations(self, overrides):
@@ -233,7 +246,7 @@ class TestRunExperiment:
             sample_sizes=(40,),
             replications=1,
         )
-        for n, frac in ((120, 0.3), (150, 0.5)):
+        for n, frac in ((120, 0.3), (150, 0.5), (180, 0.4)):
             g = generate_homophilous_graph(n, 3, frac, 0.7, rng_seed=4)
             write_edge_list(g, edges)
             write_label_file(g, labels)
@@ -241,6 +254,9 @@ class TestRunExperiment:
                 sampler="node", measure="proportion", variant="no_noise"
             )[0]
             assert row.estimate - row.error == pytest.approx(ground_truth(g).p.b, abs=1e-12)
+            # The stale graph of the previous contents is evicted, not kept.
+            cached = [key for key in experiments._GRAPH_CACHE if key[0] == str(edges)]
+            assert len(cached) == 1
 
     def test_estimated_confusion_mode_runs(self):
         cfg = small_config(

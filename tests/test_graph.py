@@ -61,7 +61,7 @@ class TestConstruction:
     def test_adjacency_symmetric_and_sorted(self):
         g = UndirectedGraph.from_edges(4, [(2, 0), (1, 0), (3, 1), (2, 1)], [0, 0, 1, 1])
         for u in range(4):
-            nbrs = g.adjacency[u]
+            nbrs = g.indices[g.indptr[u] : g.indptr[u + 1]]
             assert np.array_equal(nbrs, np.sort(nbrs))
             for v in nbrs:
                 assert g.has_edge(int(v), u)
@@ -163,7 +163,7 @@ class TestGenerator:
         stack = [0]
         while stack:
             u = stack.pop()
-            for v in g.adjacency[u]:
+            for v in g.indices[g.indptr[u] : g.indptr[u + 1]]:
                 if int(v) not in seen:
                     seen.add(int(v))
                     stack.append(int(v))
@@ -200,6 +200,44 @@ class TestGenerator:
             for s in range(50)
         ]
         assert 0.37 < np.mean(h_b) < 0.47
+
+
+def reference_preprocess(edge_records, label_records, directed_input=False):
+    """Set-and-dict preprocessing, one record and one node at a time."""
+    labels = {}
+    for node, raw in label_records.items():
+        if raw is not None and raw != "NA":
+            labels[int(node)] = raw if isinstance(raw, int) else "AB".index(raw)
+    if directed_input:
+        directed = {(u, v) for u, v in edge_records}
+        pairs = {(min(u, v), max(u, v)) for u, v in directed if u != v and (v, u) in directed}
+    else:
+        pairs = {(min(u, v), max(u, v)) for u, v in edge_records if u != v}
+    kept = [(u, v) for u, v in pairs if u in labels and v in labels]
+    if not kept:
+        raise ValueError("empty graph after preprocessing")
+    neighbors = {}
+    for u, v in kept:
+        neighbors.setdefault(u, []).append(v)
+        neighbors.setdefault(v, []).append(u)
+    best, unvisited = set(), set(neighbors)
+    while unvisited:
+        component, stack = set(), [min(unvisited)]
+        while stack:
+            node = stack.pop()
+            if node not in component:
+                component.add(node)
+                stack.extend(neighbors[node])
+        unvisited -= component
+        if len(component) > len(best):
+            best = component
+    ordered = sorted(best)
+    remap = {orig: i for i, orig in enumerate(ordered)}
+    edges = sorted((remap[u], remap[v]) for u, v in kept if u in best)
+    g = UndirectedGraph.from_edges(
+        len(ordered), edges, [labels[orig] for orig in ordered], check_connected=False
+    )
+    return g, ordered
 
 
 class TestPreprocess:
@@ -252,6 +290,33 @@ class TestPreprocess:
             [tuple(e) for e in g.edges], {i: int(g.labels[i]) for i in range(g.node_count)}
         )
         assert graphs_equal(g, again)
+
+    def test_equal_size_components_keep_lowest_original_id(self):
+        # Two triangles; the one listed first has the higher ids.
+        records = [(50, 51), (51, 52), (52, 50), (7, 30), (30, 9), (9, 7)]
+        g = load_and_preprocess(records, {i: "A" for i in (7, 9, 30, 50, 51, 52)})
+        assert g.id_map.tolist() == [7, 9, 30]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 25), st.integers(0, 25)), max_size=60),
+        tokens=st.lists(st.sampled_from(["A", "B", "NA", 0, 1, None]), min_size=26, max_size=26),
+        spread=st.sampled_from([1, 7, 10**12]),
+        directed=st.booleans(),
+    )
+    def test_matches_reference(self, edges, tokens, spread, directed):
+        # Spread ids apart so dense re-indexing is exercised on sparse ids.
+        edges = [(u * spread, v * spread) for u, v in edges]
+        labels = {i * spread: token for i, token in enumerate(tokens)}
+        try:
+            want, ordered = reference_preprocess(edges, labels, directed)
+        except ValueError:
+            with pytest.raises(ValueError):
+                load_and_preprocess(edges, labels, directed_input=directed)
+            return
+        got = load_and_preprocess(edges, labels, directed_input=directed)
+        assert graphs_equal(got, want)
+        assert got.id_map.tolist() == ordered
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=40))

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from graphquant.graph import UndirectedGraph, generate_homophilous_graph, ground_truth
@@ -51,6 +53,36 @@ def waves(sample):
     for parent, child in sample.edge_positions.tolist():
         out[child] = out[parent] + 1
     return out
+
+
+def reference_snowball(g, n_target, n_seeds, rng_seed):
+    """Snowball crawl one neighbour at a time, drawing what snowball_sample draws."""
+    rng = np.random.default_rng(rng_seed)
+    seeds = np.sort(rng.choice(g.node_count, size=min(n_seeds, g.node_count), replace=False))
+    if seeds.shape[0] > n_target:
+        seeds = np.sort(rng.choice(seeds, size=n_target, replace=False))
+    visited = set(seeds.tolist())
+    accepted = seeds.tolist()
+    tree = []
+    frontier = range(len(accepted))
+    while len(accepted) < n_target:
+        discovered, parents = [], []
+        for at in frontier:
+            u = accepted[at]
+            for w in g.indices[g.indptr[u] : g.indptr[u + 1]].tolist():
+                if w not in visited:
+                    visited.add(w)
+                    discovered.append(w)
+                    parents.append(at)
+        room = n_target - len(accepted)
+        if len(discovered) > room:
+            keep = np.sort(rng.choice(len(discovered), size=room, replace=False))
+            discovered = [discovered[i] for i in keep]
+            parents = [parents[i] for i in keep]
+        frontier = range(len(accepted), len(accepted) + len(discovered))
+        accepted.extend(discovered)
+        tree.extend(zip(parents, frontier))
+    return accepted, tree
 
 
 # Every sampler with the edge count it implies on a graph, given its draw.
@@ -270,6 +302,22 @@ class TestSnowball:
         # Waves are contiguous from the seeds.
         assert waves(sample).min() == 0
         assert set(np.diff(np.unique(waves(sample)))) <= {1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(5, 300),
+        m=st.integers(1, 4),
+        target=st.floats(0.0, 1.0),
+        n_seeds=st.integers(1, 12),
+        seed=st.integers(0, 2**31),
+    )
+    def test_matches_reference(self, n, m, target, n_seeds, seed):
+        g = generate_homophilous_graph(n, m, 0.3, 0.7, rng_seed=seed)
+        n_target = 1 + int(target * (n - 1))
+        nodes, tree = reference_snowball(g, n_target, n_seeds, seed + 1)
+        sample = snowball_sample(g, n_target, n_seeds=n_seeds, rng_seed=seed + 1)
+        assert sample.nodes.tolist() == nodes
+        assert sample.edge_positions.tolist() == [list(e) for e in tree]
 
     def test_more_biased_than_node_sampling(self):
         # Qualitative check on a homophilous graph over 500 replications.
