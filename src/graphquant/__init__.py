@@ -44,7 +44,6 @@ from .samplers import (
     edge_sample,
     estimate_edge_vector,
     estimate_proportions,
-    estimate_visibility,
     importance_resample,
     node_sample,
     rwrw_walk,

@@ -99,7 +99,7 @@ def _cmd_correct(args) -> int:
     confusion = _confusion_from_args(args)
     payload: dict = {"matrix": confusion.to_flat(), "det": confusion.det}
     if args.prop is not None:
-        vec = PropVector(args.prop[0], args.prop[1], role="measured_m")
+        vec = PropVector(args.prop[0], args.prop[1])
         corrected = adjust_proportions(vec, confusion)
         if args.clip:
             corrected = corrected.clipped()
@@ -110,7 +110,7 @@ def _cmd_correct(args) -> int:
         }
         payload["variance_inflation"] = variance_inflation_nodes(confusion)
     if args.edge is not None:
-        vec = EdgeVector(args.edge[0], args.edge[1], args.edge[2], role="measured_t")
+        vec = EdgeVector(args.edge[0], args.edge[1], args.edge[2])
         corrected = adjust_edge_proportions(vec, confusion)
         if args.clip:
             corrected = corrected.clipped()

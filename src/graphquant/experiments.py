@@ -8,6 +8,15 @@ visibility, Coleman homophily) in three variants: no_noise, uncorrected,
 and corrected. Rows carry the signed error against that replication's
 exact ground truth.
 
+Each sample is measured once per label set (its true labels, then each
+rate's noisy labels): group shares, edge-type shares and the group shares
+of its top-quantile records. The variants come from these stored vectors:
+no_noise and uncorrected read them as they are, and corrected applies the
+confusion-matrix correction to the noisy ones, as in adjusted classify
+and count. A failure is recorded where it arises, so a measurement
+failure flags both noisy variants and a correction failure only the
+corrected one.
+
 Everything is deterministic given the master seed: per-purpose RNG
 streams are split from it by counter keys, replications are independent
 tasks, and rows are sorted before writing so thread count cannot change
@@ -54,7 +63,6 @@ from .samplers import (
     importance_resample,
     node_sample,
     rwrw_walk,
-    shares_in_top_quantile,
     snowball_sample,
     with_noisy_labels,
 )
@@ -232,21 +240,6 @@ class ExperimentResult:
     config: ExperimentConfig
     rows: list[ResultRow]
 
-    def rows_for(self, **filters) -> list[ResultRow]:
-        out = self.rows
-        for key, value in filters.items():
-            out = [r for r in out if getattr(r, key) == value]
-        return out
-
-    def errors_for(self, **filters) -> np.ndarray:
-        return np.array(
-            [
-                r.error
-                for r in self.rows_for(**filters)
-                if r.error is not None and not r.flags.startswith("failed")
-            ]
-        )
-
 
 def _stream(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(master),) + tuple(int(k) for k in key))
@@ -286,19 +279,32 @@ def _graph_for_rep(cfg: ExperimentConfig, rep: int) -> UndirectedGraph:
     return _build_graph(cfg.graph, _stream(cfg.master_seed, _GRAPH, rep))
 
 
+# Domain failures and their row flags; any other exception is a bug and raises.
 _FAIL_CODES = (
     (NoObservedEdgesError, "no_edges"),
     (SingularCorrectionError, "singular"),
     (UndefinedShareError, "undefined_share"),
-    (ValueError, "error"),
 )
+_FAILURES = tuple(etype for etype, _ in _FAIL_CODES)
 
 
-def _fail_flag(exc: Exception) -> str:
-    for etype, code in _FAIL_CODES:
-        if isinstance(exc, etype):
-            return f"failed:{code}"
-    raise exc
+def _attempt(fn, *args):
+    """``fn(*args)``, or the domain failure it raised. A failure passed as
+    the first argument comes straight back, so it flows down a chain."""
+    if isinstance(args[0], Exception):
+        return args[0]
+    try:
+        return fn(*args)
+    except _FAILURES as exc:
+        return exc
+
+
+def _entry(result, field: str = "b") -> tuple[float | None, str]:
+    """(estimate, flags) of a vector or index, or of its failure."""
+    if isinstance(result, Exception):
+        code = next(code for etype, code in _FAIL_CODES if isinstance(result, etype))
+        return None, f"failed:{code}"
+    return getattr(result, field), "out_of_range" if result.out_of_range else ""
 
 
 def _draw_sample(cfg: ExperimentConfig, g: UndirectedGraph, sampler: str, size: int, seed):
@@ -319,62 +325,41 @@ def _draw_sample(cfg: ExperimentConfig, g: UndirectedGraph, sampler: str, size: 
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-def _variant_estimates(
-    sample,
-    vis_source,
-    vis_top: np.ndarray | None,
-    label_field: str,
-    correction: ConfusionMatrix | None,
-) -> dict[str, tuple[float | None, str]]:
-    """All four measure estimates with per-measure failure isolation.
+def _measure(sample, top, label_field: str) -> tuple:
+    """Group shares, edge-type shares and top-quantile group shares of one
+    label set, each a vector or its failure. ``top`` holds the top-quantile
+    records, or the failure of selecting them."""
+    return (
+        _attempt(estimate_proportions, sample, label_field),
+        _attempt(estimate_edge_vector, sample, label_field),
+        _attempt(estimate_proportions, top, label_field),
+    )
 
-    ``vis_source`` holds the records the visibility estimate reads (the
-    importance resample for walks, the sample itself otherwise) and
-    ``vis_top`` the precomputed top-quantile indices into it, shared
-    across variants since only labels change between them.
-    """
-    out: dict[str, tuple[float | None, str]] = {}
 
-    p_b = None
-    try:
-        m_vec = estimate_proportions(sample, label_field)
-        p_vec = adjust_proportions(m_vec, correction) if correction else m_vec
-        p_b = p_vec.b
-        out["proportion"] = (p_b, "out_of_range" if p_vec.out_of_range else "")
-    except ValueError as exc:
-        out["proportion"] = (None, _fail_flag(exc))
-
-    share = None
-    try:
-        t_vec = estimate_edge_vector(sample, label_field)
-        s_vec = adjust_edge_proportions(t_vec, correction) if correction else t_vec
-        share = ingroup_share(s_vec, 1)
-        flagged = s_vec.out_of_range or not 0.0 <= share <= 1.0
-        out["ingroup"] = (share, "out_of_range" if flagged else "")
-    except ValueError as exc:
-        out["ingroup"] = (None, _fail_flag(exc))
-
-    if p_b is None or share is None:
-        out["homophily"] = (None, "failed:inputs")
+def _variants(measured: tuple, correction: ConfusionMatrix | None) -> dict[str, tuple[float | None, str]]:
+    """The four measures from measured vectors, corrected when a confusion
+    matrix is given, with per-measure failure isolation."""
+    p_vec, t_vec, v_vec = measured
+    if correction is not None:
+        p_vec = _attempt(adjust_proportions, p_vec, correction)
+        t_vec = _attempt(adjust_edge_proportions, t_vec, correction)
+        v_vec = _attempt(adjust_visibility, v_vec, correction)
+    share = _attempt(ingroup_share, t_vec, 1)
+    if isinstance(share, Exception):
+        ingroup = _entry(share)
     else:
-        try:
-            h = coleman_homophily(share, p_b, group=1)
-            out["homophily"] = (h.value, "out_of_range" if h.out_of_range else "")
-        except ValueError as exc:
-            out["homophily"] = (None, _fail_flag(exc))
-
-    if vis_top is None:
-        out["visibility"] = (None, "failed:undefined_share")
+        flagged = t_vec.out_of_range or not 0.0 <= share <= 1.0
+        ingroup = (share, "out_of_range" if flagged else "")
+    if isinstance(p_vec, Exception) or isinstance(share, Exception):
+        homophily = (None, "failed:inputs")
     else:
-        try:
-            v_vec = shares_in_top_quantile(vis_source, vis_top, label_field)
-            if correction:
-                v_vec = adjust_visibility(v_vec, correction)
-            out["visibility"] = (v_vec.b, "out_of_range" if v_vec.out_of_range else "")
-        except ValueError as exc:
-            out["visibility"] = (None, _fail_flag(exc))
-
-    return out
+        homophily = _entry(_attempt(coleman_homophily, share, p_vec.b, 1), "value")
+    return {
+        "proportion": _entry(p_vec),
+        "ingroup": ingroup,
+        "visibility": _entry(v_vec),
+        "homophily": homophily,
+    }
 
 
 def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
@@ -409,21 +394,20 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
                     _stream(cfg.master_seed, _RESAMPLE, rep, si, zi),
                 )
             try:
-                vis_top = top_quantile_indices(
+                top_idx = top_quantile_indices(
                     vis_source.degrees, cfg.top_quantile, node_ids=vis_source.nodes
                 )
             except ValueError:
-                vis_top = None
-            clean = _variant_estimates(base, vis_source, vis_top, "true", None)
+                top = UndefinedShareError("top quantile selects no records")
+            else:
+                top = vis_source.take(top_idx)
+            clean = _variants(_measure(base, top, "true"), None)
             for ri, rate in enumerate(cfg.rates):
                 noisy_sample = with_noisy_labels(base, noisy_maps[ri])
-                noisy_vis = (
-                    noisy_sample
-                    if vis_source is base
-                    else with_noisy_labels(vis_source, noisy_maps[ri])
-                )
-                correction: ConfusionMatrix | None = confusions[ri]
-                correction_flag = ""
+                noisy_top = _attempt(with_noisy_labels, top, noisy_maps[ri])
+                measured = _measure(noisy_sample, noisy_top, "noisy")
+                uncorrected = _variants(measured, None)
+                correction = confusions[ri]
                 if cfg.confusion_from_labeled is not None:
                     try:
                         correction = _estimated_confusion(
@@ -431,18 +415,10 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
                         )
                     except ValueError:
                         correction = None
-                        correction_flag = "failed:confusion_undefined"
-                uncorrected = _variant_estimates(
-                    noisy_sample, noisy_vis, vis_top, "noisy", None
-                )
-                if correction is None and cfg.confusion_from_labeled is not None:
-                    corrected = {
-                        m: (None, correction_flag) for m in MEASURES
-                    }
+                if correction is None:
+                    corrected = {m: (None, "failed:confusion_undefined") for m in MEASURES}
                 else:
-                    corrected = _variant_estimates(
-                        noisy_sample, noisy_vis, vis_top, "noisy", correction
-                    )
+                    corrected = _variants(measured, correction)
                 for variant, est in (
                     ("no_noise", clean),
                     ("uncorrected", uncorrected),

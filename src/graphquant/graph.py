@@ -73,11 +73,6 @@ class UndirectedGraph:
     def mean_degree(self) -> float:
         return self.total_degree / self.node_count
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.indices[self.indptr[u] : self.indptr[u + 1]]
-        k = int(np.searchsorted(nbrs, v))
-        return k < nbrs.shape[0] and nbrs[k] == v
-
     @classmethod
     def from_edges(
         cls,
@@ -386,7 +381,7 @@ def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
     whole population, where the index is undefined.
     """
     p_b = float(np.count_nonzero(g.labels)) / g.node_count
-    p = PropVector(1.0 - p_b, p_b, role="true_p")
+    p = PropVector(1.0 - p_b, p_b)
 
     pair = g.labels[g.edges[:, 0]].astype(np.int64) + g.labels[g.edges[:, 1]]
     e = g.edge_count
@@ -394,7 +389,6 @@ def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
         float(np.count_nonzero(pair == 0)) / e,
         float(np.count_nonzero(pair == 1)) / e,
         float(np.count_nonzero(pair == 2)) / e,
-        role="true_s",
     )
 
     # Population visibility always exists: on very small graphs the top

@@ -53,11 +53,6 @@ class ConfusionMatrix:
             raise ValueError("expected 4 entries in row-major order")
         return cls(*vals)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [[self.a_given_a, self.a_given_b], [self.b_given_a, self.b_given_b]]
-        )
-
 
 def symmetric_confusion(rate: float) -> ConfusionMatrix:
     """Confusion matrix with equal off-diagonal misclassification rate.
@@ -126,9 +121,6 @@ class DyadicMatrix:
     def apply(self, shares) -> tuple[float, float, float]:
         x, y, z = shares
         return tuple(r[0] * x + r[1] * y + r[2] * z for r in self.rows)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows)
 
 
 def dyadic_matrix(confusion: ConfusionMatrix) -> DyadicMatrix:

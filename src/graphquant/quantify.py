@@ -36,7 +36,6 @@ class PropVector:
 
     a: float
     b: float
-    role: str = "true_p"  # true_p | measured_m | corrected_p
 
     def __post_init__(self) -> None:
         if abs(self.a + self.b - 1.0) > _SUM_TOL:
@@ -56,7 +55,7 @@ class PropVector:
         total = a + b
         if total <= 0.0:
             raise UndefinedShareError("cannot renormalize an all-zero vector")
-        return PropVector(a / total, b / total, self.role)
+        return PropVector(a / total, b / total)
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class EdgeVector:
     aa: float
     ab: float
     bb: float
-    role: str = "true_s"  # true_s | measured_t | corrected_s
 
     def __post_init__(self) -> None:
         if abs(self.aa + self.ab + self.bb - 1.0) > _SUM_TOL:
@@ -87,7 +85,7 @@ class EdgeVector:
         total = sum(vals)
         if total <= 0.0:
             raise UndefinedShareError("cannot renormalize an all-zero vector")
-        return EdgeVector(vals[0] / total, vals[1] / total, vals[2] / total, self.role)
+        return EdgeVector(vals[0] / total, vals[1] / total, vals[2] / total)
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ def adjust_proportions(measured: PropVector, confusion: ConfusionMatrix) -> Prop
     det = _checked_det(confusion)
     p_a = (measured.a * confusion.b_given_b - measured.b * confusion.a_given_b) / det
     p_b = (measured.b * confusion.a_given_a - measured.a * confusion.b_given_a) / det
-    return PropVector(p_a, p_b, role="corrected_p")
+    return PropVector(p_a, p_b)
 
 
 def adjust_visibility(measured_topq: PropVector, confusion: ConfusionMatrix) -> PropVector:
@@ -144,20 +142,20 @@ def adjust_edge_proportions(measured: EdgeVector, confusion: ConfusionMatrix) ->
     inv = _inverse_3x3(dyadic_matrix(confusion).rows)
     t = measured.as_tuple()
     s = [row[0] * t[0] + row[1] * t[1] + row[2] * t[2] for row in inv]
-    return EdgeVector(s[0], s[1], s[2], role="corrected_s")
+    return EdgeVector(s[0], s[1], s[2])
 
 
 def measured_proportions(true: PropVector, confusion: ConfusionMatrix) -> PropVector:
     """Expected measured shares under noise (forward map of the confusion matrix)."""
     m_a = confusion.a_given_a * true.a + confusion.a_given_b * true.b
     m_b = confusion.b_given_a * true.a + confusion.b_given_b * true.b
-    return PropVector(m_a, m_b, role="measured_m")
+    return PropVector(m_a, m_b)
 
 
 def measured_edge_proportions(true: EdgeVector, confusion: ConfusionMatrix) -> EdgeVector:
     """Expected measured edge-type shares under independent endpoint noise."""
     t = dyadic_matrix(confusion).apply(true.as_tuple())
-    return EdgeVector(t[0], t[1], t[2], role="measured_t")
+    return EdgeVector(t[0], t[1], t[2])
 
 
 def ingroup_share(edge_shares: EdgeVector, group: int) -> float:

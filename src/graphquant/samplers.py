@@ -16,9 +16,11 @@ below works from sample data alone and never asks which sampler ran:
   ``(2i, 2i+1)`` for edge samples, the induced edges for node samples,
   and the discovery edges for snowball samples.
 
-Importance resampling with the walk weights recovers an approximately
-uniform node sample from a walk, which is what the degree-quantile
-visibility estimate needs; the resample carries unit weights and no
+Visibility is the group-share estimate over the top-quantile records,
+``estimate_proportions(sample.take(top))``. For a walk those records are
+taken from its importance resample: redrawing records in proportion to
+their 1/d weights recovers an approximately uniform node sample, which
+the degree quantile needs; the resample carries unit weights and no
 edges.
 """
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UndirectedGraph, _wave, group_token, top_quantile_indices
+from .graph import UndirectedGraph, _wave, group_token
 from .quantify import PropVector, EdgeVector
 
 SEED_DEGREE = "degree_proportional"
@@ -59,6 +61,17 @@ class Sample:
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
+
+    def take(self, idx) -> "Sample":
+        """The records at ``idx`` with their weights, and no observed edges."""
+        return Sample(
+            nodes=self.nodes[idx],
+            degrees=self.degrees[idx],
+            true_labels=self.true_labels[idx],
+            noisy_labels=None if self.noisy_labels is None else self.noisy_labels[idx],
+            weights=self.weights[idx],
+            edge_positions=np.empty((0, 2), dtype=np.int64),
+        )
 
 
 def _records(g: UndirectedGraph, nodes, edge_positions, weights=None, burn_in=0) -> Sample:
@@ -209,14 +222,7 @@ def importance_resample(sample: Sample, out_size: int, rng_seed=None) -> Sample:
     rng = np.random.default_rng(rng_seed)
     p = sample.weights / sample.weights.sum()
     idx = rng.choice(len(sample), size=out_size, replace=True, p=p)
-    return Sample(
-        nodes=sample.nodes[idx],
-        degrees=sample.degrees[idx],
-        true_labels=sample.true_labels[idx],
-        noisy_labels=None if sample.noisy_labels is None else sample.noisy_labels[idx],
-        weights=np.ones(out_size),
-        edge_positions=np.empty((0, 2), dtype=np.int64),
-    )
+    return dataclasses.replace(sample.take(idx), weights=np.ones(out_size))
 
 
 def _label_array(sample: Sample, label_field: str) -> np.ndarray:
@@ -227,12 +233,6 @@ def _label_array(sample: Sample, label_field: str) -> np.ndarray:
             raise ValueError("sample carries no noisy labels")
         return sample.noisy_labels
     raise ValueError(f"label_field must be 'true' or 'noisy', got {label_field!r}")
-
-
-def _weighted_share(labels: np.ndarray, weights: np.ndarray, label_field: str) -> PropVector:
-    share_b = float((weights * (labels == 1)).sum() / weights.sum())
-    role = "true_p" if label_field == "true" else "measured_m"
-    return PropVector(1.0 - share_b, share_b, role=role)
 
 
 def estimate_proportions(sample: Sample, label_field: str = "true") -> PropVector:
@@ -246,7 +246,8 @@ def estimate_proportions(sample: Sample, label_field: str = "true") -> PropVecto
     labels = _label_array(sample, label_field)
     if labels.shape[0] == 0:
         raise ValueError("empty sample")
-    return _weighted_share(labels, sample.weights, label_field)
+    share_b = float((sample.weights * (labels == 1)).sum() / sample.weights.sum())
+    return PropVector(1.0 - share_b, share_b)
 
 
 def estimate_edge_vector(sample: Sample, label_field: str = "true") -> EdgeVector:
@@ -257,37 +258,7 @@ def estimate_edge_vector(sample: Sample, label_field: str = "true") -> EdgeVecto
         raise NoObservedEdgesError("sample observed no edges")
     pair = labels[pos[:, 0]].astype(np.int64) + labels[pos[:, 1]]
     shares = np.bincount(pair, minlength=3) / pos.shape[0]
-    role = "true_s" if label_field == "true" else "measured_t"
-    return EdgeVector(*shares.tolist(), role=role)
-
-
-def shares_in_top_quantile(sample: Sample, top: np.ndarray, label_field: str = "true") -> PropVector:
-    """Weighted group shares among the records at indices ``top``, the
-    sample's top degree quantile as ``top_quantile_indices`` selects it."""
-    labels = _label_array(sample, label_field)
-    return _weighted_share(labels[top], sample.weights[top], label_field)
-
-
-def estimate_visibility(
-    sample: Sample,
-    top_quantile: float = 0.2,
-    out_size: int | None = None,
-    label_field: str = "true",
-    rng_seed=None,
-) -> PropVector:
-    """Group shares in the top degree quantile, from a walk.
-
-    Importance-resamples the walk to approximate a uniform node sample
-    (default resample size 10x the walk length), sorts by degree and
-    reads the group shares in the top quantile.
-    """
-    if out_size is None:
-        out_size = 10 * len(sample)
-    if int(out_size * top_quantile) < 1:
-        raise ValueError("resample too small for the requested quantile")
-    resampled = importance_resample(sample, out_size, rng_seed)
-    top = top_quantile_indices(resampled.degrees, top_quantile, node_ids=resampled.nodes)
-    return shares_in_top_quantile(resampled, top, label_field)
+    return EdgeVector(*shares.tolist())
 
 
 def write_sample_records(sample, path) -> None:

@@ -39,3 +39,24 @@ def expected_edge_mix_by_enumeration(labels, edges, confusion):
             counts[assignment[u] + assignment[v]] += 1
         total += prob * counts / len(edges)
     return total
+
+
+def rows_for(result, **filters):
+    """Result rows whose fields equal the given values."""
+    return [r for r in result.rows if all(getattr(r, k) == v for k, v in filters.items())]
+
+
+def errors_for(result, **filters) -> np.ndarray:
+    """Errors of the matching rows that did not fail."""
+    return np.array(
+        [
+            r.error
+            for r in rows_for(result, **filters)
+            if r.error is not None and not r.flags.startswith("failed")
+        ]
+    )
+
+
+def has_edge(g, u, v) -> bool:
+    """Whether v is among u's neighbours in the CSR arrays."""
+    return int(v) in g.indices[g.indptr[u] : g.indptr[u + 1]]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import expected_edge_mix_by_enumeration
+from conftest import errors_for, expected_edge_mix_by_enumeration, rows_for
 from graphquant.experiments import (
     ExperimentConfig,
     GraphSpec,
@@ -84,7 +84,7 @@ def estimates(result, **key):
     return np.array(
         [
             r.estimate
-            for r in result.rows_for(**key)
+            for r in rows_for(result, **key)
             if r.estimate is not None and not r.flags.startswith("failed")
         ]
     )
@@ -192,9 +192,9 @@ def test_criterion_4_uncorrected_bias_magnitude(grid):
 
 def test_criterion_5_homophily_correction(grid):
     result, _ = grid
-    unc = result.errors_for(sampler="rwrw", rate=0.2, size=3000, measure="homophily", variant="uncorrected")
-    cor = result.errors_for(sampler="rwrw", rate=0.2, size=3000, measure="homophily", variant="corrected")
-    truth_rows = result.rows_for(sampler="rwrw", rate=0.2, size=3000, measure="homophily", variant="no_noise")
+    unc = errors_for(result, sampler="rwrw", rate=0.2, size=3000, measure="homophily", variant="uncorrected")
+    cor = errors_for(result, sampler="rwrw", rate=0.2, size=3000, measure="homophily", variant="corrected")
+    truth_rows = rows_for(result, sampler="rwrw", rate=0.2, size=3000, measure="homophily", variant="no_noise")
     truths = np.array([r.estimate - r.error for r in truth_rows if r.error is not None])
     sd = cor.std(ddof=1)
     report(
@@ -227,7 +227,7 @@ def test_criterion_7_sampler_ordering(grid):
     rwrw_var = estimates(result, sampler="rwrw", rate=0.2, size=3000, measure="proportion", variant="corrected").var(ddof=1)
     checks = [(f"node var {node_var:.2e} <= rwrw var {rwrw_var:.2e}", node_var <= rwrw_var)]
     for sampler in ("edge", "snowball"):
-        errs = result.errors_for(sampler=sampler, rate=0.2, size=3000, measure="proportion", variant="corrected")
+        errs = errors_for(result, sampler=sampler, rate=0.2, size=3000, measure="proportion", variant="corrected")
         se = errs.std(ddof=1) / np.sqrt(errs.shape[0])
         checks.append(
             (f"{sampler} |mean error| {abs(errs.mean()):.4f} > 3 SE {3 * se:.4f}", abs(errs.mean()) > 3 * se)

@@ -1,10 +1,12 @@
 """Experiment harness: configs, determinism, summaries, NRMSE, CLI."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import rows_for
 from graphquant import experiments
 from graphquant.cli import main as cli_main
 from graphquant.experiments import (
@@ -19,6 +21,9 @@ from graphquant.experiments import (
     write_summary_csv,
 )
 from graphquant.graph import generate_homophilous_graph, ground_truth, write_edge_list, write_label_file
+from graphquant.noise import ConfusionMatrix
+from graphquant.quantify import PropVector
+from graphquant.samplers import NoObservedEdgesError
 
 
 def small_config(**overrides):
@@ -196,7 +201,7 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         truths = {
             round(r.estimate - r.error, 12)
-            for r in res.rows_for(measure="proportion", variant="no_noise", sampler="node")
+            for r in rows_for(res, measure="proportion", variant="no_noise", sampler="node")
             if r.error is not None
         }
         assert len(truths) == 1
@@ -206,7 +211,7 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         truths = {
             round(r.estimate - r.error, 12)
-            for r in res.rows_for(measure="proportion", variant="no_noise", sampler="node")
+            for r in rows_for(res, measure="proportion", variant="no_noise", sampler="node")
             if r.error is not None
         }
         assert len(truths) > 1
@@ -216,7 +221,7 @@ class TestRunExperiment:
         # homophily rows carry failure markers, the run completes.
         cfg = small_config(samplers=("node",), sample_sizes=(2,), rates=(0.2,), replications=5)
         res = run_experiment(cfg)
-        flags = {r.flags for r in res.rows_for(measure="ingroup")}
+        flags = {r.flags for r in rows_for(res, measure="ingroup")}
         assert any(f.startswith("failed") for f in flags)
         summary = summarize(res)
         ingroup = [s for s in summary if s.measure == "ingroup"]
@@ -235,7 +240,7 @@ class TestRunExperiment:
         )
         res = run_experiment(cfg)
         truth = ground_truth(g).p.b
-        row = res.rows_for(sampler="node", measure="proportion", variant="no_noise")[0]
+        row = rows_for(res, sampler="node", measure="proportion", variant="no_noise")[0]
         assert row.estimate - row.error == pytest.approx(truth, abs=1e-12)
 
     def test_rewritten_files_are_read_again(self, tmp_path):
@@ -250,8 +255,8 @@ class TestRunExperiment:
             g = generate_homophilous_graph(n, 3, frac, 0.7, rng_seed=4)
             write_edge_list(g, edges)
             write_label_file(g, labels)
-            row = run_experiment(cfg).rows_for(
-                sampler="node", measure="proportion", variant="no_noise"
+            row = rows_for(
+                run_experiment(cfg), sampler="node", measure="proportion", variant="no_noise"
             )[0]
             assert row.estimate - row.error == pytest.approx(ground_truth(g).p.b, abs=1e-12)
             # The stale graph of the previous contents is evicted, not kept.
@@ -263,9 +268,51 @@ class TestRunExperiment:
             confusion_from_labeled=40, rates=(0.2,), sample_sizes=(120,), replications=3
         )
         res = run_experiment(cfg)
-        corrected = res.rows_for(variant="corrected", measure="proportion")
+        corrected = rows_for(res, variant="corrected", measure="proportion")
         assert len(corrected) == 3 * 2  # reps x samplers
         assert any(r.estimate is not None for r in corrected)
+
+    def test_programming_errors_raise(self, monkeypatch):
+        # A plain ValueError from an estimator is a bug, not a domain
+        # failure, so it must not turn into a failed row.
+        def broken(sample, label_field):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(experiments, "estimate_edge_vector", broken)
+        with pytest.raises(ValueError, match="bug"):
+            run_experiment(small_config(replications=1))
+
+    def test_each_label_set_measured_once(self, monkeypatch):
+        # Per (sampler, size): group, edge-type and top-quantile shares of
+        # the true labels and of each rate's noisy labels, once each.
+        cfg = small_config(rates=(0.0, 0.1, 0.2), sample_sizes=(60, 80))
+        calls = Counter()
+        for name in ("estimate_proportions", "estimate_edge_vector"):
+            def counted(*args, _name=name, _original=getattr(experiments, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(experiments, name, counted)
+        experiments._replication_rows(cfg, 0)
+        label_sets = len(cfg.samplers) * len(cfg.sample_sizes) * (1 + len(cfg.rates))
+        assert calls == {
+            "estimate_proportions": 2 * label_sets,
+            "estimate_edge_vector": label_sets,
+        }
+
+    def test_failures_stay_with_their_variant(self):
+        # A measurement failure flags both variants; a correction failure
+        # flags only the corrected one.
+        measured = (PropVector(0.7, 0.3), NoObservedEdgesError("none"), PropVector(0.6, 0.4))
+        uncorrected = experiments._variants(measured, None)
+        corrected = experiments._variants(measured, ConfusionMatrix(0.5, 0.5, 0.5, 0.5))
+        assert uncorrected["proportion"] == (0.3, "")
+        assert uncorrected["visibility"] == (0.4, "")
+        assert corrected["proportion"] == (None, "failed:singular")
+        assert corrected["visibility"] == (None, "failed:singular")
+        for out in (uncorrected, corrected):
+            assert out["ingroup"] == (None, "failed:no_edges")
+            assert out["homophily"] == (None, "failed:inputs")
 
 
 class TestCli:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import has_edge
 from graphquant.graph import (
     Group,
     UndirectedGraph,
@@ -64,7 +65,7 @@ class TestConstruction:
             nbrs = g.indices[g.indptr[u] : g.indptr[u + 1]]
             assert np.array_equal(nbrs, np.sort(nbrs))
             for v in nbrs:
-                assert g.has_edge(int(v), u)
+                assert has_edge(g, int(v), u)
         assert g.total_degree == 2 * g.edge_count
 
 

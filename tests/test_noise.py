@@ -33,7 +33,7 @@ class TestSymmetricConfusion:
 
     def test_column_sums(self):
         c = symmetric_confusion(0.3)
-        arr = c.as_array()
+        arr = np.array(c.to_flat()).reshape(2, 2)
         assert arr.sum(axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
@@ -127,7 +127,7 @@ class TestEmpiricalConfusion:
 class TestDyadicMatrix:
     def test_identity_maps_to_identity(self):
         m = dyadic_matrix(symmetric_confusion(0.0))
-        assert np.array_equal(m.as_array(), np.eye(3))
+        assert np.array_equal(np.array(m.rows), np.eye(3))
 
     def test_middle_entry_rate_02(self):
         # caa*cbb + cab*cba = 0.8*0.8 + 0.2*0.2 = 0.68
@@ -136,11 +136,11 @@ class TestDyadicMatrix:
 
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.25, 0.4])
     def test_columns_sum_to_one(self, rate):
-        arr = dyadic_matrix(symmetric_confusion(rate)).as_array()
+        arr = np.array(dyadic_matrix(symmetric_confusion(rate)).rows)
         assert arr.sum(axis=0) == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
     def test_asymmetric_columns_sum_to_one(self):
-        arr = dyadic_matrix(ConfusionMatrix(0.9, 0.25, 0.1, 0.75)).as_array()
+        arr = np.array(dyadic_matrix(ConfusionMatrix(0.9, 0.25, 0.1, 0.75)).rows)
         assert arr.sum(axis=0) == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
     def test_all_a_square_against_enumeration(self):

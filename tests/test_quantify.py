@@ -45,9 +45,9 @@ class TestVectors:
         assert EdgeVector(1.1, 0.0, -0.1).out_of_range
 
     def test_clipped_renormalizes(self):
-        clipped = PropVector(1.2, -0.2, role="corrected_p").clipped()
+        clipped = PropVector(1.2, -0.2).clipped()
         assert clipped.as_tuple() == pytest.approx((1.0, 0.0))
-        e = EdgeVector(0.9, 0.3, -0.2, role="corrected_s").clipped()
+        e = EdgeVector(0.9, 0.3, -0.2).clipped()
         assert sum(e.as_tuple()) == pytest.approx(1.0)
         assert not e.out_of_range
 
@@ -61,10 +61,9 @@ class TestAdjustProportions:
         assert m.as_tuple() == pytest.approx((0.68, 0.32), abs=1e-15)
         p = adjust_proportions(m, c)
         assert p.as_tuple() == pytest.approx((0.8, 0.2), abs=1e-12)
-        assert p.role == "corrected_p"
 
     def test_identity_is_passthrough(self):
-        m = PropVector(0.61, 0.39, role="measured_m")
+        m = PropVector(0.61, 0.39)
         assert adjust_proportions(m, symmetric_confusion(0.0)).as_tuple() == m.as_tuple()
 
     def test_symmetric_fixed_point(self):
@@ -99,13 +98,13 @@ class TestAdjustProportions:
         for _ in range(200):
             c = random_confusion(rng)
             m_b = rng.uniform(-0.2, 1.2)
-            p = adjust_proportions(PropVector(1.0 - m_b, m_b, role="measured_m"), c)
+            p = adjust_proportions(PropVector(1.0 - m_b, m_b), c)
             assert p.a + p.b == pytest.approx(1.0, abs=1e-9)
 
 
 class TestAdjustEdgeProportions:
     def test_identity_is_passthrough(self):
-        t = EdgeVector(0.5, 0.3, 0.2, role="measured_t")
+        t = EdgeVector(0.5, 0.3, 0.2)
         assert adjust_edge_proportions(t, symmetric_confusion(0.0)).as_tuple() == t.as_tuple()
 
     def test_forward_then_invert_reference(self):
@@ -118,9 +117,9 @@ class TestAdjustEdgeProportions:
     def test_against_numpy_inverse(self):
         # Cofactor inverse must agree with an independent linear solve.
         c = symmetric_confusion(0.2)
-        t = EdgeVector(1 / 3, 1 / 3, 1 / 3, role="measured_t")
+        t = EdgeVector(1 / 3, 1 / 3, 1 / 3)
         got = adjust_edge_proportions(t, c)
-        expected = np.linalg.solve(dyadic_matrix(c).as_array(), np.array(t.as_tuple()))
+        expected = np.linalg.solve(np.array(dyadic_matrix(c).rows), np.array(t.as_tuple()))
         assert got.as_tuple() == pytest.approx(tuple(expected), abs=1e-12)
         assert sum(got.as_tuple()) == pytest.approx(1.0, abs=1e-9)
 
@@ -218,7 +217,7 @@ class TestVarianceInflation:
 
     def test_edges_single_term(self):
         c = symmetric_confusion(0.2)
-        b00 = np.linalg.inv(dyadic_matrix(c).as_array())[0, 0]
+        b00 = np.linalg.inv(np.array(dyadic_matrix(c).rows))[0, 0]
         assert variance_inflation_edges(c, (2.0, 0.0, 0.0)) == pytest.approx(
             b00 ** 2 * 2.0, abs=1e-12
         )
@@ -244,7 +243,7 @@ class TestVarianceInflation:
         pair = noisy[:, src] + noisy[:, dst]
         t_hat = np.stack([(pair == k).mean(axis=1) for k in (0, 1, 2)], axis=1)
         var_t = t_hat.var(axis=0, ddof=1)
-        inv = np.linalg.inv(dyadic_matrix(c).as_array())
+        inv = np.linalg.inv(np.array(dyadic_matrix(c).rows))
         s_aa_corrected = t_hat @ inv[0]
         empirical = s_aa_corrected.var(ddof=1)
         predicted = variance_inflation_edges(c, tuple(var_t))

@@ -8,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from graphquant.graph import UndirectedGraph, generate_homophilous_graph, ground_truth
+from conftest import has_edge
+from graphquant.graph import (
+    UndirectedGraph,
+    generate_homophilous_graph,
+    ground_truth,
+    top_quantile_indices,
+)
 from graphquant.noise import apply_noise, symmetric_confusion
 from graphquant.samplers import (
     NoObservedEdgesError,
     edge_sample,
     estimate_edge_vector,
     estimate_proportions,
-    estimate_visibility,
     importance_resample,
     node_sample,
     rwrw_walk,
@@ -35,6 +40,15 @@ def star_graph(leaves, hub_label=1, leaf_label=0):
     edges = [(0, i) for i in range(1, leaves + 1)]
     labels = [hub_label] + [leaf_label] * leaves
     return UndirectedGraph.from_edges(leaves + 1, edges, labels)
+
+
+def walk_visibility(walk, quantile, out_size=None, rng_seed=None):
+    """Top-quantile group shares of a walk by the calls a replication makes:
+    importance resample (10x the walk by default), top-quantile selection,
+    then the share estimate over the top records."""
+    resampled = importance_resample(walk, 10 * len(walk) if out_size is None else out_size, rng_seed)
+    top = top_quantile_indices(resampled.degrees, quantile, node_ids=resampled.nodes)
+    return estimate_proportions(resampled.take(top), "true")
 
 
 def triangle():
@@ -90,7 +104,7 @@ RECORD_CASES = {
     "walk": (lambda g: rwrw_walk(g, 400, rng_seed=70), lambda g, s: len(s) - 1),
     "node": (
         lambda g: node_sample(g, 60, rng_seed=71),
-        lambda g, s: sum(g.has_edge(int(u), int(v)) for u in s.nodes for v in s.nodes if u < v),
+        lambda g, s: sum(has_edge(g, u, v) for u in s.nodes for v in s.nodes if u < v),
     ),
     "edge": (lambda g: edge_sample(g, 50, rng_seed=72), lambda g, s: 50),
     "snowball": (lambda g: snowball_sample(g, 80, n_seeds=4, rng_seed=73), lambda g, s: 80 - 4),
@@ -115,7 +129,17 @@ class TestSampleRecord:
             assert np.array_equal(sample.weights, np.ones(len(sample)))
         assert sample.edge_positions.shape == (implied_edges(g, sample), 2)
         for u, v in sample.nodes[sample.edge_positions].tolist():
-            assert g.has_edge(u, v)
+            assert has_edge(g, u, v)
+
+    def test_take_keeps_weights_and_drops_edges(self):
+        g = generate_homophilous_graph(200, 3, 0.3, 0.7, rng_seed=69)
+        noisy = apply_noise(g.labels, symmetric_confusion(0.2), 76)
+        walk = with_noisy_labels(rwrw_walk(g, 400, rng_seed=70), noisy)
+        idx = np.array([5, 0, 5, 399])
+        taken = walk.take(idx)
+        for name in ("nodes", "degrees", "true_labels", "noisy_labels", "weights"):
+            assert np.array_equal(getattr(taken, name), getattr(walk, name)[idx])
+        assert taken.edge_positions.shape == (0, 2)
 
 
 class TestWalk:
@@ -132,7 +156,7 @@ class TestWalk:
         walk_edges = walk.nodes[walk.edge_positions]
         assert walk_edges.shape == (499, 2)
         for u, v in walk_edges[:100]:
-            assert g.has_edge(int(u), int(v))
+            assert has_edge(g, u, v)
 
     def test_triangle_visits_uniform(self):
         # Regular graph: stationary distribution is uniform.
@@ -421,7 +445,7 @@ class TestEstimateVisibility:
         labels = [0] * k + [(1 if j % 2 else 0) for j in range(leaves)]
         g = UndirectedGraph.from_edges(k + leaves, edges, labels)
         walk = rwrw_walk(g, 5000, rng_seed=54)
-        vis = estimate_visibility(walk, 0.2, out_size=20_000, rng_seed=55)
+        vis = walk_visibility(walk, 0.2, out_size=20_000, rng_seed=55)
         assert vis.b == 0.0
 
     def test_regular_graph_matches_proportions(self):
@@ -432,7 +456,7 @@ class TestEstimateVisibility:
         edges = [(i, (i + k) % n) for i in range(n) for k in (1, 2, 3)]
         g = UndirectedGraph.from_edges(n, edges, [i % 2 for i in range(n)])
         walk = rwrw_walk(g, 50_000, rng_seed=56)
-        vis = estimate_visibility(walk, 0.2, out_size=100_000, rng_seed=57)
+        vis = walk_visibility(walk, 0.2, out_size=100_000, rng_seed=57)
         assert vis.b == pytest.approx(0.5, abs=0.03)
 
     def test_mean_near_ground_truth(self):
@@ -442,14 +466,14 @@ class TestEstimateVisibility:
         reps = 500
         for rep in range(reps):
             walk = rwrw_walk(g, 2000, rng_seed=(59, rep))
-            total += estimate_visibility(walk, 0.2, rng_seed=(60, rep)).b
+            total += walk_visibility(walk, 0.2, rng_seed=(60, rep)).b
         assert total / reps == pytest.approx(truth, abs=0.02)
 
     def test_tiny_resample_rejected(self):
         g = triangle()
         walk = rwrw_walk(g, 10, rng_seed=61)
         with pytest.raises(ValueError):
-            estimate_visibility(walk, 0.2, out_size=4, rng_seed=62)
+            walk_visibility(walk, 0.2, out_size=4, rng_seed=62)
 
 
 class TestRecords:
