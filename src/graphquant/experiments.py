@@ -245,38 +245,35 @@ def _stream(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(master),) + tuple(int(k) for k in key))
 
 
+# One slot: the graph reused across replications, keyed by what it was
+# built from. A new key evicts the old graph.
 _GRAPH_CACHE: dict[tuple, UndirectedGraph] = {}
 
 
-def _build_graph(spec: GraphSpec, seed) -> UndirectedGraph:
-    if spec.kind == "generated":
-        return generate_homophilous_graph(
-            spec.n, spec.m, spec.minority_frac, spec.ingroup_pref, seed
-        )
-    # Size and mtime are part of the key, so a rewritten file is read again,
-    # and the graph of its previous contents is evicted.
-    stats = [os.stat(path) for path in (spec.edge_file, spec.label_file)]
-    key = (spec.edge_file, spec.label_file, spec.directed) + tuple(
-        (st.st_size, st.st_mtime_ns) for st in stats
-    )
+def _cached(key: tuple, build) -> UndirectedGraph:
     if key not in _GRAPH_CACHE:
-        for stale in [k for k in _GRAPH_CACHE if k[:3] == key[:3]]:
-            del _GRAPH_CACHE[stale]
-        _GRAPH_CACHE[key] = load_graph_files(
-            spec.edge_file, spec.label_file, directed=spec.directed
-        )
+        _GRAPH_CACHE.clear()
+        _GRAPH_CACHE[key] = build()
     return _GRAPH_CACHE[key]
 
 
 def _graph_for_rep(cfg: ExperimentConfig, rep: int) -> UndirectedGraph:
-    if cfg.graph.kind == "files":
-        return _build_graph(cfg.graph, None)
+    spec = cfg.graph
+    if spec.kind == "files":
+        # Size and mtime are part of the key, so a rewritten file is read again.
+        stats = [os.stat(path) for path in (spec.edge_file, spec.label_file)]
+        key = (spec.edge_file, spec.label_file, spec.directed) + tuple(
+            (st.st_size, st.st_mtime_ns) for st in stats
+        )
+        return _cached(
+            key, partial(load_graph_files, spec.edge_file, spec.label_file, directed=spec.directed)
+        )
+    generate = partial(
+        generate_homophilous_graph, spec.n, spec.m, spec.minority_frac, spec.ingroup_pref
+    )
     if cfg.fixed_graph:
-        key = (cfg.graph, cfg.master_seed)
-        if key not in _GRAPH_CACHE:
-            _GRAPH_CACHE[key] = _build_graph(cfg.graph, _stream(cfg.master_seed, _GRAPH))
-        return _GRAPH_CACHE[key]
-    return _build_graph(cfg.graph, _stream(cfg.master_seed, _GRAPH, rep))
+        return _cached((spec, cfg.master_seed), partial(generate, _stream(cfg.master_seed, _GRAPH)))
+    return generate(_stream(cfg.master_seed, _GRAPH, rep))
 
 
 # Domain failures and their row flags; any other exception is a bug and raises.
@@ -353,7 +350,7 @@ def _variants(measured: tuple, correction: ConfusionMatrix | None) -> dict[str, 
     if isinstance(p_vec, Exception) or isinstance(share, Exception):
         homophily = (None, "failed:inputs")
     else:
-        homophily = _entry(_attempt(coleman_homophily, share, p_vec.b, 1), "value")
+        homophily = _entry(_attempt(coleman_homophily, share, p_vec.b), "value")
     return {
         "proportion": _entry(p_vec),
         "ingroup": ingroup,
@@ -492,17 +489,19 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
 
 
 def nrmse(errors, truth: float) -> float | None:
-    """Root mean squared error over the truth; None when the truth is 0.
+    """Root mean squared error over the truth's magnitude; None when the
+    truth is 0.
 
-    The undefined marker keeps zero-truth cells out of NRMSE tables
-    instead of dividing by zero.
+    Dividing by ``|truth|`` keeps the NRMSE of a negative truth (homophily
+    on a heterophilous graph) nonnegative. The undefined marker keeps
+    zero-truth cells out of NRMSE tables instead of dividing by zero.
     """
     arr = np.asarray(list(errors), dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one error")
     if truth == 0.0:
         return None
-    return float(np.sqrt(np.mean(arr * arr)) / truth)
+    return float(np.sqrt(np.mean(arr * arr)) / abs(truth))
 
 
 def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:

@@ -1,7 +1,8 @@
 """Two-group undirected graphs: synthetic generation, file ingestion and
 preprocessing, and exact whole-graph measures by full enumeration. Graphs
-keep neighbours in CSR arrays, and one breadth-first wave (``_wave``)
-serves snowball sampling, the connectivity check and component extraction.
+keep neighbours in CSR arrays. One component labelling (``_components``)
+serves both the connectivity check and the largest-component cut of
+preprocessing; it works on the edge list, so no traversal is needed.
 """
 
 from __future__ import annotations
@@ -102,11 +103,16 @@ class UndirectedGraph:
         if (np.diff(keys) == 0).any():
             raise ValueError("duplicate edges are not allowed")
 
-        indptr, indices = _csr(node_count, lo, hi)
+        # CSR from one stable argsort of the half-edge keys, neighbours ascending.
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+        indices = dst[np.argsort(src * node_count + dst, kind="stable")]
         degrees = np.diff(indptr)
         if (degrees == 0).any():
             raise ValueError("every node must be incident to at least one edge")
-        if check_connected and not _connected(indptr, indices):
+        if check_connected and _components(node_count, lo, hi).any():
             raise ValueError("graph must be a single connected component")
         return cls(
             labels=label_arr,
@@ -118,48 +124,27 @@ class UndirectedGraph:
         )
 
 
-def _csr(node_count: int, lo: np.ndarray, hi: np.ndarray):
-    """CSR ``(indptr, indices)`` of the edges ``lo[i]-hi[i]``, neighbours
-    ascending, from one stable argsort of the half-edge keys."""
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-    return indptr, dst[np.argsort(src * node_count + dst, kind="stable")]
+def _components(node_count: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each node's component label: the lowest node id in its component.
 
-
-def _wave(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, visited: np.ndarray):
-    """One breadth-first wave: the unvisited neighbours of ``frontier``.
-
-    They come in frontier order, each node's neighbours ascending, and a
-    node reached twice belongs to its first discoverer. Returns the new
-    nodes, now marked visited, and the frontier position of each one's
-    discoverer.
+    Min-label hooking with pointer jumping (Shiloach & Vishkin, J.
+    Algorithms 1982). Each round hooks the larger root of every edge onto
+    the smaller one, then jumps pointers until every node points at a
+    root. Nodes only ever point at lower ids, so a component's root is its
+    lowest id. A node without edges labels itself.
     """
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    offsets = np.cumsum(counts) - counts  # where each node's neighbours land in slots
-    slots = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
-    nbrs = indices[slots]
-    fresh = ~visited[nbrs]
-    nbrs = nbrs[fresh]
-    first = np.sort(np.unique(nbrs, return_index=True)[1])
-    visited[nbrs[first]] = True
-    return nbrs[first], np.repeat(np.arange(frontier.shape[0]), counts)[fresh][first]
-
-
-def _component(indptr: np.ndarray, indices: np.ndarray, start: int, visited: np.ndarray):
-    """Nodes reachable from ``start``, wave by wave; all end up visited."""
-    visited[start] = True
-    waves = [np.array([start], dtype=np.int64)]
-    while waves[-1].shape[0]:
-        waves.append(_wave(indptr, indices, waves[-1], visited)[0])
-    return np.concatenate(waves)
-
-
-def _connected(indptr: np.ndarray, indices: np.ndarray) -> bool:
-    visited = np.zeros(indptr.shape[0] - 1, dtype=bool)
-    return _component(indptr, indices, 0, visited).shape[0] == visited.shape[0]
+    root = np.arange(node_count)
+    while True:
+        a, b = root[lo], root[hi]
+        split = a != b
+        if not split.any():
+            return root
+        # An edge inside one tree stays inside it; later rounds skip it.
+        lo, hi, a, b = lo[split], hi[split], a[split], b[split]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
 
 
 def graphs_equal(g1: UndirectedGraph, g2: UndirectedGraph) -> bool:
@@ -247,7 +232,7 @@ def generate_homophilous_graph(
 
     edges = np.column_stack([np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)])
     # Growth attaches every new node to existing ones, so connectivity holds
-    # by construction and the BFS check is skipped.
+    # by construction and the component check is skipped.
     return UndirectedGraph.from_edges(n, edges, labels, check_connected=False)
 
 
@@ -311,18 +296,10 @@ def load_and_preprocess(
         raise ValueError("empty graph after preprocessing")
     lo, hi = lo[keep], hi[keep]
 
-    # Scanning from the lowest id and replacing the best component only by
-    # a strictly larger one keeps, among equal sizes, the lowest-id one.
-    indptr, indices = _csr(k, lo, hi)
-    visited = indptr[1:] == indptr[:-1]  # ids without a kept edge
-    best = np.empty(0, dtype=np.int64)
-    for start in range(k):
-        if not visited[start]:
-            component = _component(indptr, indices, start, visited)
-            if component.shape[0] > best.shape[0]:
-                best = component
-
-    members = np.sort(best)
+    # A component's label is its lowest id, and argmax returns the first of
+    # equal sizes, so ties keep the component with the lowest original id.
+    root = _components(k, lo, hi)
+    members = np.flatnonzero(root == np.argmax(np.bincount(root)))
     new_id = np.full(k, -1, dtype=np.int64)
     new_id[members] = np.arange(members.shape[0])
     inside = new_id[lo] >= 0
@@ -399,7 +376,7 @@ def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
     def h_for(p_g: float, group: int) -> float | None:
         if p_g <= 0.0 or p_g >= 1.0:
             return None
-        return coleman_homophily(ingroup_share(s, group), p_g, group).value
+        return coleman_homophily(ingroup_share(s, group), p_g).value
 
     return GroundTruth(
         p=p,
@@ -410,42 +387,43 @@ def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
     )
 
 
+def _fields(path, expected: str):
+    """``(lineno, fields)`` of each data line of a two-column text file.
+
+    Blank lines and '#' comments are skipped; a line without exactly two
+    whitespace-separated fields raises ``path:lineno: expected``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: {expected}")
+            yield lineno, parts
+
+
 def read_edge_list(path) -> list[tuple[int, int]]:
     """Edge file: two whitespace-separated integer ids per line, '#' comments."""
     out: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two node ids")
-            try:
-                out.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
+    for lineno, (u, v) in _fields(path, "expected two node ids"):
+        try:
+            out.append((int(u), int(v)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
     return out
 
 
 def read_label_file(path) -> dict[int, str]:
     """Label file: ``node_id<TAB>group`` per line, group A, B, or NA."""
     out: dict[int, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected node id and group")
-            token = parts[1]
-            if token not in ("A", "B", MISSING_LABEL):
-                raise ValueError(f"{path}:{lineno}: unknown group token {token!r}")
-            try:
-                out[int(parts[0])] = token
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
+    for lineno, (node, token) in _fields(path, "expected node id and group"):
+        if token not in ("A", "B", MISSING_LABEL):
+            raise ValueError(f"{path}:{lineno}: unknown group token {token!r}")
+        try:
+            out[int(node)] = token
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
     return out
 
 

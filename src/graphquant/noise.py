@@ -113,11 +113,6 @@ class DyadicMatrix:
 
     rows: tuple[tuple[float, float, float], ...]
 
-    @property
-    def det(self) -> float:
-        (a, b, c), (d, e, f), (g, h, i) = self.rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
     def apply(self, shares) -> tuple[float, float, float]:
         x, y, z = shares
         return tuple(r[0] * x + r[1] * y + r[2] * z for r in self.rows)

@@ -91,7 +91,6 @@ class EdgeVector:
 @dataclass(frozen=True)
 class HomophilyIndex:
     value: float
-    group: int
     out_of_range: bool = False
 
 
@@ -173,7 +172,7 @@ def ingroup_share(edge_shares: EdgeVector, group: int) -> float:
     return 2.0 * own / denom
 
 
-def coleman_homophily(s_g: float, p_g: float, group: int = 1) -> HomophilyIndex:
+def coleman_homophily(s_g: float, p_g: float) -> HomophilyIndex:
     """Coleman's homophily index: in-group tie excess over random mixing.
 
     The excess s_g - p_g is normalized by the headroom above (1 - p_g) or
@@ -187,7 +186,7 @@ def coleman_homophily(s_g: float, p_g: float, group: int = 1) -> HomophilyIndex:
     diff = s_g - p_g
     value = diff / (1.0 - p_g) if diff >= 0.0 else diff / p_g
     flagged = not (0.0 <= s_g <= 1.0 and 0.0 < p_g < 1.0 and -1.0 <= value <= 1.0)
-    return HomophilyIndex(value=value, group=group, out_of_range=flagged)
+    return HomophilyIndex(value=value, out_of_range=flagged)
 
 
 def variance_inflation_nodes(confusion: ConfusionMatrix) -> float:

@@ -3,8 +3,10 @@
 Four samplers observe a graph through different windows: a degree-biased
 random walk (single chain, uniform transitions over neighbors), uniform
 node sampling, uniform edge sampling, and breadth-first snowball
-expansion. Each returns the same ``Sample`` record, so every estimator
-below works from sample data alone and never asks which sampler ran:
+expansion, which grows one vectorised wave (``_wave``) at a time over
+the graph's CSR arrays. Each returns the same ``Sample`` record, so
+every estimator below works from sample data alone and never asks which
+sampler ran:
 
 - ``nodes``, ``degrees``, ``true_labels`` and ``noisy_labels`` hold one
   entry per record (the noisy labels once attached).
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UndirectedGraph, _wave, group_token
+from .graph import UndirectedGraph, group_token
 from .quantify import PropVector, EdgeVector
 
 SEED_DEGREE = "degree_proportional"
@@ -168,6 +170,26 @@ def edge_sample(g: UndirectedGraph, n_edges: int, rng_seed=None) -> Sample:
     rng = np.random.default_rng(rng_seed)
     idx = np.sort(rng.choice(g.edge_count, size=n_edges, replace=False))
     return _records(g, g.edges[idx].reshape(-1), np.arange(2 * n_edges))
+
+
+def _wave(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, visited: np.ndarray):
+    """One breadth-first wave: the unvisited neighbours of ``frontier``.
+
+    They come in frontier order, each node's neighbours ascending, and a
+    node reached twice belongs to its first discoverer. Returns the new
+    nodes, now marked visited, and the frontier position of each one's
+    discoverer.
+    """
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    offsets = np.cumsum(counts) - counts  # where each node's neighbours land in slots
+    slots = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+    nbrs = indices[slots]
+    fresh = ~visited[nbrs]
+    nbrs = nbrs[fresh]
+    first = np.sort(np.unique(nbrs, return_index=True)[1])
+    visited[nbrs[first]] = True
+    return nbrs[first], np.repeat(np.arange(frontier.shape[0]), counts)[fresh][first]
 
 
 def snowball_sample(g: UndirectedGraph, n_target: int, n_seeds: int = 10, rng_seed=None) -> Sample:

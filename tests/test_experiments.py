@@ -1,5 +1,6 @@
 """Experiment harness: configs, determinism, summaries, NRMSE, CLI."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -20,10 +21,31 @@ from graphquant.experiments import (
     write_rows_csv,
     write_summary_csv,
 )
-from graphquant.graph import generate_homophilous_graph, ground_truth, write_edge_list, write_label_file
-from graphquant.noise import ConfusionMatrix
-from graphquant.quantify import PropVector
-from graphquant.samplers import NoObservedEdgesError
+from graphquant.graph import (
+    UndirectedGraph,
+    generate_homophilous_graph,
+    ground_truth,
+    top_quantile_indices,
+    write_edge_list,
+    write_label_file,
+)
+from graphquant.noise import ConfusionMatrix, apply_noise
+from graphquant.quantify import (
+    PropVector,
+    adjust_edge_proportions,
+    adjust_proportions,
+    adjust_visibility,
+)
+from graphquant.samplers import (
+    NoObservedEdgesError,
+    edge_sample,
+    estimate_edge_vector,
+    estimate_proportions,
+    node_sample,
+    rwrw_walk,
+    snowball_sample,
+    with_noisy_labels,
+)
 
 
 def small_config(**overrides):
@@ -127,10 +149,13 @@ class TestSummarize:
         assert summary[0].p97_5 == 39.0  # ceil(0.975 * 40) = 39
 
     def test_nrmse_definition_exact(self):
+        # A negative truth (homophily on a heterophilous graph) divides by
+        # its magnitude, so NRMSE never goes negative.
         errors = [0.02, -0.01, 0.03]
-        summary = summarize(self._result(errors, truth=0.4))
         expected = np.sqrt(np.mean(np.square(errors))) / 0.4
-        assert summary[0].nrmse == pytest.approx(expected, abs=1e-15)
+        for truth in (0.4, -0.4):
+            summary = summarize(self._result(errors, truth=truth))
+            assert summary[0].nrmse == pytest.approx(expected, abs=1e-15)
 
     def test_zero_truth_marked_undefined(self):
         summary = summarize(self._result([0.1, -0.1], truth=0.0))
@@ -191,6 +216,23 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, threads=2)
         assert serial.rows == parallel.rows
 
+    @pytest.mark.parametrize("mode", ["files", "confusion_from_labeled", "uniform_with_burnin"])
+    def test_threads_do_not_change_output_in_mode(self, tmp_path, mode):
+        if mode == "files":
+            g = generate_homophilous_graph(200, 3, 0.3, 0.7, rng_seed=8)
+            edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+            write_edge_list(g, edges)
+            write_label_file(g, labels)
+            cfg = small_config(
+                graph=GraphSpec(kind="files", edge_file=str(edges), label_file=str(labels))
+            )
+        elif mode == "confusion_from_labeled":
+            cfg = small_config(confusion_from_labeled=30)
+        else:
+            cfg = small_config(seed_mode="uniform_with_burnin", burn_in=50)
+        cfg = dataclasses.replace(cfg, samplers=("rwrw", "node", "snowball"), replications=5)
+        assert run_experiment(cfg, threads=1).rows == run_experiment(cfg, threads=2).rows
+
     def test_master_seed_changes_rows(self):
         a = run_experiment(small_config(master_seed=1))
         b = run_experiment(small_config(master_seed=2))
@@ -205,6 +247,12 @@ class TestRunExperiment:
             if r.error is not None
         }
         assert len(truths) == 1
+
+    def test_fixed_graph_cache_holds_one_graph(self):
+        cfg = small_config(fixed_graph=True, rates=(0.2,), replications=2)
+        for seed in (0, 1, 2):
+            run_experiment(dataclasses.replace(cfg, master_seed=seed))
+            assert list(experiments._GRAPH_CACHE) == [(cfg.graph, seed)]
 
     def test_fresh_graphs_vary_truth(self):
         cfg = small_config(rates=(0.2,), replications=3)
@@ -313,6 +361,53 @@ class TestRunExperiment:
         for out in (uncorrected, corrected):
             assert out["ingroup"] == (None, "failed:no_edges")
             assert out["homophily"] == (None, "failed:inputs")
+
+
+def assert_mirrored(x, y):
+    """y is x with the groups A and B swapped, to 1e-12."""
+    if isinstance(x, PropVector):
+        assert (y.a, y.b) == pytest.approx((x.b, x.a), abs=1e-12)
+    else:
+        assert (y.aa, y.ab, y.bb) == pytest.approx((x.bb, x.ab, x.aa), abs=1e-12)
+
+
+class TestGroupSwap:
+    def test_swap_mirrors_pipeline(self):
+        # Relabel A as B and B as A, and swap the confusion matrix to match
+        # (a|a with b|b, a|b with b|a). Every truth, noisy label, measured
+        # and corrected vector must come out mirrored.
+        g = generate_homophilous_graph(2000, 3, 0.3, 0.7, rng_seed=11)
+        swapped = UndirectedGraph.from_edges(g.node_count, g.edges, 1 - g.labels)
+        c = ConfusionMatrix(0.95, 0.4, 0.05, 0.6)
+        c_swap = ConfusionMatrix(c.b_given_b, c.b_given_a, c.a_given_b, c.a_given_a)
+
+        gt, gt_swap = ground_truth(g), ground_truth(swapped)
+        assert_mirrored(gt.p, gt_swap.p)
+        assert_mirrored(gt.s, gt_swap.s)
+        assert gt_swap.visibility_b == pytest.approx(1.0 - gt.visibility_b, abs=1e-12)
+        assert gt_swap.homophily_a == pytest.approx(gt.homophily_b, abs=1e-12)
+        assert gt_swap.homophily_b == pytest.approx(gt.homophily_a, abs=1e-12)
+
+        noisy = apply_noise(g.labels, c, rng_seed=3)
+        noisy_swap = apply_noise(swapped.labels, c_swap, rng_seed=3)
+        assert np.array_equal(noisy_swap, 1 - noisy)
+
+        for draw in (rwrw_walk, node_sample, edge_sample, snowball_sample):
+            vectors = []
+            for graph, labels, confusion in ((g, noisy, c), (swapped, noisy_swap, c_swap)):
+                sample = with_noisy_labels(draw(graph, 400, rng_seed=4), labels)
+                top = sample.take(top_quantile_indices(sample.degrees, 0.2, node_ids=sample.nodes))
+                p = estimate_proportions(sample, "noisy")
+                t = estimate_edge_vector(sample, "noisy")
+                v = estimate_proportions(top, "noisy")
+                vectors.append((
+                    p, t, v,
+                    adjust_proportions(p, confusion),
+                    adjust_edge_proportions(t, confusion),
+                    adjust_visibility(v, confusion),
+                ))
+            for x, y in zip(*vectors):
+                assert_mirrored(x, y)
 
 
 class TestCli:

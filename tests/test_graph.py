@@ -58,6 +58,14 @@ class TestConstruction:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             UndirectedGraph.from_edges(4, [(0, 1), (2, 3)], [0, 1, 0, 1])
+        # A path through shuffled ids needs many labelling rounds; one
+        # missing link splits it.
+        order = np.random.default_rng(6).permutation(2000)
+        edges = np.column_stack([order[:-1], order[1:]])
+        labels = np.zeros(2000, dtype=np.int8)
+        UndirectedGraph.from_edges(2000, edges, labels)
+        with pytest.raises(ValueError, match="single connected component"):
+            UndirectedGraph.from_edges(2000, np.delete(edges, 999, axis=0), labels)
 
     def test_adjacency_symmetric_and_sorted(self):
         g = UndirectedGraph.from_edges(4, [(2, 0), (1, 0), (3, 1), (2, 1)], [0, 0, 1, 1])
@@ -319,6 +327,37 @@ class TestPreprocess:
         assert graphs_equal(got, want)
         assert got.id_map.tolist() == ordered
 
+    @pytest.mark.parametrize("shape", ["path", "binary_tree", "many_triangles", "tied_paths"])
+    def test_adversarial_shapes_match_reference(self, shape):
+        # Shapes that need many hooking rounds or many components, with
+        # shuffled ids so that no round can follow the id order.
+        rng = np.random.default_rng(5)
+        if shape == "path":
+            n = 3000
+            edges = [(i, i + 1) for i in range(n - 1)]
+        elif shape == "binary_tree":
+            n = 4095
+            edges = [((i - 1) // 2, i) for i in range(1, n)]
+        elif shape == "many_triangles":
+            n = 3 * 2000
+            edges = [(t + a, t + b) for t in range(0, n, 3) for a, b in ((0, 1), (1, 2), (2, 0))]
+        else:
+            # Three equal paths and one shorter one; the largest size is tied.
+            n = 4 * 500
+            edges = [(p + i, p + i + 1) for p in range(0, n, 500) for i in range(499 - (p == 0))]
+        ids = rng.permutation(10 * n)[:n] + 1  # sparse, shuffled original ids
+        records = [(int(ids[u]), int(ids[v])) for u, v in edges]
+        rng.shuffle(records)
+        labels = {int(i): "AB"[int(i) % 2] for i in ids}
+        want, ordered = reference_preprocess(records, labels)
+        got = load_and_preprocess(records, labels)
+        assert graphs_equal(got, want)
+        assert got.id_map.tolist() == ordered
+        if shape == "tied_paths":
+            # Of the three tied paths, the one holding the lowest id is kept.
+            tied = [ids[p : p + 500] for p in range(500, n, 500)]
+            assert ordered[0] == min(int(part.min()) for part in tied)
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=40))
     def test_idempotent_property(self, edges):
@@ -356,14 +395,22 @@ class TestFiles:
         assert g.node_count == 2
 
     def test_bad_lines_raise(self, tmp_path):
-        bad_edges = tmp_path / "bad.edges"
-        bad_edges.write_text("1 2 3\n")
-        with pytest.raises(ValueError):
-            read_edge_list(bad_edges)
-        bad_labels = tmp_path / "bad.labels"
-        bad_labels.write_text("1\tC\n")
-        with pytest.raises(ValueError):
-            read_label_file(bad_labels)
+        # Each message names the file and the line, counting comments and
+        # blank lines.
+        cases = [
+            (read_edge_list, "1 2 3\n", ":1: expected two node ids"),
+            (read_edge_list, "# ids\n\n1 2\n3\n", ":4: expected two node ids"),
+            (read_edge_list, "1 2\n1 x\n", ":2: non-integer node id"),
+            (read_label_file, "1\tC\n", ":1: unknown group token 'C'"),
+            (read_label_file, "1\tA\n2\tB\tA\n", ":2: expected node id and group"),
+            (read_label_file, "# ids\nx\tA\n", ":2: non-integer node id"),
+        ]
+        path = tmp_path / "bad.txt"
+        for reader, text, message in cases:
+            path.write_text(text)
+            with pytest.raises(ValueError) as exc:
+                reader(path)
+            assert str(exc.value) == f"{path}{message}"
 
     def test_parse_group_tokens(self):
         assert parse_group("A") == Group.A
