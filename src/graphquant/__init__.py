@@ -3,7 +3,6 @@ with confusion-matrix correction of classifier-induced bias."""
 
 from .graph import (
     GroundTruth,
-    Group,
     UndirectedGraph,
     generate_homophilous_graph,
     ground_truth,

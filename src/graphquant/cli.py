@@ -86,11 +86,11 @@ def _cmd_walk(args) -> int:
     sample = rwrw_walk(
         g, args.steps, seed_mode=args.seed_mode, burn_in=args.burn_in, rng_seed=seeds[0]
     )
+    noisy = None
     if args.rate is not None or args.matrix is not None:
         confusion = _confusion_from_args(args)
-        noisy = apply_noise(g.labels, confusion, seeds[1])
-        sample = with_noisy_labels(sample, noisy)
-    write_sample_records(sample, args.out)
+        noisy = with_noisy_labels(sample, apply_noise(g.labels, confusion, seeds[1]))
+    write_sample_records(sample, args.out, noisy)
     print(f"wrote {args.out}: {len(sample)} steps over {np.unique(sample.nodes).size} nodes")
     return 0
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -147,7 +148,6 @@ class ExperimentConfig:
     confusion_from_labeled: int | None = None
 
     def validate(self) -> None:
-        self.graph.validate()
         # bool is an int subclass, and a float size only fails inside numpy.
         names = ("replications", "master_seed", "burn_in", "snowball_seeds", "resample_factor")
         integers = [(name, getattr(self, name)) for name in names]
@@ -158,6 +158,16 @@ class ExperimentConfig:
         for name, value in integers:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        reals = [("rates", r) for r in self.rates] + [("top_quantile", self.top_quantile)]
+        reals += [("minority_frac", self.graph.minority_frac)]
+        reals += [("ingroup_pref", self.graph.ingroup_pref)]
+        for name, value in reals:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name, value in (("fixed_graph", self.fixed_graph), ("directed", self.graph.directed)):
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+        self.graph.validate()
         if not self.samplers:
             raise ValueError("need at least one sampler")
         for s in self.samplers:
@@ -170,8 +180,12 @@ class ExperimentConfig:
         for r in self.rates:
             if not 0.0 <= r < 0.5:
                 raise ValueError(f"rates must lie in [0, 0.5), got {r}")
+        if len(set(self.rates)) != len(self.rates):
+            raise ValueError("duplicate rate")
         if not self.sample_sizes or any(z < 1 for z in self.sample_sizes):
             raise ValueError("sample sizes must be positive")
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):
+            raise ValueError("duplicate sample size")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if not 0.0 < self.top_quantile <= 1.0:
@@ -322,14 +336,14 @@ def _draw_sample(cfg: ExperimentConfig, g: UndirectedGraph, sampler: str, size: 
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-def _measure(sample, top, label_field: str) -> tuple:
-    """Group shares, edge-type shares and top-quantile group shares of one
-    label set, each a vector or its failure. ``top`` holds the top-quantile
-    records, or the failure of selecting them."""
+def _measure(sample, top) -> tuple:
+    """Group shares, edge-type shares and top-quantile group shares of the
+    sample's labels, each a vector or its failure. ``top`` holds the
+    top-quantile records, or the failure of selecting them."""
     return (
-        _attempt(estimate_proportions, sample, label_field),
-        _attempt(estimate_edge_vector, sample, label_field),
-        _attempt(estimate_proportions, top, label_field),
+        _attempt(estimate_proportions, sample),
+        _attempt(estimate_edge_vector, sample),
+        _attempt(estimate_proportions, top),
     )
 
 
@@ -398,17 +412,17 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
                 top = UndefinedShareError("top quantile selects no records")
             else:
                 top = vis_source.take(top_idx)
-            clean = _variants(_measure(base, top, "true"), None)
+            clean = _variants(_measure(base, top), None)
             for ri, rate in enumerate(cfg.rates):
                 noisy_sample = with_noisy_labels(base, noisy_maps[ri])
                 noisy_top = _attempt(with_noisy_labels, top, noisy_maps[ri])
-                measured = _measure(noisy_sample, noisy_top, "noisy")
+                measured = _measure(noisy_sample, noisy_top)
                 uncorrected = _variants(measured, None)
                 correction = confusions[ri]
                 if cfg.confusion_from_labeled is not None:
                     try:
                         correction = _estimated_confusion(
-                            cfg, noisy_sample, noisy_maps[ri], rep, si, zi, ri
+                            cfg, base, noisy_maps[ri], rep, si, zi, ri
                         )
                     except ValueError:
                         correction = None
@@ -448,16 +462,16 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
 
 
 def _estimated_confusion(
-    cfg: ExperimentConfig, sample, noisy_map: np.ndarray, rep: int, si: int, zi: int, ri: int
+    cfg: ExperimentConfig, base, noisy_map: np.ndarray, rep: int, si: int, zi: int, ri: int
 ) -> ConfusionMatrix:
     """Confusion matrix estimated from k labeled nodes drawn from the sample."""
-    unique, first = np.unique(sample.nodes, return_index=True)
+    unique, first = np.unique(base.nodes, return_index=True)
     k = min(cfg.confusion_from_labeled, unique.shape[0])
     rng = np.random.default_rng(_stream(cfg.master_seed, _LABELED, rep, si, zi, ri))
     idx = rng.choice(unique.shape[0], size=k, replace=False)
     # True labels come from the sample's own records (first record of each
     # chosen node); the labeled subset only holds nodes the sampler saw.
-    return empirical_confusion(sample.true_labels[first[idx]], noisy_map[unique[idx]])
+    return empirical_confusion(base.labels[first[idx]], noisy_map[unique[idx]])
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:

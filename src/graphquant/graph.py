@@ -1,6 +1,8 @@
 """Two-group undirected graphs: synthetic generation, file ingestion and
 preprocessing, and exact whole-graph measures by full enumeration. Graphs
-keep neighbours in CSR arrays. One component labelling (``_components``)
+keep neighbours in CSR arrays and groups as int8 codes. One token table
+(``GROUP_TOKENS``) serves the label-file reader, the preprocessor's
+decode and both writers. One component labelling (``_components``)
 serves both the connectivity check and the largest-component cut of
 preprocessing; it works on the edge list, so no traversal is needed.
 """
@@ -8,35 +10,21 @@ preprocessing; it works on the edge list, so no traversal is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .quantify import EdgeVector, PropVector, coleman_homophily, ingroup_share
 
-MISSING_LABEL = "NA"
+# Label-file tokens by group code: 0 is A, 1 is B (by convention the
+# minority) and MISSING is NA. Label records may also give 0, 1 or None.
+GROUP_TOKENS = ("A", "B", "NA")
+MISSING = 2
+_GROUP_CODES = {token: code for code, token in enumerate(GROUP_TOKENS)}
+_GROUP_CODES.update({0: 0, 1: 1, None: MISSING})
 
 
-class Group(IntEnum):
-    """Node group; by convention group B is the minority."""
-
-    A = 0
-    B = 1
-
-
-def parse_group(token: str) -> int | None:
-    """Map a label-file token to a group int, or None for the missing marker."""
-    if token == "A":
-        return int(Group.A)
-    if token == "B":
-        return int(Group.B)
-    if token == MISSING_LABEL:
-        return None
-    raise ValueError(f"unknown group token {token!r}")
-
-
-def group_token(value: int) -> str:
-    return "B" if value == 1 else "A"
+def group_token(code: int) -> str:
+    return GROUP_TOKENS[code]
 
 
 @dataclass
@@ -236,17 +224,6 @@ def generate_homophilous_graph(
     return UndirectedGraph.from_edges(n, edges, labels, check_connected=False)
 
 
-def _normalize_label(raw) -> int | None:
-    if raw is None:
-        return None
-    if isinstance(raw, (int, np.integer)):
-        value = int(raw)
-        if value not in (0, 1):
-            raise ValueError(f"integer labels must be 0 or 1, got {value}")
-        return value
-    return parse_group(str(raw))
-
-
 def load_and_preprocess(
     edge_records, label_records, directed_input: bool = False
 ) -> UndirectedGraph:
@@ -256,18 +233,19 @@ def load_and_preprocess(
     edges, and edges touching unlabeled nodes are dropped; the largest
     connected component survives; node ids are remapped to a dense
     0..N-1 range in ascending original-id order, with the originals kept
-    in ``id_map``. Preprocessing its own output is a no-op.
+    in ``id_map``. A label is a group token, the integer 0 or 1, or None
+    for a missing label. Preprocessing its own output is a no-op.
     """
-    labels: dict[int, int] = {}
-    for node, raw in label_records.items():
-        value = _normalize_label(raw)
-        if value is not None:
-            labels[int(node)] = value
-
+    values = list(label_records.values())
+    # The integer keys 0 and 1 also match the floats 0.0 and 1.0, so only
+    # strings, integers and None are looked up.
+    if not all(issubclass(t, (str, int, np.integer, type(None))) for t in set(map(type, values))):
+        raise ValueError("labels must be group tokens, the integers 0 and 1, or None")
     try:
+        codes = np.fromiter(map(_GROUP_CODES.__getitem__, values), np.int8, len(values))
         pairs = np.array(list(edge_records), dtype=np.int64)
-        labelled_ids = np.fromiter(labels, dtype=np.int64, count=len(labels))
-    except (TypeError, ValueError, OverflowError) as exc:
+        label_ids = np.fromiter(label_records, dtype=np.int64, count=len(values))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed records: {exc}") from exc
     if pairs.size and pairs.shape[1:] != (2,):
         raise ValueError("malformed edge records: expected (u, v) integer pairs")
@@ -278,6 +256,12 @@ def load_and_preprocess(
     # cannot overflow and sort like the original pairs.
     ids, dense = np.unique(pairs, return_inverse=True)
     dense = dense.reshape(-1, 2)
+    # Each dense id's group code, searched among the sorted label ids; an id
+    # past the last of them lands on the appended MISSING slot.
+    order = np.argsort(label_ids)
+    label_ids, codes = np.append(label_ids[order], 0), np.append(codes[order], MISSING)
+    at = np.searchsorted(label_ids[:-1], ids)
+    code = np.where(label_ids[at] == ids, codes[at], MISSING)
     k = ids.shape[0]
     keys = dense.min(axis=1) * k + dense.max(axis=1)
     if directed_input:
@@ -290,8 +274,7 @@ def load_and_preprocess(
         # A pair is reciprocated when both of its directions remain.
         keys = keys[1:][keys[1:] // 2 == keys[:-1] // 2] // 2
     lo, hi = np.divmod(keys, k)
-    labelled = np.isin(ids, labelled_ids)
-    keep = labelled[lo] & labelled[hi]
+    keep = (code[lo] != MISSING) & (code[hi] != MISSING)
     if not keep.any():
         raise ValueError("empty graph after preprocessing")
     lo, hi = lo[keep], hi[keep]
@@ -304,10 +287,8 @@ def load_and_preprocess(
     new_id[members] = np.arange(members.shape[0])
     inside = new_id[lo] >= 0
     edge_arr = np.column_stack([new_id[lo[inside]], new_id[hi[inside]]])
-    id_map = ids[members]
-    label_arr = [labels[orig] for orig in id_map.tolist()]
     return UndirectedGraph.from_edges(
-        members.shape[0], edge_arr, label_arr, id_map=id_map, check_connected=False
+        members.shape[0], edge_arr, code[members], id_map=ids[members], check_connected=False
     )
 
 
@@ -418,7 +399,7 @@ def read_label_file(path) -> dict[int, str]:
     """Label file: ``node_id<TAB>group`` per line, group A, B, or NA."""
     out: dict[int, str] = {}
     for lineno, (node, token) in _fields(path, "expected node id and group"):
-        if token not in ("A", "B", MISSING_LABEL):
+        if token not in GROUP_TOKENS:
             raise ValueError(f"{path}:{lineno}: unknown group token {token!r}")
         try:
             out[int(node)] = token
@@ -444,4 +425,4 @@ def write_edge_list(g: UndirectedGraph, path) -> None:
 def write_label_file(g: UndirectedGraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for node in range(g.node_count):
-            fh.write(f"{node}\t{group_token(int(g.labels[node]))}\n")
+            fh.write(f"{node}\t{group_token(g.labels[node])}\n")

@@ -81,14 +81,14 @@ def apply_noise(labels, confusion: ConfusionMatrix, rng_seed=None) -> np.ndarray
     return np.where(flip, 1 - arr, arr).astype(np.int8)
 
 
-def empirical_confusion(true_labels, predicted_labels) -> ConfusionMatrix:
+def empirical_confusion(truth, predicted) -> ConfusionMatrix:
     """Column-normalized count matrix from (true, predicted) label pairs.
 
     Raises if one of the true classes is absent, since its column would
     be undefined.
     """
-    t = np.asarray(true_labels)
-    p = np.asarray(predicted_labels)
+    t = np.asarray(truth)
+    p = np.asarray(predicted)
     if t.shape != p.shape or t.ndim != 1:
         raise ValueError("label lists must be equal-length and one-dimensional")
     n_a = int((t == 0).sum())

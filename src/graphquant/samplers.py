@@ -8,8 +8,8 @@ the graph's CSR arrays. Each returns the same ``Sample`` record, so
 every estimator below works from sample data alone and never asks which
 sampler ran:
 
-- ``nodes``, ``degrees``, ``true_labels`` and ``noisy_labels`` hold one
-  entry per record (the noisy labels once attached).
+- ``nodes``, ``degrees`` and ``labels`` hold one entry per record; the
+  labels are true groups, or the classifier's after ``with_noisy_labels``.
 - ``weights`` is the per-record weight of share estimates: ``1/d`` for
   walk steps, which undoes the walk's degree bias (the RWRW ratio
   estimator), and 1 for every other sampler.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UndirectedGraph, group_token
+from .graph import MISSING, UndirectedGraph, group_token
 from .quantify import PropVector, EdgeVector
 
 SEED_DEGREE = "degree_proportional"
@@ -55,8 +55,7 @@ class Sample:
 
     nodes: np.ndarray
     degrees: np.ndarray
-    true_labels: np.ndarray
-    noisy_labels: np.ndarray | None
+    labels: np.ndarray  # int8 group per record
     weights: np.ndarray  # per-record weight of share estimates
     edge_positions: np.ndarray  # (E, 2) record indices of each observed edge
     burn_in: int = 0
@@ -69,8 +68,7 @@ class Sample:
         return Sample(
             nodes=self.nodes[idx],
             degrees=self.degrees[idx],
-            true_labels=self.true_labels[idx],
-            noisy_labels=None if self.noisy_labels is None else self.noisy_labels[idx],
+            labels=self.labels[idx],
             weights=self.weights[idx],
             edge_positions=np.empty((0, 2), dtype=np.int64),
         )
@@ -81,8 +79,7 @@ def _records(g: UndirectedGraph, nodes, edge_positions, weights=None, burn_in=0)
     return Sample(
         nodes=nodes,
         degrees=g.degrees[nodes],
-        true_labels=g.labels[nodes],
-        noisy_labels=None,
+        labels=g.labels[nodes],
         weights=np.ones(nodes.shape[0]) if weights is None else weights,
         edge_positions=np.asarray(edge_positions, dtype=np.int64).reshape(-1, 2),
         burn_in=burn_in,
@@ -90,13 +87,13 @@ def _records(g: UndirectedGraph, nodes, edge_positions, weights=None, burn_in=0)
 
 
 def with_noisy_labels(sample: Sample, noisy_by_node) -> Sample:
-    """Copy of a sample with noisy labels looked up per visited node.
+    """Copy of a sample whose labels are noisy labels looked up per node.
 
     The lookup is a per-node array for the whole graph, so a node keeps
     one noisy label no matter how often the sample saw it.
     """
     arr = np.asarray(noisy_by_node, dtype=np.int8)[sample.nodes]
-    return dataclasses.replace(sample, noisy_labels=arr)
+    return dataclasses.replace(sample, labels=arr)
 
 
 def rwrw_walk(
@@ -247,17 +244,7 @@ def importance_resample(sample: Sample, out_size: int, rng_seed=None) -> Sample:
     return dataclasses.replace(sample.take(idx), weights=np.ones(out_size))
 
 
-def _label_array(sample: Sample, label_field: str) -> np.ndarray:
-    if label_field == "true":
-        return sample.true_labels
-    if label_field == "noisy":
-        if sample.noisy_labels is None:
-            raise ValueError("sample carries no noisy labels")
-        return sample.noisy_labels
-    raise ValueError(f"label_field must be 'true' or 'noisy', got {label_field!r}")
-
-
-def estimate_proportions(sample: Sample, label_field: str = "true") -> PropVector:
+def estimate_proportions(sample: Sample) -> PropVector:
     """Weighted group-share estimate over the sample records.
 
     Walks are reweighted by inverse degree; node, snowball and resampled
@@ -265,34 +252,30 @@ def estimate_proportions(sample: Sample, label_field: str = "true") -> PropVecto
     degree-biased by design and documents what edge sampling can
     actually see.
     """
-    labels = _label_array(sample, label_field)
-    if labels.shape[0] == 0:
+    if len(sample) == 0:
         raise ValueError("empty sample")
-    share_b = float((sample.weights * (labels == 1)).sum() / sample.weights.sum())
+    share_b = float((sample.weights * (sample.labels == 1)).sum() / sample.weights.sum())
     return PropVector(1.0 - share_b, share_b)
 
 
-def estimate_edge_vector(sample: Sample, label_field: str = "true") -> EdgeVector:
+def estimate_edge_vector(sample: Sample) -> EdgeVector:
     """Edge-type shares (aa, ab, bb) over the sample's observed edges."""
-    labels = _label_array(sample, label_field)
     pos = sample.edge_positions
     if pos.shape[0] == 0:
         raise NoObservedEdgesError("sample observed no edges")
-    pair = labels[pos[:, 0]].astype(np.int64) + labels[pos[:, 1]]
+    pair = sample.labels[pos[:, 0]].astype(np.int64) + sample.labels[pos[:, 1]]
     shares = np.bincount(pair, minlength=3) / pos.shape[0]
     return EdgeVector(*shares.tolist())
 
 
-def write_sample_records(sample, path) -> None:
-    """Audit format: one record per line as
-    ``node_id degree true_label noisy_label step_index``."""
-    labels = sample.true_labels
-    noisy = sample.noisy_labels
+def write_sample_records(sample: Sample, path, noisy: Sample | None = None) -> None:
+    """Audit format: one record per line as ``node_id degree true_label
+    noisy_label step_index``, noisy labels from the copy ``noisy`` or NA."""
+    noisy_codes = np.full(len(sample), MISSING) if noisy is None else noisy.labels
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# node_id degree true_label noisy_label step_index\n")
         for i in range(len(sample)):
-            noisy_tok = "NA" if noisy is None else group_token(int(noisy[i]))
             fh.write(
                 f"{int(sample.nodes[i])} {int(sample.degrees[i])} "
-                f"{group_token(int(labels[i]))} {noisy_tok} {i}\n"
+                f"{group_token(sample.labels[i])} {group_token(noisy_codes[i])} {i}\n"
             )

@@ -164,7 +164,7 @@ def test_criterion_3_rwrw_convergence():
     g = generate_homophilous_graph(50, 3, 0.2, 0.8, rng_seed=16)
     truth = ground_truth(g)
     walk = rwrw_walk(g, 1_000_000, rng_seed=160)
-    p_hat = estimate_proportions(walk, "true").b
+    p_hat = estimate_proportions(walk).b
     freq = np.bincount(walk.nodes, minlength=g.node_count) / len(walk)
     target = g.degrees / g.total_degree
     ks = float(np.max(np.abs(np.cumsum(freq) - np.cumsum(target))))
@@ -285,8 +285,8 @@ def test_criterion_9_perfect_heterophily():
     for rep in range(500):
         noisy = apply_noise(g.labels, c, (910, rep))
         walk = with_noisy_labels(rwrw_walk(g, 3000, rng_seed=(911, rep)), noisy)
-        p = adjust_proportions(estimate_proportions(walk, "noisy"), c)
-        s = adjust_edge_proportions(estimate_edge_vector(walk, "noisy"), c)
+        p = adjust_proportions(estimate_proportions(walk), c)
+        s = adjust_edge_proportions(estimate_edge_vector(walk), c)
         values.append(coleman_homophily(ingroup_share(s, 1), p.b).value)
     mean_h = float(np.mean(values))
     report(

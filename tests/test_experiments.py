@@ -98,6 +98,14 @@ class TestConfig:
             {"resample_factor": True},
             {"confusion_from_labeled": 40.0},
             {"master_seed": 1.5},
+            {"rates": (0.1, 0.1)},
+            {"sample_sizes": (50, 50)},
+            {"fixed_graph": "no"},
+            {"graph": GraphSpec(n=300, m=3, directed="false")},
+            {"rates": ("0.1",)},
+            {"top_quantile": "0.2"},
+            {"graph": GraphSpec(n=300, m=3, minority_frac="0.2")},
+            {"graph": GraphSpec(n=300, m=3, ingroup_pref="0.8")},
         ],
     )
     def test_invariant_violations(self, overrides):
@@ -323,7 +331,7 @@ class TestRunExperiment:
     def test_programming_errors_raise(self, monkeypatch):
         # A plain ValueError from an estimator is a bug, not a domain
         # failure, so it must not turn into a failed row.
-        def broken(sample, label_field):
+        def broken(sample):
             raise ValueError("bug")
 
         monkeypatch.setattr(experiments, "estimate_edge_vector", broken)
@@ -397,9 +405,9 @@ class TestGroupSwap:
             for graph, labels, confusion in ((g, noisy, c), (swapped, noisy_swap, c_swap)):
                 sample = with_noisy_labels(draw(graph, 400, rng_seed=4), labels)
                 top = sample.take(top_quantile_indices(sample.degrees, 0.2, node_ids=sample.nodes))
-                p = estimate_proportions(sample, "noisy")
-                t = estimate_edge_vector(sample, "noisy")
-                v = estimate_proportions(top, "noisy")
+                p = estimate_proportions(sample)
+                t = estimate_edge_vector(sample)
+                v = estimate_proportions(top)
                 vectors.append((
                     p, t, v,
                     adjust_proportions(p, confusion),

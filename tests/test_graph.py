@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import has_edge
 from graphquant.graph import (
-    Group,
     UndirectedGraph,
     generate_homophilous_graph,
     graphs_equal,
     ground_truth,
     load_and_preprocess,
     load_graph_files,
-    parse_group,
     read_edge_list,
     read_label_file,
     top_quantile_indices,
@@ -289,6 +287,22 @@ class TestPreprocess:
             load_and_preprocess([(1, 2, 3)], {1: "A", 2: "B"})
         with pytest.raises(ValueError):
             load_and_preprocess([("x", 2)], {2: "B"})
+        # Floats never stand for a group, even when they equal 0 or 1.
+        for bad in (2, -1, 1.0, np.float64(0.0), "0", "Q"):
+            with pytest.raises(ValueError):
+                load_and_preprocess([(1, 2)], {1: "A", 2: bad})
+
+    def test_group_tokens(self):
+        # A and B, or the integers 0 and 1, are groups 0 and 1; NA and None
+        # mark a missing label.
+        records = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+        tokens = {1: "A", 2: "B", 3: "NA", 4: np.int64(1), 5: 0, 6: None}
+        g = load_and_preprocess(records, tokens)
+        assert g.id_map.tolist() == [1, 2]
+        assert g.labels.tolist() == [0, 1]
+        g = load_and_preprocess(records[3:], tokens)
+        assert g.id_map.tolist() == [4, 5]
+        assert g.labels.tolist() == [1, 0]
 
     def test_idempotent(self):
         g = load_and_preprocess(
@@ -411,10 +425,3 @@ class TestFiles:
             with pytest.raises(ValueError) as exc:
                 reader(path)
             assert str(exc.value) == f"{path}{message}"
-
-    def test_parse_group_tokens(self):
-        assert parse_group("A") == Group.A
-        assert parse_group("B") == Group.B
-        assert parse_group("NA") is None
-        with pytest.raises(ValueError):
-            parse_group("Q")

@@ -249,6 +249,35 @@ class TestVarianceInflation:
         predicted = variance_inflation_edges(c, tuple(var_t))
         assert predicted == pytest.approx(empirical, rel=0.30)
 
+    def test_low_recall_node_variance_against_prediction(self):
+        # An asymmetric low-recall classifier: P(a|a) = 0.95 and P(b|b) = 0.6,
+        # so det = 0.55. Node samples of n out of N nodes, drawn without
+        # replacement, with fresh noise in each replication. With f =
+        # (N - n) / (N - 1), p the true minority share and m the expected
+        # measured one:
+        #   n Var(no_noise)  = p(1-p) f
+        #   n Var(corrected) = (m(1-m) - det^2 p(1-p)(1-f)) / det^2
+        # The 10% band leaves out 1/det^2 = 3.31, which is the ratio of
+        # corrected to uncorrected variance, not to noise-free variance.
+        from graphquant.noise import apply_noise
+        from graphquant.samplers import estimate_proportions, node_sample, with_noisy_labels
+
+        g = generate_homophilous_graph(10_000, 4, 0.2, 0.8, rng_seed=6)
+        c = ConfusionMatrix(0.95, 0.4, 0.05, 0.6)
+        truth = ground_truth(g).p
+        p, m = truth.b, measured_proportions(truth, c).b
+        n, f = 300, (g.node_count - 300) / (g.node_count - 1)
+        det2 = c.det**2
+        predicted = (m * (1 - m) - det2 * p * (1 - p) * (1 - f)) / (det2 * p * (1 - p) * f)
+        clean, corrected = [], []
+        for rep in range(1000):
+            sample = node_sample(g, n, rng_seed=(903, rep))
+            noisy = with_noisy_labels(sample, apply_noise(g.labels, c, rng_seed=(904, rep)))
+            clean.append(estimate_proportions(sample).b)
+            corrected.append(adjust_proportions(estimate_proportions(noisy), c).b)
+        ratio = np.var(corrected, ddof=1) / np.var(clean, ddof=1)
+        assert ratio == pytest.approx(predicted, rel=0.10)
+
 
 class TestUnbiasednessMonteCarlo:
     def test_corrected_walk_and_node_estimates_unbiased(self):
@@ -271,8 +300,8 @@ class TestUnbiasednessMonteCarlo:
             noisy = apply_noise(g.labels, c, rng_seed=(900, rep))
             walk = with_noisy_labels(rwrw_walk(g, 1000, rng_seed=(901, rep)), noisy)
             nodes = with_noisy_labels(node_sample(g, 500, rng_seed=(902, rep)), noisy)
-            m_walk = estimate_proportions(walk, "noisy")
-            m_node = estimate_proportions(nodes, "noisy")
+            m_walk = estimate_proportions(walk)
+            m_node = estimate_proportions(nodes)
             walk_unc.append(m_walk.b)
             walk_corr.append(adjust_proportions(m_walk, c).b)
             node_corr.append(adjust_proportions(m_node, c).b)

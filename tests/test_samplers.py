@@ -12,6 +12,7 @@ from conftest import has_edge
 from graphquant.graph import (
     UndirectedGraph,
     generate_homophilous_graph,
+    group_token,
     ground_truth,
     top_quantile_indices,
 )
@@ -48,7 +49,7 @@ def walk_visibility(walk, quantile, out_size=None, rng_seed=None):
     then the share estimate over the top records."""
     resampled = importance_resample(walk, 10 * len(walk) if out_size is None else out_size, rng_seed)
     top = top_quantile_indices(resampled.degrees, quantile, node_ids=resampled.nodes)
-    return estimate_proportions(resampled.take(top), "true")
+    return estimate_proportions(resampled.take(top))
 
 
 def triangle():
@@ -122,7 +123,7 @@ class TestSampleRecord:
         draw, implied_edges = RECORD_CASES[kind]
         sample = draw(g)
         assert sample.degrees.tolist() == g.degrees[sample.nodes].tolist()
-        assert sample.true_labels.tolist() == g.labels[sample.nodes].tolist()
+        assert sample.labels.tolist() == g.labels[sample.nodes].tolist()
         if kind == "walk":
             assert np.array_equal(sample.weights, 1.0 / sample.degrees)
         else:
@@ -137,7 +138,7 @@ class TestSampleRecord:
         walk = with_noisy_labels(rwrw_walk(g, 400, rng_seed=70), noisy)
         idx = np.array([5, 0, 5, 399])
         taken = walk.take(idx)
-        for name in ("nodes", "degrees", "true_labels", "noisy_labels", "weights"):
+        for name in ("nodes", "degrees", "labels", "weights"):
             assert np.array_equal(getattr(taken, name), getattr(walk, name)[idx])
         assert taken.edge_positions.shape == (0, 2)
 
@@ -216,28 +217,28 @@ class TestRwrwEstimate:
     def test_constant_function_is_exactly_one(self):
         g = generate_homophilous_graph(50, 2, 0.2, 0.8, rng_seed=11)
         walk = rwrw_walk(g, 1000, rng_seed=12)
-        constant = dataclasses.replace(walk, true_labels=np.ones_like(walk.true_labels))
-        assert estimate_proportions(constant, "true").b == 1.0
+        constant = dataclasses.replace(walk, labels=np.ones_like(walk.labels))
+        assert estimate_proportions(constant).b == 1.0
 
     def test_two_term_hand_computation(self):
         # Records (d=4, g=1) and (d=1, g=0): (1/4) / (1/4 + 1) = 0.2.
         g = star_graph(4)
         walk = rwrw_walk(g, 2, rng_seed=0)
         assert set(walk.degrees) == {4, 1}
-        assert estimate_proportions(walk, "true").b == pytest.approx(0.2)
+        assert estimate_proportions(walk).b == pytest.approx(0.2)
 
     def test_relabeling_invariance(self):
         g = generate_homophilous_graph(80, 2, 0.3, 0.7, rng_seed=13)
         walk = rwrw_walk(g, 500, rng_seed=14)
         perm = np.random.default_rng(15).permutation(g.node_count)
         relabeled = dataclasses.replace(walk, nodes=perm[walk.nodes])
-        assert estimate_proportions(walk, "true") == estimate_proportions(relabeled, "true")
+        assert estimate_proportions(walk) == estimate_proportions(relabeled)
 
     def test_converges_to_truth(self):
         g = generate_homophilous_graph(50, 3, 0.2, 0.8, rng_seed=16)
         truth = ground_truth(g)
         walk = rwrw_walk(g, 100_000, rng_seed=17)
-        p_hat = estimate_proportions(walk, "true").b
+        p_hat = estimate_proportions(walk).b
         assert p_hat == pytest.approx(truth.p.b, abs=0.02)
 
 
@@ -248,8 +249,8 @@ class TestNodeSample:
         assert np.array_equal(sample.nodes, np.arange(g.node_count))
         assert sample.edge_positions.shape[0] == g.edge_count
         gt = ground_truth(g)
-        assert estimate_proportions(sample, "true").b == gt.p.b
-        assert estimate_edge_vector(sample, "true").as_tuple() == gt.s.as_tuple()
+        assert estimate_proportions(sample).b == gt.p.b
+        assert estimate_edge_vector(sample).as_tuple() == gt.s.as_tuple()
 
     def test_single_draw_uniformity(self):
         # 1e4 single-node draws over 10 nodes: chi-square should not
@@ -265,7 +266,7 @@ class TestNodeSample:
         g = generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=21)
         truth = ground_truth(g).p.b
         means = [
-            estimate_proportions(node_sample(g, 100, rng_seed=(22, rep)), "true").b
+            estimate_proportions(node_sample(g, 100, rng_seed=(22, rep))).b
             for rep in range(500)
         ]
         assert abs(np.mean(means) - truth) < 0.01
@@ -283,13 +284,13 @@ class TestEdgeSample:
         g = generate_homophilous_graph(40, 2, 0.3, 0.7, rng_seed=23)
         sample = edge_sample(g, g.edge_count, rng_seed=24)
         gt = ground_truth(g)
-        assert estimate_edge_vector(sample, "true").as_tuple() == gt.s.as_tuple()
+        assert estimate_edge_vector(sample).as_tuple() == gt.s.as_tuple()
 
     def test_endpoint_share_is_degree_biased(self):
         # Star with hub in B: endpoint share of B is 1/2, not p_b = 1/5.
         g = star_graph(4, hub_label=1)
         sample = edge_sample(g, g.edge_count, rng_seed=25)
-        assert estimate_proportions(sample, "true").b == pytest.approx(0.5)
+        assert estimate_proportions(sample).b == pytest.approx(0.5)
         assert ground_truth(g).p.b == pytest.approx(0.2)
 
     def test_bounds(self):
@@ -350,12 +351,10 @@ class TestSnowball:
         snow, node = [], []
         for rep in range(500):
             snow.append(
-                estimate_proportions(
-                    snowball_sample(g, 100, n_seeds=10, rng_seed=(31, rep)), "true"
-                ).b
+                estimate_proportions(snowball_sample(g, 100, n_seeds=10, rng_seed=(31, rep))).b
             )
             node.append(
-                estimate_proportions(node_sample(g, 100, rng_seed=(32, rep)), "true").b
+                estimate_proportions(node_sample(g, 100, rng_seed=(32, rep))).b
             )
         assert abs(np.mean(snow) - truth) > abs(np.mean(node) - truth)
 
@@ -386,16 +385,16 @@ class TestImportanceResample:
         # the same fixed sample.
         g = generate_homophilous_graph(300, 3, 0.3, 0.7, rng_seed=40)
         walk = rwrw_walk(g, 2000, rng_seed=41)
-        direct = estimate_proportions(walk, "true").b
+        direct = estimate_proportions(walk).b
         resampled = importance_resample(walk, 100_000, rng_seed=42)
-        assert np.mean(resampled.true_labels == 1) == pytest.approx(direct, abs=0.01)
+        assert np.mean(resampled.labels == 1) == pytest.approx(direct, abs=0.01)
 
 
 class TestEstimateEdgeVector:
     def test_single_group_graph(self):
         g = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 0, 0, 0])
         walk = rwrw_walk(g, 100, rng_seed=43)
-        assert estimate_edge_vector(walk, "true").as_tuple() == (1.0, 0.0, 0.0)
+        assert estimate_edge_vector(walk).as_tuple() == (1.0, 0.0, 0.0)
 
     def test_bipartite_by_group_all_samplers(self):
         g = complete_bipartite(2, 3)
@@ -406,7 +405,7 @@ class TestEstimateEdgeVector:
             snowball_sample(g, 5, n_seeds=2, rng_seed=47),
         ]
         for sample in samples:
-            assert estimate_edge_vector(sample, "true").as_tuple() == (0.0, 1.0, 0.0)
+            assert estimate_edge_vector(sample).as_tuple() == (0.0, 1.0, 0.0)
 
     def test_walk_mean_edge_shares_near_truth(self):
         g = generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=48)
@@ -415,7 +414,7 @@ class TestEstimateEdgeVector:
         reps = 500
         for rep in range(reps):
             walk = rwrw_walk(g, 3000, rng_seed=(49, rep))
-            totals += estimate_edge_vector(walk, "true").as_tuple()
+            totals += estimate_edge_vector(walk).as_tuple()
         assert totals / reps == pytest.approx(truth, abs=0.02)
 
     def test_no_edges_raises(self):
@@ -423,16 +422,18 @@ class TestEstimateEdgeVector:
         sparse = node_sample(g, 2, rng_seed=51)
         if sparse.edge_positions.shape[0] == 0:
             with pytest.raises(NoObservedEdgesError):
-                estimate_edge_vector(sparse, "true")
+                estimate_edge_vector(sparse)
 
-    def test_noisy_field_requires_noisy_labels(self):
+    def test_with_noisy_labels_replaces_labels(self):
         g = triangle()
         walk = rwrw_walk(g, 10, rng_seed=52)
-        with pytest.raises(ValueError):
-            estimate_edge_vector(walk, "noisy")
         noisy = apply_noise(g.labels, symmetric_confusion(0.2), 53)
         tagged = with_noisy_labels(walk, noisy)
-        estimate_edge_vector(tagged, "noisy")
+        assert np.array_equal(tagged.labels, noisy[walk.nodes])
+        assert np.array_equal(walk.labels, g.labels[walk.nodes])
+        for name in ("nodes", "degrees", "weights", "edge_positions"):
+            assert np.array_equal(getattr(tagged, name), getattr(walk, name))
+        estimate_edge_vector(tagged)
 
 
 class TestEstimateVisibility:
@@ -483,14 +484,17 @@ class TestRecords:
         noisy = apply_noise(g.labels, symmetric_confusion(0.2), 64)
         tagged = with_noisy_labels(walk, noisy)
         path = tmp_path / "records.txt"
-        write_sample_records(tagged, path)
+        write_sample_records(walk, path, tagged)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == 25
-        node, degree, true_tok, noisy_tok, idx = lines[0].split()
-        assert int(node) in range(5)
-        assert int(degree) in (1, 4)
-        assert true_tok in ("A", "B") and noisy_tok in ("A", "B")
-        assert idx == "0"
+        for i, line in enumerate(lines):
+            node, degree, true_tok, noisy_tok, idx = line.split()
+            node = int(node)
+            assert node == walk.nodes[i]
+            assert int(degree) == g.degrees[node]
+            assert true_tok == group_token(g.labels[node])
+            assert noisy_tok == group_token(noisy[node])
+            assert idx == str(i)
 
     def test_without_noisy_labels_uses_na(self, tmp_path):
         g = star_graph(4)
