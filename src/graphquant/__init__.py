@@ -16,7 +16,6 @@ from .graph import (
 )
 from .noise import (
     ConfusionMatrix,
-    DyadicMatrix,
     apply_noise,
     dyadic_matrix,
     empirical_confusion,
@@ -33,9 +32,6 @@ from .quantify import (
     adjust_visibility,
     coleman_homophily,
     ingroup_share,
-    measured_edge_proportions,
-    measured_proportions,
-    variance_inflation_edges,
     variance_inflation_nodes,
 )
 from .samplers import (

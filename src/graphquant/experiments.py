@@ -74,6 +74,8 @@ VARIANTS = ("no_noise", "uncorrected", "corrected")
 
 # RNG stream tags; every random decision is keyed (master, tag, rep, ...).
 _GRAPH, _NOISE, _SAMPLE, _RESAMPLE, _LABELED = range(5)
+# Walk-visibility resample size per walk record; goes away with ROADMAP item 2.
+_RESAMPLE_FACTOR = 10
 
 ROWS_HEADER = (
     "sampler",
@@ -144,12 +146,11 @@ class ExperimentConfig:
     seed_mode: str = "degree_proportional"
     burn_in: int = 0
     snowball_seeds: int = 10
-    resample_factor: int = 10
     confusion_from_labeled: int | None = None
 
     def validate(self) -> None:
         # bool is an int subclass, and a float size only fails inside numpy.
-        names = ("replications", "master_seed", "burn_in", "snowball_seeds", "resample_factor")
+        names = ("replications", "master_seed", "burn_in", "snowball_seeds")
         integers = [(name, getattr(self, name)) for name in names]
         integers += [("n", self.graph.n), ("m", self.graph.m)]
         integers += [("sample_sizes", z) for z in self.sample_sizes]
@@ -198,8 +199,6 @@ class ExperimentConfig:
             raise ValueError("burn_in must be nonnegative")
         if self.snowball_seeds < 1:
             raise ValueError("need at least one snowball seed")
-        if self.resample_factor < 1:
-            raise ValueError("resample_factor must be positive")
         if self.confusion_from_labeled is not None and self.confusion_from_labeled < 2:
             raise ValueError("confusion_from_labeled needs at least 2 labeled nodes")
 
@@ -401,7 +400,7 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
             if sampler == "rwrw":
                 vis_source = importance_resample(
                     base,
-                    cfg.resample_factor * len(base),
+                    _RESAMPLE_FACTOR * len(base),
                     _stream(cfg.master_seed, _RESAMPLE, rep, si, zi),
                 )
             try:
@@ -412,6 +411,10 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
                 top = UndefinedShareError("top quantile selects no records")
             else:
                 top = vis_source.take(top_idx)
+            if cfg.confusion_from_labeled is not None:
+                # Distinct nodes and first-record true labels, shared by every rate.
+                seen, first = np.unique(base.nodes, return_index=True)
+                seen_labels = base.labels[first]
             clean = _variants(_measure(base, top), None)
             for ri, rate in enumerate(cfg.rates):
                 noisy_sample = with_noisy_labels(base, noisy_maps[ri])
@@ -422,7 +425,7 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
                 if cfg.confusion_from_labeled is not None:
                     try:
                         correction = _estimated_confusion(
-                            cfg, base, noisy_maps[ri], rep, si, zi, ri
+                            cfg, seen, seen_labels, noisy_maps[ri], rep, si, zi, ri
                         )
                     except ValueError:
                         correction = None
@@ -462,16 +465,15 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
 
 
 def _estimated_confusion(
-    cfg: ExperimentConfig, base, noisy_map: np.ndarray, rep: int, si: int, zi: int, ri: int
+    cfg: ExperimentConfig, nodes: np.ndarray, labels: np.ndarray, noisy_map: np.ndarray,
+    rep: int, si: int, zi: int, ri: int,
 ) -> ConfusionMatrix:
-    """Confusion matrix estimated from k labeled nodes drawn from the sample."""
-    unique, first = np.unique(base.nodes, return_index=True)
-    k = min(cfg.confusion_from_labeled, unique.shape[0])
+    """Confusion matrix estimated from k labeled nodes drawn among the
+    ``nodes`` a sample saw, whose true ``labels`` the sample recorded."""
+    k = min(cfg.confusion_from_labeled, nodes.shape[0])
     rng = np.random.default_rng(_stream(cfg.master_seed, _LABELED, rep, si, zi, ri))
-    idx = rng.choice(unique.shape[0], size=k, replace=False)
-    # True labels come from the sample's own records (first record of each
-    # chosen node); the labeled subset only holds nodes the sampler saw.
-    return empirical_confusion(base.labels[first[idx]], noisy_map[unique[idx]])
+    idx = rng.choice(nodes.shape[0], size=k, replace=False)
+    return empirical_confusion(labels[idx], noisy_map[nodes[idx]])
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:

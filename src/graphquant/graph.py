@@ -243,8 +243,12 @@ def load_and_preprocess(
         raise ValueError("labels must be group tokens, the integers 0 and 1, or None")
     try:
         codes = np.fromiter(map(_GROUP_CODES.__getitem__, values), np.int8, len(values))
-        pairs = np.array(list(edge_records), dtype=np.int64)
-        label_ids = np.fromiter(label_records, dtype=np.int64, count=len(values))
+        # Ids keep their inferred dtype and only a safe cast to int64 passes,
+        # so a float or string id raises instead of being truncated.
+        pairs = np.array(list(edge_records) or np.empty((0, 2), np.int64))
+        pairs = pairs.astype(np.int64, casting="safe", copy=False)
+        label_ids = np.array(list(label_records) or np.empty(0, np.int64))
+        label_ids = label_ids.astype(np.int64, casting="safe", copy=False)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed records: {exc}") from exc
     if pairs.size and pairs.shape[1:] != (2,):

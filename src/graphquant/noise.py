@@ -103,31 +103,16 @@ def empirical_confusion(truth, predicted) -> ConfusionMatrix:
     )
 
 
-@dataclass(frozen=True)
-class DyadicMatrix:
-    """3x3 map from true edge-type shares (aa, ab, bb) to measured shares.
+def dyadic_matrix(confusion: ConfusionMatrix) -> tuple[tuple[float, float, float], ...]:
+    """Edge-level misclassification matrix under independent endpoint noise.
 
-    Entries multiply the two endpoints' independent flip probabilities,
-    so columns sum to 1 like the node-level matrix.
+    Its three rows map true edge-type shares (aa, ab, bb) to measured
+    ones. Entries multiply the two endpoints' independent flip
+    probabilities, so columns sum to 1 like the node-level matrix.
     """
-
-    rows: tuple[tuple[float, float, float], ...]
-
-    def apply(self, shares) -> tuple[float, float, float]:
-        x, y, z = shares
-        return tuple(r[0] * x + r[1] * y + r[2] * z for r in self.rows)
-
-
-def dyadic_matrix(confusion: ConfusionMatrix) -> DyadicMatrix:
-    """Edge-level misclassification matrix under independent endpoint noise."""
-    aa = confusion.a_given_a
-    ab = confusion.a_given_b
-    ba = confusion.b_given_a
-    bb = confusion.b_given_b
-    return DyadicMatrix(
-        (
-            (aa * aa, aa * ab, ab * ab),
-            (2.0 * aa * ba, aa * bb + ab * ba, 2.0 * ab * bb),
-            (ba * ba, ba * bb, bb * bb),
-        )
+    aa, ab, ba, bb = confusion.to_flat()
+    return (
+        (aa * aa, aa * ab, ab * ab),
+        (2.0 * aa * ba, aa * bb + ab * ba, 2.0 * ab * bb),
+        (ba * ba, ba * bb, bb * bb),
     )

@@ -5,7 +5,7 @@ through a column-stochastic confusion matrix. Inverting that map removes
 the group-level bias at the cost of extra variance; this module holds the
 share-vector types, the closed-form corrections (2x2 and 3x3 cofactor
 inverses, no linear-algebra dependency), Coleman's homophily index, and
-the analytic variance-inflation factors.
+the variance-inflation factor of the corrected group shares.
 
 Corrected shares may land outside [0, 1]. They are flagged, never
 clipped: clipping would reintroduce bias. A clip-and-renormalize helper
@@ -138,23 +138,10 @@ def _inverse_3x3(rows):
 def adjust_edge_proportions(measured: EdgeVector, confusion: ConfusionMatrix) -> EdgeVector:
     """Remove classification bias from measured edge-type shares."""
     _checked_det(confusion)
-    inv = _inverse_3x3(dyadic_matrix(confusion).rows)
+    inv = _inverse_3x3(dyadic_matrix(confusion))
     t = measured.as_tuple()
     s = [row[0] * t[0] + row[1] * t[1] + row[2] * t[2] for row in inv]
     return EdgeVector(s[0], s[1], s[2])
-
-
-def measured_proportions(true: PropVector, confusion: ConfusionMatrix) -> PropVector:
-    """Expected measured shares under noise (forward map of the confusion matrix)."""
-    m_a = confusion.a_given_a * true.a + confusion.a_given_b * true.b
-    m_b = confusion.b_given_a * true.a + confusion.b_given_b * true.b
-    return PropVector(m_a, m_b)
-
-
-def measured_edge_proportions(true: EdgeVector, confusion: ConfusionMatrix) -> EdgeVector:
-    """Expected measured edge-type shares under independent endpoint noise."""
-    t = dyadic_matrix(confusion).apply(true.as_tuple())
-    return EdgeVector(t[0], t[1], t[2])
 
 
 def ingroup_share(edge_shares: EdgeVector, group: int) -> float:
@@ -190,21 +177,11 @@ def coleman_homophily(s_g: float, p_g: float) -> HomophilyIndex:
 
 
 def variance_inflation_nodes(confusion: ConfusionMatrix) -> float:
-    """Variance multiplier for corrected group proportions, 1 / det^2."""
+    """Variance multiplier for corrected group proportions, 1 / det^2.
+
+    This is exactly Var(corrected) / Var(uncorrected). It overstates the
+    cost against the noise-free estimate, since the noise term depends on
+    the true shares and the sample design, not on det alone.
+    """
     det = _checked_det(confusion)
     return 1.0 / (det * det)
-
-
-def variance_inflation_edges(confusion: ConfusionMatrix, var_t) -> float:
-    """Predicted variance of the corrected aa edge share.
-
-    ``var_t`` holds the sampling variances of the three measured edge
-    shares; the prediction is the quadratic form with the squared first
-    row of the inverse dyadic matrix (covariances are not modeled).
-    """
-    vals = [float(v) for v in var_t]
-    if len(vals) != 3 or any(v < 0 for v in vals):
-        raise ValueError("var_t must be 3 nonnegative variances")
-    _checked_det(confusion)
-    b0 = _inverse_3x3(dyadic_matrix(confusion).rows)[0]
-    return b0[0] ** 2 * vals[0] + b0[1] ** 2 * vals[1] + b0[2] ** 2 * vals[2]

@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 
+from graphquant.noise import dyadic_matrix
+from graphquant.quantify import EdgeVector, PropVector
+
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -39,6 +42,26 @@ def expected_edge_mix_by_enumeration(labels, edges, confusion):
             counts[assignment[u] + assignment[v]] += 1
         total += prob * counts / len(edges)
     return total
+
+
+def dyadic_apply(confusion, shares) -> tuple[float, float, float]:
+    """Forward dyadic map: expected measured edge-type shares (aa, ab, bb)
+    of the true ``shares`` under independent endpoint noise."""
+    x, y, z = shares
+    return tuple(r[0] * x + r[1] * y + r[2] * z for r in dyadic_matrix(confusion))
+
+
+def measured_proportions(true: PropVector, confusion) -> PropVector:
+    """Expected measured shares under noise (forward map of the confusion matrix)."""
+    m_a = confusion.a_given_a * true.a + confusion.a_given_b * true.b
+    m_b = confusion.b_given_a * true.a + confusion.b_given_b * true.b
+    return PropVector(m_a, m_b)
+
+
+def measured_edge_proportions(true: EdgeVector, confusion) -> EdgeVector:
+    """Expected measured edge-type shares under independent endpoint noise."""
+    t = dyadic_apply(confusion, true.as_tuple())
+    return EdgeVector(t[0], t[1], t[2])
 
 
 def rows_for(result, **filters):

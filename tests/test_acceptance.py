@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import errors_for, expected_edge_mix_by_enumeration, rows_for
+from conftest import (
+    dyadic_apply,
+    errors_for,
+    expected_edge_mix_by_enumeration,
+    measured_edge_proportions,
+    measured_proportions,
+    rows_for,
+)
 from graphquant.experiments import (
     ExperimentConfig,
     GraphSpec,
@@ -28,7 +35,6 @@ from graphquant.graph import (
 from graphquant.noise import (
     ConfusionMatrix,
     apply_noise,
-    dyadic_matrix,
     symmetric_confusion,
 )
 from graphquant.quantify import (
@@ -38,8 +44,6 @@ from graphquant.quantify import (
     adjust_proportions,
     coleman_homophily,
     ingroup_share,
-    measured_edge_proportions,
-    measured_proportions,
 )
 from graphquant.samplers import (
     estimate_edge_vector,
@@ -128,7 +132,7 @@ def test_criterion_2_dyadic_correctness():
     worst = 0.0
     for c in (symmetric_confusion(0.2), ConfusionMatrix(0.9, 0.25, 0.1, 0.75)):
         expected = expected_edge_mix_by_enumeration(labels, edges, c)
-        got = dyadic_matrix(c).apply(tuple(s))
+        got = dyadic_apply(c, tuple(s))
         worst = max(worst, *(abs(x - y) for x, y in zip(got, expected)))
 
     # Monte-Carlo: 1e5 independent noise draws on a fixed 30-node graph.
@@ -148,7 +152,7 @@ def test_criterion_2_dyadic_correctness():
     noisy = np.where(flip, 1 - mc_labels[None, :], mc_labels[None, :])
     pair = noisy[:, src] + noisy[:, dst]
     t_mc = np.array([(pair == k).mean() for k in (0, 1, 2)])
-    t_pred = np.array(dyadic_matrix(c).apply(tuple(mc_s)))
+    t_pred = np.array(dyadic_apply(c, tuple(mc_s)))
     mc_dev = float(np.max(np.abs(t_mc - t_pred)))
 
     report(

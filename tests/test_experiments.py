@@ -74,6 +74,8 @@ class TestConfig:
             ExperimentConfig.from_dict({"reps": 5})
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"graph": {"nodes": 50}})
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict({"resample_factor": 10})
 
     @pytest.mark.parametrize(
         "overrides",
@@ -95,7 +97,7 @@ class TestConfig:
             {"graph": GraphSpec(n=300, m=3.0)},
             {"burn_in": 1.0},
             {"snowball_seeds": 2.5},
-            {"resample_factor": True},
+            {"snowball_seeds": True},
             {"confusion_from_labeled": 40.0},
             {"master_seed": 1.5},
             {"rates": (0.1, 0.1)},

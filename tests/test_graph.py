@@ -287,6 +287,13 @@ class TestPreprocess:
             load_and_preprocess([(1, 2, 3)], {1: "A", 2: "B"})
         with pytest.raises(ValueError):
             load_and_preprocess([("x", 2)], {2: "B"})
+        # A float id is refused, not truncated to an integer.
+        with pytest.raises(ValueError):
+            load_and_preprocess([(1.7, 2), (2, 3)], {1: "A", 2: "B", 3: "A"})
+        with pytest.raises(ValueError):
+            load_and_preprocess([(1, 2), (2, 3)], {1.2: "A", 2: "B", 3: "A"})
+        with pytest.raises(ValueError):
+            load_and_preprocess([(np.float64(1.0), 2), (2, 3)], {1: "A", 2: "B", 3: "A"})
         # Floats never stand for a group, even when they equal 0 or 1.
         for bad in (2, -1, 1.0, np.float64(0.0), "0", "Q"):
             with pytest.raises(ValueError):

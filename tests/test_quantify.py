@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import measured_edge_proportions, measured_proportions
 from graphquant.graph import generate_homophilous_graph, ground_truth
 from graphquant.noise import ConfusionMatrix, dyadic_matrix, symmetric_confusion
 from graphquant.quantify import (
@@ -12,16 +13,30 @@ from graphquant.quantify import (
     PropVector,
     SingularCorrectionError,
     UndefinedShareError,
+    _checked_det,
+    _inverse_3x3,
     adjust_edge_proportions,
     adjust_proportions,
     adjust_visibility,
     coleman_homophily,
     ingroup_share,
-    measured_edge_proportions,
-    measured_proportions,
-    variance_inflation_edges,
     variance_inflation_nodes,
 )
+
+
+def variance_inflation_edges(confusion: ConfusionMatrix, var_t) -> float:
+    """Predicted variance of the corrected aa edge share.
+
+    ``var_t`` holds the sampling variances of the three measured edge
+    shares; the prediction is the quadratic form with the squared first
+    row of the inverse dyadic matrix (covariances are not modeled).
+    """
+    vals = [float(v) for v in var_t]
+    if len(vals) != 3 or any(v < 0 for v in vals):
+        raise ValueError("var_t must be 3 nonnegative variances")
+    _checked_det(confusion)
+    b0 = _inverse_3x3(dyadic_matrix(confusion))[0]
+    return b0[0] ** 2 * vals[0] + b0[1] ** 2 * vals[1] + b0[2] ** 2 * vals[2]
 
 
 def random_confusion(rng, max_rate=0.45):
@@ -119,7 +134,7 @@ class TestAdjustEdgeProportions:
         c = symmetric_confusion(0.2)
         t = EdgeVector(1 / 3, 1 / 3, 1 / 3)
         got = adjust_edge_proportions(t, c)
-        expected = np.linalg.solve(np.array(dyadic_matrix(c).rows), np.array(t.as_tuple()))
+        expected = np.linalg.solve(np.array(dyadic_matrix(c)), np.array(t.as_tuple()))
         assert got.as_tuple() == pytest.approx(tuple(expected), abs=1e-12)
         assert sum(got.as_tuple()) == pytest.approx(1.0, abs=1e-9)
 
@@ -217,7 +232,7 @@ class TestVarianceInflation:
 
     def test_edges_single_term(self):
         c = symmetric_confusion(0.2)
-        b00 = np.linalg.inv(np.array(dyadic_matrix(c).rows))[0, 0]
+        b00 = np.linalg.inv(np.array(dyadic_matrix(c)))[0, 0]
         assert variance_inflation_edges(c, (2.0, 0.0, 0.0)) == pytest.approx(
             b00 ** 2 * 2.0, abs=1e-12
         )
@@ -243,7 +258,7 @@ class TestVarianceInflation:
         pair = noisy[:, src] + noisy[:, dst]
         t_hat = np.stack([(pair == k).mean(axis=1) for k in (0, 1, 2)], axis=1)
         var_t = t_hat.var(axis=0, ddof=1)
-        inv = np.linalg.inv(np.array(dyadic_matrix(c).rows))
+        inv = np.linalg.inv(np.array(dyadic_matrix(c)))
         s_aa_corrected = t_hat @ inv[0]
         empirical = s_aa_corrected.var(ddof=1)
         predicted = variance_inflation_edges(c, tuple(var_t))
@@ -277,6 +292,35 @@ class TestVarianceInflation:
             corrected.append(adjust_proportions(estimate_proportions(noisy), c).b)
         ratio = np.var(corrected, ddof=1) / np.var(clean, ddof=1)
         assert ratio == pytest.approx(predicted, rel=0.10)
+
+    def test_walk_noise_variance_given_the_walk(self):
+        # One fixed 3000-step walk, 2000 fresh noise draws. Noise is drawn
+        # once per node, so the measured minority share varies by
+        #   sum_v (W_v / W)^2 sigma^2(y_v)
+        # with W_v the total 1/d weight of node v's visits, W = sum_v W_v,
+        # sigma^2(a) = P(b|a)P(a|a) and sigma^2(b) = P(b|b)P(a|b). A
+        # per-record noise lookup would give sum_i (w_i / W)^2 sigma^2(y_i)
+        # instead, 0.67 of it on this walk, which the 10% band leaves out
+        # (eight seed sets gave ratios of 0.96-1.03).
+        from graphquant.noise import apply_noise
+        from graphquant.samplers import estimate_proportions, rwrw_walk, with_noisy_labels
+
+        g = generate_homophilous_graph(10_000, 4, 0.2, 0.8, rng_seed=6)
+        c = ConfusionMatrix(0.95, 0.4, 0.05, 0.6)
+        walk = rwrw_walk(g, 3000, rng_seed=(906, 0))
+        sigma2 = np.where(g.labels == 1, c.b_given_b * c.a_given_b, c.b_given_a * c.a_given_a)
+        total = walk.weights.sum()
+        node_weight = np.bincount(walk.nodes, weights=walk.weights, minlength=g.node_count)
+        predicted = (node_weight**2 * sigma2).sum() / total**2
+        per_record = (walk.weights**2 * sigma2[walk.nodes]).sum() / total**2
+        measured = [
+            estimate_proportions(
+                with_noisy_labels(walk, apply_noise(g.labels, c, rng_seed=(907, 0, rep)))
+            ).b
+            for rep in range(2000)
+        ]
+        assert np.var(measured, ddof=1) == pytest.approx(predicted, rel=0.10)
+        assert per_record != pytest.approx(predicted, rel=0.10)
 
 
 class TestUnbiasednessMonteCarlo:
