@@ -43,7 +43,7 @@ from .samplers import rwrw_walk, with_noisy_labels, write_sample_records
 
 def _confusion_from_args(args) -> ConfusionMatrix:
     if args.matrix is not None:
-        return ConfusionMatrix.from_flat(args.matrix)
+        return ConfusionMatrix(*args.matrix)
     if args.rate is not None:
         return symmetric_confusion(args.rate)
     raise SystemExit("provide --rate or --matrix")

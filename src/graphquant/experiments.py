@@ -6,7 +6,7 @@ and rate, lets every sampler observe the same graph, and records the four
 minority-group measures (proportion, in-group edge share, top-quantile
 visibility, Coleman homophily) in three variants: no_noise, uncorrected,
 and corrected. Rows carry the signed error against that replication's
-exact ground truth.
+exact ground truth, the same four measures of the whole graph.
 
 Each sample is measured once per label set (its true labels, then each
 rate's noisy labels): group shares, edge-type shares and the group shares
@@ -17,10 +17,15 @@ and count. A failure is recorded where it arises, so a measurement
 failure flags both noisy variants and a correction failure only the
 corrected one.
 
+Rows and summary cells are NamedTuples whose field order is the CSV
+column order. A replication emits each cell's rows measure by measure,
+each in the three variants, which is the order of the file, so the run
+only sorts them by (sampler, rate, size, replication).
+
 Everything is deterministic given the master seed: per-purpose RNG
 streams are split from it by counter keys, replications are independent
-tasks, and rows are sorted before writing so thread count cannot change
-the output bytes.
+tasks, and that stable sort runs before writing, so thread count cannot
+change the output bytes.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +52,7 @@ from .graph import (
 )
 from .noise import ConfusionMatrix, apply_noise, empirical_confusion, symmetric_confusion
 from .quantify import (
+    PropVector,
     SingularCorrectionError,
     UndefinedShareError,
     adjust_edge_proportions,
@@ -76,33 +83,8 @@ VARIANTS = ("no_noise", "uncorrected", "corrected")
 _GRAPH, _NOISE, _SAMPLE, _RESAMPLE, _LABELED = range(5)
 # Walk-visibility resample size per walk record; goes away with ROADMAP item 2.
 _RESAMPLE_FACTOR = 10
-
-ROWS_HEADER = (
-    "sampler",
-    "rate",
-    "size",
-    "rep",
-    "measure",
-    "variant",
-    "estimate",
-    "error",
-    "flags",
-)
-SUMMARY_HEADER = (
-    "sampler",
-    "rate",
-    "size",
-    "measure",
-    "variant",
-    "reps",
-    "failures",
-    "mean_error",
-    "p2_5",
-    "p97_5",
-    "nrmse",
-    "out_of_range_rate",
-    "failure_rate",
-)
+# Uniform seed nodes of each snowball sample.
+_SNOWBALL_SEEDS = 10
 
 
 @dataclass(frozen=True)
@@ -145,12 +127,11 @@ class ExperimentConfig:
     fixed_graph: bool = False
     seed_mode: str = "degree_proportional"
     burn_in: int = 0
-    snowball_seeds: int = 10
     confusion_from_labeled: int | None = None
 
     def validate(self) -> None:
         # bool is an int subclass, and a float size only fails inside numpy.
-        names = ("replications", "master_seed", "burn_in", "snowball_seeds")
+        names = ("replications", "master_seed", "burn_in")
         integers = [(name, getattr(self, name)) for name in names]
         integers += [("n", self.graph.n), ("m", self.graph.m)]
         integers += [("sample_sizes", z) for z in self.sample_sizes]
@@ -197,8 +178,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown seed_mode {self.seed_mode!r}")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
-        if self.snowball_seeds < 1:
-            raise ValueError("need at least one snowball seed")
         if self.confusion_from_labeled is not None and self.confusion_from_labeled < 2:
             raise ValueError("confusion_from_labeled needs at least 2 labeled nodes")
 
@@ -235,8 +214,9 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True, slots=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One line of rows.csv; the field order is the column order."""
+
     sampler: str
     rate: float
     size: int
@@ -331,7 +311,7 @@ def _draw_sample(cfg: ExperimentConfig, g: UndirectedGraph, sampler: str, size: 
             raise ValueError(f"edge budget {n_edges} exceeds edge count {g.edge_count}")
         return edge_sample(g, n_edges, rng_seed=seed)
     if sampler == "snowball":
-        return snowball_sample(g, size, n_seeds=cfg.snowball_seeds, rng_seed=seed)
+        return snowball_sample(g, size, n_seeds=_SNOWBALL_SEEDS, rng_seed=seed)
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
@@ -375,15 +355,9 @@ def _variants(measured: tuple, correction: ConfusionMatrix | None) -> dict[str, 
 def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
     g = _graph_for_rep(cfg, rep)
     gt = ground_truth(g, cfg.top_quantile)
-    truths: dict[str, float | None] = {
-        "proportion": gt.p.b,
-        "visibility": gt.visibility_b,
-        "homophily": gt.homophily_b,
-    }
-    try:
-        truths["ingroup"] = ingroup_share(gt.s, 1)
-    except UndefinedShareError:
-        truths["ingroup"] = None
+    # The truths are the four measures of the population's exact vectors.
+    population = (gt.p, gt.s, PropVector(1.0 - gt.visibility_b, gt.visibility_b))
+    truths = {m: est for m, (est, _) in _variants(population, None).items()}
 
     confusions = [symmetric_confusion(r) for r in cfg.rates]
     noisy_maps = [
@@ -433,33 +407,16 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
                     corrected = {m: (None, "failed:confusion_undefined") for m in MEASURES}
                 else:
                     corrected = _variants(measured, correction)
-                for variant, est in (
-                    ("no_noise", clean),
-                    ("uncorrected", uncorrected),
-                    ("corrected", corrected),
-                ):
-                    for measure in MEASURES:
+                # Measure-major, as in the file, so a cell's rows need no sort.
+                for measure in MEASURES:
+                    truth = truths[measure]
+                    for variant, est in zip(VARIANTS, (clean, uncorrected, corrected)):
                         estimate, flags = est[measure]
-                        truth = truths[measure]
                         if truth is None and not flags.startswith("failed"):
                             flags = "failed:undefined_truth"
-                        error = (
-                            estimate - truth
-                            if (estimate is not None and truth is not None)
-                            else None
-                        )
+                        error = None if estimate is None or truth is None else estimate - truth
                         rows.append(
-                            ResultRow(
-                                sampler=sampler,
-                                rate=rate,
-                                size=size,
-                                rep=rep,
-                                measure=measure,
-                                variant=variant,
-                                estimate=estimate,
-                                error=error,
-                                flags=flags,
-                            )
+                            ResultRow(sampler, rate, size, rep, measure, variant, estimate, error, flags)
                         )
     return rows
 
@@ -491,16 +448,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for batch in pool.map(partial(_replication_rows, cfg), reps, chunksize=chunk):
                 rows.extend(batch)
-    rows.sort(
-        key=lambda r: (
-            r.sampler,
-            r.rate,
-            r.size,
-            r.rep,
-            MEASURES.index(r.measure),
-            VARIANTS.index(r.variant),
-        )
-    )
+    # Stable: each cell's rows keep their measure-then-variant order.
+    rows.sort(key=attrgetter("sampler", "rate", "size", "rep"))
     return ExperimentResult(config=cfg, rows=rows)
 
 
@@ -525,8 +474,9 @@ def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
+    """One line of summary.csv; the field order is the column order."""
+
     sampler: str
     rate: float
     size: int
@@ -571,37 +521,25 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
             mean_error = p_lo = p_hi = cell_nrmse = None
         out.append(
             SummaryRow(
-                sampler=key[0],
-                rate=key[1],
-                size=key[2],
-                measure=key[3],
-                variant=key[4],
-                reps=len(rows),
-                failures=failures,
-                mean_error=mean_error,
-                p2_5=p_lo,
-                p97_5=p_hi,
-                nrmse=cell_nrmse,
-                out_of_range_rate=flagged / len(rows),
-                failure_rate=failures / len(rows),
+                *key, len(rows), failures, mean_error, p_lo, p_hi, cell_nrmse,
+                flagged / len(rows), failures / len(rows),
             )
         )
     return out
 
 
-def _write_csv(path, header: tuple[str, ...], rows) -> None:
-    """One line per row with the fields the header names. The csv module
+def _write_csv(path, rows, row_type) -> None:
+    """The row type's field names, then one line per row. The csv module
     writes None as an empty field and a float as its shortest repr."""
-    fields = attrgetter(*header)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(map(fields, rows))
+        writer.writerow(row_type._fields)
+        writer.writerows(rows)
 
 
 def write_rows_csv(result: ExperimentResult, path) -> None:
-    _write_csv(path, ROWS_HEADER, result.rows)
+    _write_csv(path, result.rows, ResultRow)
 
 
 def write_summary_csv(summary: list[SummaryRow], path) -> None:
-    _write_csv(path, SUMMARY_HEADER, summary)
+    _write_csv(path, summary, SummaryRow)

@@ -46,13 +46,6 @@ class ConfusionMatrix:
         """Row-major flat form [a|a, a|b, b|a, b|b], the on-disk order."""
         return [self.a_given_a, self.a_given_b, self.b_given_a, self.b_given_b]
 
-    @classmethod
-    def from_flat(cls, values) -> "ConfusionMatrix":
-        vals = [float(v) for v in values]
-        if len(vals) != 4:
-            raise ValueError("expected 4 entries in row-major order")
-        return cls(*vals)
-
 
 def symmetric_confusion(rate: float) -> ConfusionMatrix:
     """Confusion matrix with equal off-diagonal misclassification rate.

@@ -76,6 +76,8 @@ class TestConfig:
             ExperimentConfig.from_dict({"graph": {"nodes": 50}})
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"resample_factor": 10})
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict({"snowball_seeds": 10})
 
     @pytest.mark.parametrize(
         "overrides",
@@ -90,14 +92,14 @@ class TestConfig:
             {"master_seed": -1},
             {"seed_mode": "bogus"},
             {"burn_in": -1},
-            {"snowball_seeds": 0},
+            {"burn_in": True},
             {"sample_sizes": (20.0,)},
             {"graph": GraphSpec(n=200.0, m=3)},
             {"replications": True},
             {"graph": GraphSpec(n=300, m=3.0)},
             {"burn_in": 1.0},
-            {"snowball_seeds": 2.5},
-            {"snowball_seeds": True},
+            {"confusion_from_labeled": 1},
+            {"top_quantile": 1.5},
             {"confusion_from_labeled": 40.0},
             {"master_seed": 1.5},
             {"rates": (0.1, 0.1)},
@@ -242,6 +244,28 @@ class TestRunExperiment:
             cfg = small_config(seed_mode="uniform_with_burnin", burn_in=50)
         cfg = dataclasses.replace(cfg, samplers=("rwrw", "node", "snowball"), replications=5)
         assert run_experiment(cfg, threads=1).rows == run_experiment(cfg, threads=2).rows
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_in_file_order(self, threads):
+        # Grid axes out of order: the rows still come sorted by cell and
+        # replication, then by measure and variant in their listed order.
+        cfg = small_config(
+            samplers=("snowball", "rwrw"), rates=(0.3, 0.0, 0.1), sample_sizes=(40, 20),
+            replications=3,
+        )
+        rows = run_experiment(cfg, threads=threads).rows
+        reference = sorted(
+            rows,
+            key=lambda r: (
+                r.sampler,
+                r.rate,
+                r.size,
+                r.rep,
+                experiments.MEASURES.index(r.measure),
+                experiments.VARIANTS.index(r.variant),
+            ),
+        )
+        assert rows == reference
 
     def test_master_seed_changes_rows(self):
         a = run_experiment(small_config(master_seed=1))
@@ -496,3 +520,8 @@ class TestCli:
         assert (out_dir / "summary.csv").exists()
         header = (out_dir / "rows.csv").read_text().splitlines()[0]
         assert header == "sampler,rate,size,rep,measure,variant,estimate,error,flags"
+        header = (out_dir / "summary.csv").read_text().splitlines()[0]
+        assert header == (
+            "sampler,rate,size,measure,variant,reps,failures,mean_error,p2_5,p97_5,nrmse,"
+            "out_of_range_rate,failure_rate"
+        )

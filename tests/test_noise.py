@@ -40,7 +40,7 @@ class TestSymmetricConfusion:
 class TestConfusionMatrix:
     def test_flat_round_trip(self):
         c = ConfusionMatrix(0.9, 0.3, 0.1, 0.7)
-        assert ConfusionMatrix.from_flat(c.to_flat()) == c
+        assert ConfusionMatrix(*c.to_flat()) == c
 
     def test_non_stochastic_rejected(self):
         with pytest.raises(ValueError):
