@@ -2,14 +2,19 @@
 preprocessing, and exact whole-graph measures by full enumeration. Graphs
 keep neighbours in CSR arrays and groups as int8 codes. One token table
 (``GROUP_TOKENS``) serves the label-file reader, the preprocessor's
-decode and both writers. One component labelling (``_components``)
-serves both the connectivity check and the largest-component cut of
-preprocessing; it works on the edge list, so no traversal is needed.
+decode and both writers. Edge files are read into an int64 array, which
+preprocessing takes without a conversion. One component labelling
+(``_components``) serves both the connectivity check and the
+largest-component cut of preprocessing; it works on the edge list, so no
+traversal is needed.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +26,7 @@ GROUP_TOKENS = ("A", "B", "NA")
 MISSING = 2
 _GROUP_CODES = {token: code for code, token in enumerate(GROUP_TOKENS)}
 _GROUP_CODES.update({0: 0, 1: 1, None: MISSING})
+_INT64 = np.iinfo(np.int64)
 
 
 def group_token(code: int) -> str:
@@ -233,27 +239,41 @@ def load_and_preprocess(
     edges, and edges touching unlabeled nodes are dropped; the largest
     connected component survives; node ids are remapped to a dense
     0..N-1 range in ascending original-id order, with the originals kept
-    in ``id_map``. A label is a group token, the integer 0 or 1, or None
-    for a missing label. Preprocessing its own output is a no-op.
+    in ``id_map``. Edge records are a ``(k, 2)`` integer array, such as
+    ``read_edge_list`` returns, or a sequence of ``(u, v)`` pairs. A label
+    is a group token, the integer 0 or 1, or None for a missing label.
+    Ids and labels are never bools. Preprocessing its own output is a
+    no-op.
     """
     values = list(label_records.values())
+    value_types = set(map(type, values))
     # The integer keys 0 and 1 also match the floats 0.0 and 1.0, so only
     # strings, integers and None are looked up.
-    if not all(issubclass(t, (str, int, np.integer, type(None))) for t in set(map(type, values))):
+    if not all(issubclass(t, (str, int, np.integer, type(None))) for t in value_types):
         raise ValueError("labels must be group tokens, the integers 0 and 1, or None")
     try:
+        pairs = np.asarray(edge_records)
+        # numpy casts a bool among integers to 0 or 1, and True also finds
+        # the token for group 1, so bools are refused. An array has one
+        # dtype; only Python records need a scan.
+        types = value_types | set(map(type, label_records))
+        if not isinstance(edge_records, np.ndarray):
+            types.update(map(type, chain.from_iterable(edge_records)))
+        if pairs.dtype == np.bool_ or types & {bool, np.bool_}:
+            raise TypeError("bool node id or label")
         codes = np.fromiter(map(_GROUP_CODES.__getitem__, values), np.int8, len(values))
         # Ids keep their inferred dtype and only a safe cast to int64 passes,
-        # so a float or string id raises instead of being truncated.
-        pairs = np.array(list(edge_records) or np.empty((0, 2), np.int64))
+        # so a float or string id raises instead of being truncated. No
+        # records at all infer float64, so they get the int64 empty shape.
+        if not pairs.size:
+            pairs = np.empty((0, 2), np.int64)
         pairs = pairs.astype(np.int64, casting="safe", copy=False)
         label_ids = np.array(list(label_records) or np.empty(0, np.int64))
         label_ids = label_ids.astype(np.int64, casting="safe", copy=False)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed records: {exc}") from exc
-    if pairs.size and pairs.shape[1:] != (2,):
+    if pairs.shape[1:] != (2,):
         raise ValueError("malformed edge records: expected (u, v) integer pairs")
-    pairs = pairs.reshape(-1, 2)
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
 
     # Dense ids 0..K-1 rise with the original ids, so pair keys lo*K + hi
@@ -375,28 +395,55 @@ def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
 def _fields(path, expected: str):
     """``(lineno, fields)`` of each data line of a two-column text file.
 
-    Blank lines and '#' comments are skipped; a line without exactly two
-    whitespace-separated fields raises ``path:lineno: expected``.
+    Everything from the first '#' on is a comment, and lines left blank
+    are skipped; a line without exactly two whitespace-separated fields
+    raises ``path:lineno: expected``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
+            parts = line.partition("#")[0].split()
+            if not parts:
                 continue
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: {expected}")
             yield lineno, parts
 
 
-def read_edge_list(path) -> list[tuple[int, int]]:
-    """Edge file: two whitespace-separated integer ids per line, '#' comments."""
+def _read_edges_by_line(path) -> np.ndarray:
+    """``read_edge_list`` one line at a time, naming the first bad line."""
     out: list[tuple[int, int]] = []
     for lineno, (u, v) in _fields(path, "expected two node ids"):
         try:
-            out.append((int(u), int(v)))
+            u, v = int(u), int(v)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
-    return out
+        if not _INT64.min <= min(u, v) <= max(u, v) <= _INT64.max:
+            raise ValueError(f"{path}:{lineno}: node id outside int64")
+        out.append((u, v))
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
+def read_edge_list(path) -> np.ndarray:
+    """Edge file as a ``(k, 2)`` int64 array, one row per data line.
+
+    A data line holds two whitespace-separated integer ids. Everything
+    from the first '#' on is a comment, and lines left blank are skipped.
+    numpy's parser reads the file first. If it fails, warns (numpy 1.x
+    only warns when it truncates a float id) or finds other than two
+    columns, the file is read again line by line, and a bad line raises
+    ``ValueError("path:lineno: ...")``.
+    """
+    # A pipe cannot be read twice, so only regular files go to numpy.
+    if os.path.isfile(path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                pairs = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+            except (ValueError, OverflowError, Warning):
+                pairs = None
+        if pairs is not None and pairs.shape[1] == 2:
+            return pairs
+    return _read_edges_by_line(path)
 
 
 def read_label_file(path) -> dict[int, str]:

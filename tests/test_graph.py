@@ -1,5 +1,10 @@
 """Graph construction, generation, preprocessing, and exact measures."""
 
+import os
+import tempfile
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import has_edge
 from graphquant.graph import (
     UndirectedGraph,
+    _read_edges_by_line,
     generate_homophilous_graph,
     graphs_equal,
     ground_truth,
@@ -281,6 +287,10 @@ class TestPreprocess:
             load_and_preprocess([(0, 1)], {0: "NA", 1: "A"})
         with pytest.raises(ValueError):
             load_and_preprocess([(1, 2)], {1: "A", 2: "B"}, directed_input=True)
+        # No records at all, as a list or as the reader's empty array.
+        for records in ([], np.empty((0, 2), np.int64)):
+            with pytest.raises(ValueError, match="^empty graph after preprocessing$"):
+                load_and_preprocess(records, {1: "A"})
 
     def test_malformed_records_raise(self):
         with pytest.raises(ValueError):
@@ -298,6 +308,16 @@ class TestPreprocess:
         for bad in (2, -1, 1.0, np.float64(0.0), "0", "Q"):
             with pytest.raises(ValueError):
                 load_and_preprocess([(1, 2)], {1: "A", 2: bad})
+        # A bool is neither an id nor a group, though it casts to 0 or 1.
+        bools = [
+            ([(True, 2), (2, 3)], {1: "A", 2: "B", 3: "A"}),
+            ([(1, 2), (2, 3)], {True: "A", 2: "B", 3: "A"}),
+            ([(1, 2), (2, 3)], {1: "A", 2: True, 3: "A"}),
+            (np.array([(True, False)]), {0: "A", 1: "B"}),
+        ]
+        for records, labels in bools:
+            with pytest.raises(ValueError, match="^malformed records: "):
+                load_and_preprocess(records, labels)
 
     def test_group_tokens(self):
         # A and B, or the integers 0 and 1, are groups 0 and 1; NA and None
@@ -410,7 +430,8 @@ class TestFiles:
         label_path.write_text("1\tA\n2\tB\n3\tNA\n")
         edges = read_edge_list(edge_path)
         labels = read_label_file(label_path)
-        assert edges == [(1, 2), (2, 3)]
+        assert edges.dtype == np.int64
+        assert np.array_equal(edges, [(1, 2), (2, 3)])
         assert labels == {1: "A", 2: "B", 3: "NA"}
         g = load_and_preprocess(edges, labels)
         assert g.node_count == 2
@@ -422,6 +443,9 @@ class TestFiles:
             (read_edge_list, "1 2 3\n", ":1: expected two node ids"),
             (read_edge_list, "# ids\n\n1 2\n3\n", ":4: expected two node ids"),
             (read_edge_list, "1 2\n1 x\n", ":2: non-integer node id"),
+            (read_edge_list, "5\n6\n", ":1: expected two node ids"),
+            (read_edge_list, "1 2 3\n4 5 6\n", ":1: expected two node ids"),
+            (read_edge_list, "1 2\n99999999999999999999 1\n", ":2: node id outside int64"),
             (read_label_file, "1\tC\n", ":1: unknown group token 'C'"),
             (read_label_file, "1\tA\n2\tB\tA\n", ":2: expected node id and group"),
             (read_label_file, "# ids\nx\tA\n", ":2: non-integer node id"),
@@ -432,3 +456,88 @@ class TestFiles:
             with pytest.raises(ValueError) as exc:
                 reader(path)
             assert str(exc.value) == f"{path}{message}"
+
+    def test_inline_comments(self, tmp_path):
+        # Everything from the first '#' on is a comment, in both files.
+        edge_path = tmp_path / "e.txt"
+        edge_path.write_text("1 2 # first\n2 3#second\n#\n")
+        label_path = tmp_path / "l.txt"
+        label_path.write_text("1\tA # A\n2\tB#\n3\tA\n")
+        assert read_edge_list(edge_path).tolist() == [[1, 2], [2, 3]]
+        assert read_label_file(label_path) == {1: "A", 2: "B", 3: "A"}
+
+    def test_no_data_lines(self, tmp_path):
+        path = tmp_path / "e.txt"
+        for text in ("", "# header\n", "\n# a\n\n"):
+            path.write_text(text)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                edges = read_edge_list(path)
+            assert not caught
+            assert edges.shape == (0, 2)
+            assert edges.dtype == np.int64
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_read_once(self, tmp_path):
+        # A pipe is consumed by its first reader, so that reader must name
+        # a bad line; a second open would wait for a writer.
+        path = tmp_path / "edges.fifo"
+        os.mkfifo(path)
+        bad = f"{path}:2: non-integer node id"
+        for text, want in (("1 2\n3 4\n", [[1, 2], [3, 4]]), ("1 2\n3 x\n", bad)):
+            got = []
+
+            def read():
+                try:
+                    got.append(read_edge_list(path).tolist())
+                except ValueError as exc:
+                    got.append(str(exc))
+
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            path.write_text(text)
+            reader.join(timeout=10)
+            if reader.is_alive():
+                path.write_text("")  # release a reader waiting on a second open
+                reader.join(timeout=10)
+            assert got == [want]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["", " ", "\t"]),
+                st.lists(
+                    st.sampled_from(
+                        ["1", "+5", "007", "1_0", "1.0", "1e3", "-3", "-0", "٣",
+                         "99999999999999999999", "9223372036854775807", "-9223372036854775808",
+                         "9223372036854775808", "-9223372036854775809"]
+                    )
+                    | st.integers(-(2**64), 2**64).map(str),
+                    max_size=3,
+                ),
+                st.sampled_from([" ", "\t", "  ", " \t"]),
+                st.sampled_from(["", " # c", "#c", "# 1 2", " #"]),
+                st.sampled_from(["\n", "\r\n"]),
+            ),
+            max_size=6,
+        )
+    )
+    def test_reader_matches_line_parser(self, lines):
+        # numpy's parser and the line parser accept one grammar: on any
+        # file both raise the same message or return equal arrays.
+        text = "".join(lead + sep.join(ids) + comment + end for lead, ids, sep, comment, end in lines)
+
+        def outcome(reader, path):
+            try:
+                got = reader(path)
+            except ValueError as exc:
+                return str(exc)
+            assert got.dtype == np.int64 and got.shape[1:] == (2,)
+            return got.tolist()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "edges.txt")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert outcome(read_edge_list, path) == outcome(_read_edges_by_line, path)
