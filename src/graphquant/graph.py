@@ -2,11 +2,12 @@
 preprocessing, and exact whole-graph measures by full enumeration. Graphs
 keep neighbours in CSR arrays and groups as int8 codes. One token table
 (``GROUP_TOKENS``) serves the label-file reader, the preprocessor's
-decode and both writers. Edge files are read into an int64 array, which
-preprocessing takes without a conversion. One component labelling
-(``_components``) serves both the connectivity check and the
-largest-component cut of preprocessing; it works on the edge list, so no
-traversal is needed.
+decode and both writers. numpy's parser reads edge and label files, and a
+line parser that names the first bad line reads any file it refuses.
+Edge files become an int64 array, which preprocessing takes without a
+conversion. One component labelling (``_components``) serves both the
+connectivity check and the largest-component cut of preprocessing; it
+works on the edge list, so no traversal is needed.
 """
 
 from __future__ import annotations
@@ -90,19 +91,22 @@ class UndirectedGraph:
         if label_arr.min() < 0 or label_arr.max() > 1:
             raise ValueError("labels must be 0 or 1")
 
-        keys = np.sort(edge_arr.min(axis=1) * node_count + edge_arr.max(axis=1))
+        u, v = edge_arr[:, 0], edge_arr[:, 1]
+        keys = np.sort(np.minimum(u, v) * node_count + np.maximum(u, v))
         lo, hi = np.divmod(keys, node_count)
         if (lo == hi).any():
             raise ValueError("self loops are not allowed")
         if (np.diff(keys) == 0).any():
             raise ValueError("duplicate edges are not allowed")
 
-        # CSR from one stable argsort of the half-edge keys, neighbours ascending.
+        # Without self loops or duplicates the half-edge keys src*N + dst are
+        # distinct, so one plain sort of them orders the CSR, neighbours
+        # ascending, and the key modulo N is the neighbour.
         src = np.concatenate([lo, hi])
         dst = np.concatenate([hi, lo])
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-        indices = dst[np.argsort(src * node_count + dst, kind="stable")]
+        indices = np.sort(src * node_count + dst) % node_count
         degrees = np.diff(indptr)
         if (degrees == 0).any():
             raise ValueError("every node must be incident to at least one edge")
@@ -287,9 +291,10 @@ def load_and_preprocess(
     at = np.searchsorted(label_ids[:-1], ids)
     code = np.where(label_ids[at] == ids, codes[at], MISSING)
     k = ids.shape[0]
-    keys = dense.min(axis=1) * k + dense.max(axis=1)
+    u, v = dense[:, 0], dense[:, 1]
+    keys = np.minimum(u, v) * k + np.maximum(u, v)
     if directed_input:
-        keys = 2 * keys + (dense[:, 0] > dense[:, 1])  # tag the direction
+        keys = 2 * keys + (u > v)  # tag the direction
     # Sorting drops repeats tens of times faster than numpy's hash-based
     # np.unique does on arrays this large.
     keys = np.sort(keys)
@@ -423,31 +428,36 @@ def _read_edges_by_line(path) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
+def _loadtxt(path, **kwargs) -> np.ndarray | None:
+    """numpy's int64 parse of a two-column file, or None for the line parser.
+
+    None when numpy raises, warns (numpy 1.x only warns when it truncates
+    a float id) or finds other than two columns, and for a pipe, which
+    cannot be read twice."""
+    if not os.path.isfile(path):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8", **kwargs)
+        except (KeyError, ValueError, OverflowError, Warning):
+            return None
+    return rows if rows.shape[1] == 2 else None
+
+
 def read_edge_list(path) -> np.ndarray:
     """Edge file as a ``(k, 2)`` int64 array, one row per data line.
 
     A data line holds two whitespace-separated integer ids. Everything
     from the first '#' on is a comment, and lines left blank are skipped.
-    numpy's parser reads the file first. If it fails, warns (numpy 1.x
-    only warns when it truncates a float id) or finds other than two
-    columns, the file is read again line by line, and a bad line raises
-    ``ValueError("path:lineno: ...")``.
+    A bad line raises ``ValueError("path:lineno: ...")``.
     """
-    # A pipe cannot be read twice, so only regular files go to numpy.
-    if os.path.isfile(path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                pairs = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
-            except (ValueError, OverflowError, Warning):
-                pairs = None
-        if pairs is not None and pairs.shape[1] == 2:
-            return pairs
-    return _read_edges_by_line(path)
+    pairs = _loadtxt(path)
+    return _read_edges_by_line(path) if pairs is None else pairs
 
 
-def read_label_file(path) -> dict[int, str]:
-    """Label file: ``node_id<TAB>group`` per line, group A, B, or NA."""
+def _read_labels_by_line(path) -> dict[int, str]:
+    """``read_label_file`` one line at a time, naming the first bad line."""
     out: dict[int, str] = {}
     for lineno, (node, token) in _fields(path, "expected node id and group"):
         if token not in GROUP_TOKENS:
@@ -457,6 +467,17 @@ def read_label_file(path) -> dict[int, str]:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
     return out
+
+
+def read_label_file(path) -> dict[int, str]:
+    """Label file: ``node_id<TAB>group`` per line, group A, B, or NA.
+
+    Comments, blank lines and bad-line errors are as in ``read_edge_list``;
+    an id given twice keeps its last group."""
+    rows = _loadtxt(path, converters={1: _GROUP_CODES.__getitem__})
+    if rows is None:
+        return _read_labels_by_line(path)
+    return dict(zip(rows[:, 0].tolist(), np.array(GROUP_TOKENS)[rows[:, 1]].tolist()))
 
 
 def load_graph_files(edge_path, label_path, directed: bool = False) -> UndirectedGraph:

@@ -11,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import has_edge
+from graphquant import graph
 from graphquant.graph import (
     UndirectedGraph,
     _read_edges_by_line,
+    _read_labels_by_line,
     generate_homophilous_graph,
     graphs_equal,
     ground_truth,
@@ -25,6 +27,17 @@ from graphquant.graph import (
     write_edge_list,
     write_label_file,
 )
+
+
+# Node id fields for the reader grammar tests: the odd spellings Python's
+# int() and numpy's parser may treat differently, and the int64 edges.
+NODE_IDS = st.sampled_from(
+    ["1", "+5", "007", "1_0", "1.0", "1e3", "-3", "-0", "٣",
+     "99999999999999999999", "9223372036854775807", "-9223372036854775808",
+     "9223372036854775808", "-9223372036854775809"]
+) | st.integers(-(2**64), 2**64).map(str)
+# Group fields: the three tokens, then unknown ones a lenient parser might take.
+LABEL_TOKENS = st.sampled_from(["A", "B", "NA"]) | st.sampled_from(["a", "b", "na", "Na", "C", "N/A", "0"])
 
 
 def complete_bipartite(n_a, n_b):
@@ -79,6 +92,37 @@ class TestConstruction:
             for v in nbrs:
                 assert has_edge(g, int(v), u)
         assert g.total_degree == 2 * g.edge_count
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(2, 40))
+    def test_csr_matches_stable_argsort_build(self, data, n):
+        # A path keeps every node incident; extra edges come from the
+        # remaining pairs. Any order and orientation gives the same CSR as
+        # a stable argsort of the half-edge keys.
+        pairs = [(u, v) for u in range(n) for v in range(u + 2, n)]
+        extra = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        edges = data.draw(st.permutations([(u, u + 1) for u in range(n - 1)] + extra))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+        g = UndirectedGraph.from_edges(n, edges, np.zeros(n, dtype=np.int8))
+        want = reference_csr(n, edges)
+        for name, array in zip(("edges", "indptr", "indices", "degrees"), want):
+            got = getattr(g, name)
+            assert got.dtype == np.int64 and np.array_equal(got, array), name
+
+
+def reference_csr(node_count, edges):
+    """``(edges, indptr, indices, degrees)`` from a stable argsort of the
+    half-edge keys and a gather, which holds without distinct keys."""
+    e = np.asarray(edges, dtype=np.int64)
+    keys = np.sort(e.min(axis=1) * node_count + e.max(axis=1))
+    lo, hi = np.divmod(keys, node_count)
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    indices = dst[np.argsort(src * node_count + dst, kind="stable")]
+    return np.column_stack([lo, hi]), indptr, indices, np.diff(indptr)
 
 
 class TestGroundTruth:
@@ -484,12 +528,19 @@ class TestFiles:
         path = tmp_path / "edges.fifo"
         os.mkfifo(path)
         bad = f"{path}:2: non-integer node id"
-        for text, want in (("1 2\n3 4\n", [[1, 2], [3, 4]]), ("1 2\n3 x\n", bad)):
+        cases = (
+            (read_edge_list, "1 2\n3 4\n", [[1, 2], [3, 4]]),
+            (read_edge_list, "1 2\n3 x\n", bad),
+            (read_label_file, "1 A\n3 B\n", {1: "A", 3: "B"}),
+            (read_label_file, "1 A\nx B\n", bad),
+        )
+        for read_file, text, want in cases:
             got = []
 
             def read():
                 try:
-                    got.append(read_edge_list(path).tolist())
+                    result = read_file(path)
+                    got.append(result if isinstance(result, dict) else result.tolist())
                 except ValueError as exc:
                     got.append(str(exc))
 
@@ -507,15 +558,7 @@ class TestFiles:
         st.lists(
             st.tuples(
                 st.sampled_from(["", " ", "\t"]),
-                st.lists(
-                    st.sampled_from(
-                        ["1", "+5", "007", "1_0", "1.0", "1e3", "-3", "-0", "٣",
-                         "99999999999999999999", "9223372036854775807", "-9223372036854775808",
-                         "9223372036854775808", "-9223372036854775809"]
-                    )
-                    | st.integers(-(2**64), 2**64).map(str),
-                    max_size=3,
-                ),
+                st.lists(NODE_IDS, max_size=3),
                 st.sampled_from([" ", "\t", "  ", " \t"]),
                 st.sampled_from(["", " # c", "#c", "# 1 2", " #"]),
                 st.sampled_from(["\n", "\r\n"]),
@@ -541,3 +584,46 @@ class TestFiles:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             assert outcome(read_edge_list, path) == outcome(_read_edges_by_line, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["", " ", "\t"]),
+                st.tuples(NODE_IDS, LABEL_TOKENS).map(list) | st.lists(NODE_IDS | LABEL_TOKENS, max_size=3),
+                st.sampled_from([" ", "\t", "  ", " \t"]),
+                st.sampled_from(["", " # c", "#c", "# 1 A", " #"]),
+                st.sampled_from(["\n", "\r\n"]),
+            ),
+            max_size=6,
+        )
+    )
+    def test_label_reader_matches_line_parser(self, lines):
+        # Label files too: on any file numpy's parser and the line parser
+        # raise the same message or return equal dicts, in the same order.
+        text = "".join(lead + sep.join(fields) + comment + end for lead, fields, sep, comment, end in lines)
+
+        def outcome(reader, path):
+            try:
+                return list(reader(path).items())
+            except ValueError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "labels.txt")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert outcome(read_label_file, path) == outcome(_read_labels_by_line, path)
+
+    def test_label_duplicate_ids_keep_last(self, tmp_path, monkeypatch):
+        # Both readers keep an id where it first appears, with its last group.
+        path = tmp_path / "labels.txt"
+        path.write_text("1\tA\n2\tB\n1\tB\n2\tNA\n")
+        want = [(1, "B"), (2, "NA")]
+        assert list(_read_labels_by_line(path).items()) == want
+
+        def refuse(path):
+            pytest.fail("numpy's parse fell back to the line parser")
+
+        monkeypatch.setattr(graph, "_read_labels_by_line", refuse)
+        assert list(read_label_file(path).items()) == want
