@@ -6,7 +6,10 @@ and rate, lets every sampler observe the same graph, and records the four
 minority-group measures (proportion, in-group edge share, top-quantile
 visibility, Coleman homophily) in three variants: no_noise, uncorrected,
 and corrected. Rows carry the signed error against that replication's
-exact ground truth, the same four measures of the whole graph.
+exact ground truth, the same four measures of the whole graph. A graph
+reused across replications (``fixed_graph``, or files) is built once per
+process, and its truths are computed once per top quantile and kept in
+the same cache slot.
 
 Each sample is measured once per label set (its true labels, then each
 rate's noisy labels): group shares, edge-type shares and the group shares
@@ -238,19 +241,24 @@ def _stream(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(master),) + tuple(int(k) for k in key))
 
 
+# Row truths of the four measures by top quantile.
+_Truths = dict[float, dict[str, float | None]]
+
 # One slot: the graph reused across replications, keyed by what it was
-# built from. A new key evicts the old graph.
-_GRAPH_CACHE: dict[tuple, UndirectedGraph] = {}
+# built from, with its truths. A new key evicts the old graph and truths.
+_GRAPH_CACHE: dict[tuple, tuple[UndirectedGraph, _Truths]] = {}
 
 
-def _cached(key: tuple, build) -> UndirectedGraph:
+def _cached(key: tuple, build) -> tuple[UndirectedGraph, _Truths]:
     if key not in _GRAPH_CACHE:
         _GRAPH_CACHE.clear()
-        _GRAPH_CACHE[key] = build()
+        _GRAPH_CACHE[key] = (build(), {})
     return _GRAPH_CACHE[key]
 
 
-def _graph_for_rep(cfg: ExperimentConfig, rep: int) -> UndirectedGraph:
+def _graph_for_rep(cfg: ExperimentConfig, rep: int) -> tuple[UndirectedGraph, _Truths]:
+    """The replication's graph and the truths known for it: those of the
+    cached graph, or none yet for a fresh one."""
     spec = cfg.graph
     if spec.kind == "files":
         # Size and mtime are part of the key, so a rewritten file is read again.
@@ -266,7 +274,7 @@ def _graph_for_rep(cfg: ExperimentConfig, rep: int) -> UndirectedGraph:
     )
     if cfg.fixed_graph:
         return _cached((spec, cfg.master_seed), partial(generate, _stream(cfg.master_seed, _GRAPH)))
-    return generate(_stream(cfg.master_seed, _GRAPH, rep))
+    return generate(_stream(cfg.master_seed, _GRAPH, rep)), {}
 
 
 # Domain failures and their row flags; any other exception is a bug and raises.
@@ -353,11 +361,13 @@ def _variants(measured: tuple, correction: ConfusionMatrix | None) -> dict[str, 
 
 
 def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
-    g = _graph_for_rep(cfg, rep)
-    gt = ground_truth(g, cfg.top_quantile)
-    # The truths are the four measures of the population's exact vectors.
-    population = (gt.p, gt.s, PropVector(1.0 - gt.visibility_b, gt.visibility_b))
-    truths = {m: est for m, (est, _) in _variants(population, None).items()}
+    g, known = _graph_for_rep(cfg, rep)
+    if cfg.top_quantile not in known:
+        gt = ground_truth(g, cfg.top_quantile)
+        # The truths are the four measures of the population's exact vectors.
+        population = (gt.p, gt.s, PropVector(1.0 - gt.visibility_b, gt.visibility_b))
+        known[cfg.top_quantile] = {m: est for m, (est, _) in _variants(population, None).items()}
+    truths = known[cfg.top_quantile]
 
     confusions = [symmetric_confusion(r) for r in cfg.rates]
     noisy_maps = [

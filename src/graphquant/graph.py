@@ -463,9 +463,12 @@ def _read_labels_by_line(path) -> dict[int, str]:
         if token not in GROUP_TOKENS:
             raise ValueError(f"{path}:{lineno}: unknown group token {token!r}")
         try:
-            out[int(node)] = token
+            node = int(node)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
+        if not _INT64.min <= node <= _INT64.max:
+            raise ValueError(f"{path}:{lineno}: node id outside int64")
+        out[node] = token
     return out
 
 

@@ -18,6 +18,12 @@ sampler ran:
   ``(2i, 2i+1)`` for edge samples, the induced edges for node samples,
   and the discovery edges for snowball samples.
 
+Node samples and snowball waves read the same CSR gather
+(``_neighbours``). A node sample's induced edges are the neighbours in
+the sampled nodes' rows that are sampled and greater than the row's
+node, so finding them costs the sample's total degree, not a scan of
+every edge, and they come in the graph's edge order.
+
 Visibility is the group-share estimate over the top-quantile records,
 ``estimate_proportions(sample.take(top))``. For a walk those records are
 taken from its importance resample: redrawing records in proportion to
@@ -152,8 +158,11 @@ def node_sample(g: UndirectedGraph, n: int, rng_seed=None) -> Sample:
     ids = np.sort(rng.choice(g.node_count, size=n, replace=False))
     mask = np.zeros(g.node_count, dtype=bool)
     mask[ids] = True
-    keep = mask[g.edges[:, 0]] & mask[g.edges[:, 1]]
-    return _records(g, ids, np.searchsorted(ids, g.edges[keep]))
+    # Rows ascend and so do neighbours within a row, so the pairs (row node,
+    # larger neighbour) come in the order of g.edges.
+    nbrs, row = _neighbours(g.indptr, g.indices, ids)
+    keep = mask[nbrs] & (nbrs > ids[row])
+    return _records(g, ids, np.column_stack([row[keep], np.searchsorted(ids, nbrs[keep])]))
 
 
 def edge_sample(g: UndirectedGraph, n_edges: int, rng_seed=None) -> Sample:
@@ -169,6 +178,16 @@ def edge_sample(g: UndirectedGraph, n_edges: int, rng_seed=None) -> Sample:
     return _records(g, g.edges[idx].reshape(-1), np.arange(2 * n_edges))
 
 
+def _neighbours(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
+    """The neighbours of each node in ``rows``, row after row and ascending
+    within a row, and the position in ``rows`` of each one's row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    offsets = np.cumsum(counts) - counts  # where each node's neighbours land in slots
+    slots = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+    return indices[slots], np.repeat(np.arange(rows.shape[0]), counts)
+
+
 def _wave(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, visited: np.ndarray):
     """One breadth-first wave: the unvisited neighbours of ``frontier``.
 
@@ -177,16 +196,12 @@ def _wave(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, visited
     nodes, now marked visited, and the frontier position of each one's
     discoverer.
     """
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    offsets = np.cumsum(counts) - counts  # where each node's neighbours land in slots
-    slots = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
-    nbrs = indices[slots]
+    nbrs, owner = _neighbours(indptr, indices, frontier)
     fresh = ~visited[nbrs]
-    nbrs = nbrs[fresh]
+    nbrs, owner = nbrs[fresh], owner[fresh]
     first = np.sort(np.unique(nbrs, return_index=True)[1])
     visited[nbrs[first]] = True
-    return nbrs[first], np.repeat(np.arange(frontier.shape[0]), counts)[fresh][first]
+    return nbrs[first], owner[first]
 
 
 def snowball_sample(g: UndirectedGraph, n_target: int, n_seeds: int = 10, rng_seed=None) -> Sample:

@@ -83,3 +83,22 @@ def errors_for(result, **filters) -> np.ndarray:
 def has_edge(g, u, v) -> bool:
     """Whether v is among u's neighbours in the CSR arrays."""
     return int(v) in g.indices[g.indptr[u] : g.indptr[u + 1]]
+
+
+def reference_induced_edges(g, ids):
+    """Induced edges of the sorted node ids as record-index pairs, by a
+    mask over every edge of the graph, in the graph's edge order."""
+    mask = np.zeros(g.node_count, dtype=bool)
+    mask[ids] = True
+    keep = mask[g.edges[:, 0]] & mask[g.edges[:, 1]]
+    return np.searchsorted(ids, g.edges[keep])
+
+
+def assert_induced_edges_match(g, sample):
+    """A node sample's nodes are sorted and distinct, and its observed
+    edges equal the reference, element for element and in order."""
+    assert np.all(np.diff(sample.nodes) > 0)
+    want = reference_induced_edges(g, sample.nodes)
+    assert sample.edge_positions.dtype == np.int64
+    assert sample.edge_positions.shape == want.shape
+    assert sample.edge_positions.tolist() == want.tolist()

@@ -1,13 +1,14 @@
 """Experiment harness: configs, determinism, summaries, NRMSE, CLI."""
 
 import dataclasses
+import hashlib
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import rows_for
+from conftest import assert_induced_edges_match, rows_for
 from graphquant import experiments
 from graphquant.cli import main as cli_main
 from graphquant.experiments import (
@@ -288,6 +289,51 @@ class TestRunExperiment:
             run_experiment(dataclasses.replace(cfg, master_seed=seed))
             assert list(experiments._GRAPH_CACHE) == [(cfg.graph, seed)]
 
+    @pytest.mark.parametrize("mode", ["fresh", "fixed_graph", "files"])
+    def test_ground_truth_once_per_graph(self, tmp_path, monkeypatch, mode):
+        # A cached graph keeps its truths; a fresh graph needs its own.
+        calls = Counter()
+
+        def counted(g, top_quantile):
+            calls[top_quantile] += 1
+            return ground_truth(g, top_quantile)
+
+        monkeypatch.setattr(experiments, "ground_truth", counted)
+        monkeypatch.setattr(experiments, "_GRAPH_CACHE", {})
+        cfg = small_config(replications=4)
+        if mode == "fixed_graph":
+            cfg = dataclasses.replace(cfg, fixed_graph=True)
+        elif mode == "files":
+            g = generate_homophilous_graph(200, 3, 0.3, 0.7, rng_seed=8)
+            edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+            write_edge_list(g, edges)
+            write_label_file(g, labels)
+            cfg = dataclasses.replace(
+                cfg, graph=GraphSpec(kind="files", edge_file=str(edges), label_file=str(labels))
+            )
+        run_experiment(cfg)
+        assert calls == {0.2: 4 if mode == "fresh" else 1}
+        run_experiment(cfg)
+        assert calls == {0.2: 8 if mode == "fresh" else 1}
+
+    def test_cached_truths_follow_top_quantile(self):
+        # One cached graph, run at two quantiles and back: each run's
+        # visibility truth is the graph's at that run's quantile.
+        cfg = small_config(fixed_graph=True, rates=(0.2,), sample_sizes=(120,), replications=2)
+        graphs = []
+        for q in (0.2, 0.5, 0.2):
+            res = run_experiment(dataclasses.replace(cfg, top_quantile=q))
+            ((g, _),) = experiments._GRAPH_CACHE.values()
+            graphs.append(g)
+            truth = ground_truth(g, q).visibility_b
+            rows = rows_for(res, measure="visibility", variant="no_noise")
+            rows = [r for r in rows if r.error is not None]
+            assert rows
+            for r in rows:
+                assert r.estimate - r.error == pytest.approx(truth, abs=1e-12)
+        assert graphs[0] is graphs[1] is graphs[2]
+        assert ground_truth(g, 0.2).visibility_b != ground_truth(g, 0.5).visibility_b
+
     def test_fresh_graphs_vary_truth(self):
         cfg = small_config(rates=(0.2,), replications=3)
         res = run_experiment(cfg)
@@ -308,6 +354,22 @@ class TestRunExperiment:
         summary = summarize(res)
         ingroup = [s for s in summary if s.measure == "ingroup"]
         assert all(0.0 <= s.failure_rate <= 1.0 for s in ingroup)
+
+    def test_tiny_node_samples_induce_reference_edges(self, monkeypatch):
+        # Every draw of the run above, against the mask over every edge.
+        drawn = []
+
+        def checked(g, n, rng_seed=None):
+            sample = node_sample(g, n, rng_seed=rng_seed)
+            assert_induced_edges_match(g, sample)
+            drawn.append(n)
+            return sample
+
+        monkeypatch.setattr(experiments, "node_sample", checked)
+        run_experiment(
+            small_config(samplers=("node",), sample_sizes=(2,), rates=(0.2,), replications=5)
+        )
+        assert drawn == [2] * 5
 
     def test_files_graph_kind(self, tmp_path):
         g = generate_homophilous_graph(120, 3, 0.3, 0.7, rng_seed=3)
@@ -337,10 +399,13 @@ class TestRunExperiment:
             g = generate_homophilous_graph(n, 3, frac, 0.7, rng_seed=4)
             write_edge_list(g, edges)
             write_label_file(g, labels)
-            row = rows_for(
-                run_experiment(cfg), sampler="node", measure="proportion", variant="no_noise"
-            )[0]
+            res = run_experiment(cfg)
+            row = rows_for(res, sampler="node", measure="proportion", variant="no_noise")[0]
             assert row.estimate - row.error == pytest.approx(ground_truth(g).p.b, abs=1e-12)
+            # The truths cached with the graph are the new contents' too.
+            vis = rows_for(res, sampler="node", measure="visibility", variant="no_noise")[0]
+            truth = ground_truth(g).visibility_b
+            assert vis.estimate - vis.error == pytest.approx(truth, abs=1e-12)
             # The stale graph of the previous contents is evicted, not kept.
             cached = [key for key in experiments._GRAPH_CACHE if key[0] == str(edges)]
             assert len(cached) == 1
@@ -395,6 +460,45 @@ class TestRunExperiment:
         for out in (uncorrected, corrected):
             assert out["ingroup"] == (None, "failed:no_edges")
             assert out["homophily"] == (None, "failed:inputs")
+
+
+PINNED_GRAPH = GraphSpec(n=400, m=3, minority_frac=0.25, ingroup_pref=0.7)
+PINNED_GRID = dict(rates=(0.0, 0.2), sample_sizes=(30, 90), replications=3, master_seed=5)
+
+
+class TestPinnedBytes:
+    # sha256 of rows.csv and summary.csv, taken under numpy 2.4.6. A change
+    # that keeps the output must keep these; numpy may change its random
+    # streams in a feature release, which alone would also move them.
+    @pytest.mark.parametrize(
+        "overrides, rows_sha, summary_sha",
+        [
+            (
+                {},
+                "99be90faf39a7b35b3f920a7d90f3cd396c529ff98dfa27980d6a4be513149c2",
+                "d1a2d599d588875f85a8bb249cc61af610627ad375e5a7a7762f9523b782df4c",
+            ),
+            (
+                dict(
+                    fixed_graph=True, seed_mode="uniform_with_burnin", burn_in=50,
+                    confusion_from_labeled=20,
+                ),
+                "8a243fe397f7426b9bfa857eada5814b97eb44a56ec4a746df549db30635205a",
+                "87a08a019d49b89f3ebd8dffa5b760555630b649b6cd7259274f2d267a8df4b6",
+            ),
+        ],
+        ids=["fresh", "fixed_graph"],
+    )
+    def test_csv_digests(self, tmp_path, overrides, rows_sha, summary_sha):
+        cfg = ExperimentConfig(graph=PINNED_GRAPH, **PINNED_GRID, **overrides)
+        res = run_experiment(cfg)
+        write_rows_csv(res, tmp_path / "rows.csv")
+        write_summary_csv(summarize(res), tmp_path / "summary.csv")
+        got = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("rows.csv", "summary.csv")
+        ]
+        assert got == [rows_sha, summary_sha], f"pinned under numpy 2.4.6, running {np.__version__}"
 
 
 def assert_mirrored(x, y):

@@ -493,6 +493,8 @@ class TestFiles:
             (read_label_file, "1\tC\n", ":1: unknown group token 'C'"),
             (read_label_file, "1\tA\n2\tB\tA\n", ":2: expected node id and group"),
             (read_label_file, "# ids\nx\tA\n", ":2: non-integer node id"),
+            (read_label_file, "1\tA\n99999999999999999999\tB\n", ":2: node id outside int64"),
+            (read_label_file, "-9223372036854775809\tNA\n", ":1: node id outside int64"),
         ]
         path = tmp_path / "bad.txt"
         for reader, text, message in cases:
@@ -500,6 +502,22 @@ class TestFiles:
             with pytest.raises(ValueError) as exc:
                 reader(path)
             assert str(exc.value) == f"{path}{message}"
+
+    def test_label_id_outside_int64_refused_on_load(self, tmp_path):
+        # Loading names the label file's line, as reading it does, and the
+        # int64 bounds themselves are ids.
+        edge_path = tmp_path / "e.txt"
+        edge_path.write_text("1 2\n2 3\n")
+        label_path = tmp_path / "l.txt"
+        label_path.write_text("1\tA\n2\tB\n# big\n99999999999999999999\tA\n3\tA\n")
+        with pytest.raises(ValueError) as exc:
+            load_graph_files(edge_path, label_path)
+        assert str(exc.value) == f"{label_path}:4: node id outside int64"
+        label_path.write_text("1\tA\n2\tB\n9223372036854775807\tA\n-9223372036854775808\tB\n3\tA\n")
+        labels = read_label_file(label_path)
+        assert (labels[2**63 - 1], labels[-(2**63)]) == ("A", "B")
+        assert _read_labels_by_line(label_path) == labels
+        assert load_graph_files(edge_path, label_path).node_count == 3
 
     def test_inline_comments(self, tmp_path):
         # Everything from the first '#' on is a comment, in both files.

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import has_edge
+from conftest import assert_induced_edges_match, has_edge
 from graphquant.graph import (
     UndirectedGraph,
     generate_homophilous_graph,
@@ -270,6 +270,32 @@ class TestNodeSample:
             for rep in range(500)
         ]
         assert abs(np.mean(means) - truth) < 0.01
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(5, 300),
+        m=st.integers(1, 4),
+        size=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31),
+    )
+    def test_induced_edges_match_reference(self, n, m, size, seed):
+        g = generate_homophilous_graph(n, m, 0.3, 0.7, rng_seed=seed)
+        n_sample = 1 + int(size * (g.node_count - 1))
+        assert_induced_edges_match(g, node_sample(g, n_sample, rng_seed=seed + 1))
+
+    def test_induced_edges_at_the_size_bounds(self):
+        for seed in range(10):
+            g = generate_homophilous_graph(50 + seed, 1 + seed % 4, 0.3, 0.7, rng_seed=seed)
+            whole = node_sample(g, g.node_count, rng_seed=seed)
+            assert_induced_edges_match(g, whole)
+            assert whole.edge_positions.tolist() == g.edges.tolist()
+            single = node_sample(g, 1, rng_seed=seed)
+            assert_induced_edges_match(g, single)
+            assert single.edge_positions.shape == (0, 2)
+        for g in (path_graph(2), triangle(), star_graph(5), complete_bipartite(3, 4)):
+            for k in range(1, g.node_count + 1):
+                for seed in range(5):
+                    assert_induced_edges_match(g, node_sample(g, k, rng_seed=seed))
 
     def test_size_bounds(self):
         g = triangle()
