@@ -39,10 +39,10 @@ from .samplers import (
     edge_sample,
     estimate_edge_vector,
     estimate_proportions,
-    importance_resample,
     node_sample,
     rwrw_walk,
     snowball_sample,
+    top_records,
     with_noisy_labels,
     write_sample_records,
 )

@@ -51,7 +51,7 @@ from .graph import (
     generate_homophilous_graph,
     ground_truth,
     load_graph_files,
-    top_quantile_indices,
+    top_quantile_indices,  # unused here; perfbench/tracing.py wraps it by this name
 )
 from .noise import ConfusionMatrix, apply_noise, empirical_confusion, symmetric_confusion
 from .quantify import (
@@ -60,7 +60,7 @@ from .quantify import (
     UndefinedShareError,
     adjust_edge_proportions,
     adjust_proportions,
-    adjust_visibility,
+    adjust_visibility,  # alias of adjust_proportions; perfbench/tracing.py wraps it by this name
     coleman_homophily,
     ingroup_share,
 )
@@ -71,10 +71,11 @@ from .samplers import (
     edge_sample,
     estimate_edge_vector,
     estimate_proportions,
-    importance_resample,
+    importance_resample,  # unused here; perfbench/tracing.py wraps it by this name
     node_sample,
     rwrw_walk,
     snowball_sample,
+    top_records,
     with_noisy_labels,
 )
 
@@ -83,9 +84,9 @@ MEASURES = ("proportion", "ingroup", "visibility", "homophily")
 VARIANTS = ("no_noise", "uncorrected", "corrected")
 
 # RNG stream tags; every random decision is keyed (master, tag, rep, ...).
-_GRAPH, _NOISE, _SAMPLE, _RESAMPLE, _LABELED = range(5)
-# Walk-visibility resample size per walk record; goes away with ROADMAP item 2.
-_RESAMPLE_FACTOR = 10
+# Tag 3 is retired (the walk's visibility resample); _LABELED keeps 4 so
+# confusion_from_labeled draws stay the same.
+_GRAPH, _NOISE, _SAMPLE, _LABELED = 0, 1, 2, 4
 # Uniform seed nodes of each snowball sample.
 _SNOWBALL_SEEDS = 10
 
@@ -379,22 +380,8 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
     for si, sampler in enumerate(cfg.samplers):
         for zi, size in enumerate(cfg.sample_sizes):
             base = _draw_sample(cfg, g, sampler, size, _stream(cfg.master_seed, _SAMPLE, rep, si, zi))
-            # Walk visibility reads a uniform-node resample of the walk.
-            vis_source = base
-            if sampler == "rwrw":
-                vis_source = importance_resample(
-                    base,
-                    _RESAMPLE_FACTOR * len(base),
-                    _stream(cfg.master_seed, _RESAMPLE, rep, si, zi),
-                )
-            try:
-                top_idx = top_quantile_indices(
-                    vis_source.degrees, cfg.top_quantile, node_ids=vis_source.nodes
-                )
-            except ValueError:
-                top = UndefinedShareError("top quantile selects no records")
-            else:
-                top = vis_source.take(top_idx)
+            # Weights depend only on degrees, so every label set shares one selection.
+            top = _attempt(top_records, base, cfg.top_quantile)
             if cfg.confusion_from_labeled is not None:
                 # Distinct nodes and first-record true labels, shared by every rate.
                 seen, first = np.unique(base.nodes, return_index=True)

@@ -25,11 +25,11 @@ node, so finding them costs the sample's total degree, not a scan of
 every edge, and they come in the graph's edge order.
 
 Visibility is the group-share estimate over the top-quantile records,
-``estimate_proportions(sample.take(top))``. For a walk those records are
-taken from its importance resample: redrawing records in proportion to
-their 1/d weights recovers an approximately uniform node sample, which
-the degree quantile needs; the resample carries unit weights and no
-edges.
+``estimate_proportions(top_records(sample, q))``: a weighted degree
+quantile, which on a walk undoes the degree bias as the RWRW ratio
+estimator does (Gjoka et al., "Walking in Facebook", INFOCOM 2010), and
+with unit weights selects what ``top_quantile_indices`` selects.
+``importance_resample`` is the resampling reference it is tested against.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MISSING, UndirectedGraph, group_token
-from .quantify import PropVector, EdgeVector
+from .quantify import PropVector, EdgeVector, UndefinedShareError
 
 SEED_DEGREE = "degree_proportional"
 SEED_UNIFORM = "uniform_with_burnin"
@@ -55,8 +55,8 @@ class Sample:
     """Records one sampler observed, with their weights and observed edges.
 
     Records may repeat a node (walk revisits, edge endpoints shared
-    between edges, resample draws). ``burn_in`` counts the walk steps
-    discarded before recording started.
+    between edges). ``burn_in`` counts the walk steps discarded before
+    recording started.
     """
 
     nodes: np.ndarray
@@ -125,7 +125,8 @@ def rwrw_walk(
         raise ValueError(f"unknown seed_mode {seed_mode!r}")
     rng = np.random.default_rng(rng_seed)
     if seed_mode == SEED_DEGREE:
-        cur = int(rng.choice(g.node_count, p=g.degrees / g.total_degree))
+        # indptr[1:] is the unnormalised degree CDF: the node rng.choice(p=d/D) picks.
+        cur = int(np.searchsorted(g.indptr[1:], rng.random() * g.total_degree, side="right"))
     else:
         cur = int(rng.integers(g.node_count))
 
@@ -259,11 +260,33 @@ def importance_resample(sample: Sample, out_size: int, rng_seed=None) -> Sample:
     return dataclasses.replace(sample.take(idx), weights=np.ones(out_size))
 
 
+def top_records(sample: Sample, quantile: float) -> Sample:
+    """The top-quantile records by (-degree, node id), taken whole while
+    their cumulative weight stays within ``sum(w) * count / n``, where
+    ``count = floor(n * quantile)``; the next record carries the weight
+    left over. Unit weights give exactly the first ``count`` records.
+    Raises ``UndefinedShareError`` when ``count`` is 0."""
+    n = len(sample)
+    count = int(n * quantile)
+    if count < 1:
+        raise UndefinedShareError("top quantile selects no records")
+    order = np.lexsort((sample.nodes, -np.asarray(sample.degrees, dtype=np.int64)))
+    cum = np.cumsum(sample.weights[order])
+    budget = cum[-1] * count / n
+    whole = int(np.searchsorted(cum, budget, side="right"))
+    left = budget - (cum[whole - 1] if whole else 0.0)
+    if whole == n or left <= 0.0:
+        return sample.take(order[:whole])
+    top = sample.take(order[: whole + 1])
+    top.weights[-1] = left
+    return top
+
+
 def estimate_proportions(sample: Sample) -> PropVector:
     """Weighted group-share estimate over the sample records.
 
-    Walks are reweighted by inverse degree; node, snowball and resampled
-    records count equally; edge samples give the endpoint share, which is
+    Walks are reweighted by inverse degree; node and snowball records
+    count equally; edge samples give the endpoint share, which is
     degree-biased by design and documents what edge sampling can
     actually see.
     """

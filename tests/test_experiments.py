@@ -26,7 +26,6 @@ from graphquant.graph import (
     UndirectedGraph,
     generate_homophilous_graph,
     ground_truth,
-    top_quantile_indices,
     write_edge_list,
     write_label_file,
 )
@@ -45,6 +44,7 @@ from graphquant.samplers import (
     node_sample,
     rwrw_walk,
     snowball_sample,
+    top_records,
     with_noisy_labels,
 )
 
@@ -466,39 +466,62 @@ PINNED_GRAPH = GraphSpec(n=400, m=3, minority_frac=0.25, ingroup_pref=0.7)
 PINNED_GRID = dict(rates=(0.0, 0.2), sample_sizes=(30, 90), replications=3, master_seed=5)
 
 
+PINNED_FIXED = dict(
+    fixed_graph=True, seed_mode="uniform_with_burnin", burn_in=50, confusion_from_labeled=20,
+)
+
+
+def pinned_csvs(tmp_path, overrides):
+    """rows.csv and summary.csv bytes of the pinned grid with ``overrides``."""
+    cfg = ExperimentConfig(graph=PINNED_GRAPH, **PINNED_GRID, **overrides)
+    res = run_experiment(cfg)
+    write_rows_csv(res, tmp_path / "rows.csv")
+    write_summary_csv(summarize(res), tmp_path / "summary.csv")
+    return [(tmp_path / name).read_bytes() for name in ("rows.csv", "summary.csv")]
+
+
 class TestPinnedBytes:
     # sha256 of rows.csv and summary.csv, taken under numpy 2.4.6. A change
     # that keeps the output must keep these; numpy may change its random
-    # streams in a feature release, which alone would also move them.
+    # streams in a feature release, which alone would also move them. They
+    # moved last when walk visibility became a weighted degree quantile.
     @pytest.mark.parametrize(
         "overrides, rows_sha, summary_sha",
         [
             (
                 {},
-                "99be90faf39a7b35b3f920a7d90f3cd396c529ff98dfa27980d6a4be513149c2",
-                "d1a2d599d588875f85a8bb249cc61af610627ad375e5a7a7762f9523b782df4c",
+                "69e29f032adb5a8d1ae5c195869bdce2c3917e8c40dd11bcd2755502c7b4a98a",
+                "0e0604ff0eb1a6695c05d2f641d960e17f91fa5c65c935e8a07e2c9b04bbb104",
             ),
             (
-                dict(
-                    fixed_graph=True, seed_mode="uniform_with_burnin", burn_in=50,
-                    confusion_from_labeled=20,
-                ),
-                "8a243fe397f7426b9bfa857eada5814b97eb44a56ec4a746df549db30635205a",
-                "87a08a019d49b89f3ebd8dffa5b760555630b649b6cd7259274f2d267a8df4b6",
+                PINNED_FIXED,
+                "82980c47613eb1361a0e2302701c9e11bd952b6159e566efdcd934d7d9ede208",
+                "43b19238a13797b411d45f5d747f6f7722e96a86a38a48b7784a6b3db2dbd99e",
             ),
         ],
         ids=["fresh", "fixed_graph"],
     )
     def test_csv_digests(self, tmp_path, overrides, rows_sha, summary_sha):
-        cfg = ExperimentConfig(graph=PINNED_GRAPH, **PINNED_GRID, **overrides)
-        res = run_experiment(cfg)
-        write_rows_csv(res, tmp_path / "rows.csv")
-        write_summary_csv(summarize(res), tmp_path / "summary.csv")
-        got = [
-            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("rows.csv", "summary.csv")
-        ]
+        got = [hashlib.sha256(data).hexdigest() for data in pinned_csvs(tmp_path, overrides)]
         assert got == [rows_sha, summary_sha], f"pinned under numpy 2.4.6, running {np.__version__}"
+
+    # sha256 of the rows.csv lines other than the walk's visibility rows,
+    # header included. Only the walk's top-quantile estimator may move them.
+    @pytest.mark.parametrize(
+        "overrides, sha",
+        [
+            ({}, "16b4432a27f62083600fdcf9046e815d7950c895959909463a5a2c70fc5b7e18"),
+            (PINNED_FIXED, "9092baf1c10e12992a813af4114a02fbc26a4b3d38372b69e2e7732388b92ef3"),
+        ],
+        ids=["fresh", "fixed_graph"],
+    )
+    def test_rows_outside_walk_visibility(self, tmp_path, overrides, sha):
+        rows, _ = pinned_csvs(tmp_path, overrides)
+        lines = rows.splitlines(keepends=True)
+        kept = [line for line in lines if line.split(b",")[0:5:4] != [b"rwrw", b"visibility"]]
+        assert len(kept) == len(lines) - 36
+        got = hashlib.sha256(b"".join(kept)).hexdigest()
+        assert got == sha, f"pinned under numpy 2.4.6, running {np.__version__}"
 
 
 def assert_mirrored(x, y):
@@ -534,7 +557,7 @@ class TestGroupSwap:
             vectors = []
             for graph, labels, confusion in ((g, noisy, c), (swapped, noisy_swap, c_swap)):
                 sample = with_noisy_labels(draw(graph, 400, rng_seed=4), labels)
-                top = sample.take(top_quantile_indices(sample.degrees, 0.2, node_ids=sample.nodes))
+                top = top_records(sample, 0.2)
                 p = estimate_proportions(sample)
                 t = estimate_edge_vector(sample)
                 v = estimate_proportions(top)

@@ -1,4 +1,5 @@
-"""Sampler mechanics, the reweighted walk estimator, and resampling."""
+"""Sampler mechanics, the reweighted walk estimator, the weighted top
+quantile, and the resampling reference."""
 
 import dataclasses
 
@@ -26,9 +27,11 @@ from graphquant.samplers import (
     node_sample,
     rwrw_walk,
     snowball_sample,
+    top_records,
     with_noisy_labels,
     write_sample_records,
 )
+from graphquant.quantify import UndefinedShareError
 
 
 def path_graph(n, labels=None):
@@ -44,9 +47,9 @@ def star_graph(leaves, hub_label=1, leaf_label=0):
 
 
 def walk_visibility(walk, quantile, out_size=None, rng_seed=None):
-    """Top-quantile group shares of a walk by the calls a replication makes:
-    importance resample (10x the walk by default), top-quantile selection,
-    then the share estimate over the top records."""
+    """Resampling reference for walk visibility: importance resample (10x
+    the walk by default), top-quantile selection, then the share estimate
+    over the top records."""
     resampled = importance_resample(walk, 10 * len(walk) if out_size is None else out_size, rng_seed)
     top = top_quantile_indices(resampled.degrees, quantile, node_ids=resampled.nodes)
     return estimate_proportions(resampled.take(top))
@@ -462,7 +465,23 @@ class TestEstimateEdgeVector:
         estimate_edge_vector(tagged)
 
 
+def weighted_visibility(sample, quantile):
+    return estimate_proportions(top_records(sample, quantile))
+
+
 class TestEstimateVisibility:
+    def test_star_hub_is_the_top_weight_quantile(self):
+        # A walk on a star alternates hub and leaf, so 1000 steps hold 500
+        # hub records of weight 1/4 and 500 leaf records of weight 1: the
+        # hub carries exactly a fifth of the weight, and the top quintile
+        # is the hub's records, whole, and nothing else.
+        g = star_graph(4, hub_label=1)
+        walk = rwrw_walk(g, 1000, rng_seed=53)
+        top = top_records(walk, 0.2)
+        assert set(top.nodes.tolist()) == {0}
+        assert len(top) == 500
+        assert weighted_visibility(walk, 0.2).b == 1.0
+
     def test_all_top_nodes_majority(self):
         # Five heavy A nodes (clique plus all leaves) over 20 light
         # leaves: the top quintile contains only A, so the B share is 0.
@@ -472,8 +491,7 @@ class TestEstimateVisibility:
         labels = [0] * k + [(1 if j % 2 else 0) for j in range(leaves)]
         g = UndirectedGraph.from_edges(k + leaves, edges, labels)
         walk = rwrw_walk(g, 5000, rng_seed=54)
-        vis = walk_visibility(walk, 0.2, out_size=20_000, rng_seed=55)
-        assert vis.b == 0.0
+        assert weighted_visibility(walk, 0.2).b == 0.0
 
     def test_regular_graph_matches_proportions(self):
         # Degree carries no information on a regular graph, so visibility
@@ -483,8 +501,7 @@ class TestEstimateVisibility:
         edges = [(i, (i + k) % n) for i in range(n) for k in (1, 2, 3)]
         g = UndirectedGraph.from_edges(n, edges, [i % 2 for i in range(n)])
         walk = rwrw_walk(g, 50_000, rng_seed=56)
-        vis = walk_visibility(walk, 0.2, out_size=100_000, rng_seed=57)
-        assert vis.b == pytest.approx(0.5, abs=0.03)
+        assert weighted_visibility(walk, 0.2).b == pytest.approx(0.5, abs=0.03)
 
     def test_mean_near_ground_truth(self):
         g = generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=58)
@@ -493,14 +510,114 @@ class TestEstimateVisibility:
         reps = 500
         for rep in range(reps):
             walk = rwrw_walk(g, 2000, rng_seed=(59, rep))
-            total += walk_visibility(walk, 0.2, rng_seed=(60, rep)).b
+            total += weighted_visibility(walk, 0.2).b
         assert total / reps == pytest.approx(truth, abs=0.02)
+
+    def test_weighted_and_resampled_agree_in_mean(self):
+        # The same 300 walks through both estimators: the paired mean
+        # difference is about 0.0005 apart from noise of SE 0.0005.
+        g = generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=59)
+        diffs = []
+        for rep in range(300):
+            walk = rwrw_walk(g, 1000, rng_seed=(61, rep))
+            weighted = weighted_visibility(walk, 0.2).b
+            diffs.append(weighted - walk_visibility(walk, 0.2, rng_seed=(62, rep)).b)
+        assert abs(np.mean(diffs)) < 0.003
 
     def test_tiny_resample_rejected(self):
         g = triangle()
         walk = rwrw_walk(g, 10, rng_seed=61)
         with pytest.raises(ValueError):
             walk_visibility(walk, 0.2, out_size=4, rng_seed=62)
+
+
+def unit_weight_samples():
+    """Node, edge and snowball samples of small graphs, whose degrees tie
+    often and whose edge samples repeat node ids."""
+    draws = {
+        "node": lambda g, k, seed: node_sample(g, k, rng_seed=seed),
+        "edge": lambda g, k, seed: edge_sample(g, max(1, k // 2), rng_seed=seed),
+        "snowball": lambda g, k, seed: snowball_sample(g, k, n_seeds=3, rng_seed=seed),
+    }
+    return st.builds(
+        lambda n, m, kind, size, seed: draws[kind](
+            generate_homophilous_graph(n, m, 0.3, 0.7, rng_seed=seed),
+            1 + int(size * (n - 1)),
+            seed + 1,
+        ),
+        n=st.integers(5, 200),
+        m=st.integers(1, 3),
+        kind=st.sampled_from(sorted(draws)),
+        size=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31),
+    )
+
+
+class TestTopRecords:
+    @settings(max_examples=150, deadline=None)
+    @given(sample=unit_weight_samples(), quantile=st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    def test_unit_weights_select_top_quantile_indices(self, sample, quantile):
+        if int(len(sample) * quantile) < 1:
+            with pytest.raises(UndefinedShareError):
+                top_records(sample, quantile)
+            return
+        want = sample.take(top_quantile_indices(sample.degrees, quantile, node_ids=sample.nodes))
+        got = top_records(sample, quantile)
+        for name in ("nodes", "degrees", "labels", "weights"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert estimate_proportions(got) == estimate_proportions(want)
+
+    def test_whole_sample_at_quantile_one(self):
+        g = generate_homophilous_graph(300, 3, 0.3, 0.7, rng_seed=66)
+        for sample in (rwrw_walk(g, 701, rng_seed=67), edge_sample(g, 40, rng_seed=68)):
+            # Every record, each with its full weight up to the budget's rounding.
+            top = top_records(sample, 1.0)
+            assert sorted(top.nodes.tolist()) == sorted(sample.nodes.tolist())
+            assert sorted(top.weights) == pytest.approx(sorted(sample.weights), rel=1e-12)
+            assert estimate_proportions(top).b == pytest.approx(estimate_proportions(sample).b)
+
+    @pytest.mark.parametrize("steps, quantile", [(1000, 0.2), (2999, 0.2), (777, 0.37), (50, 0.5)])
+    def test_walk_weights_sum_to_budget(self, steps, quantile):
+        g = generate_homophilous_graph(500, 3, 0.2, 0.8, rng_seed=69)
+        walk = rwrw_walk(g, steps, rng_seed=70)
+        budget = walk.weights.sum() * int(steps * quantile) / steps
+        assert top_records(walk, quantile).weights.sum() == pytest.approx(budget, rel=1e-12)
+
+    @pytest.mark.parametrize("steps, quantile", [(1000, 0.2), (2999, 0.2), (777, 0.37), (50, 0.5)])
+    def test_only_the_boundary_record_is_partial(self, steps, quantile):
+        g = generate_homophilous_graph(500, 3, 0.2, 0.8, rng_seed=69)
+        walk = rwrw_walk(g, steps, rng_seed=71)
+        top = top_records(walk, quantile)
+        order = np.lexsort((walk.nodes, -walk.degrees))[: len(top)]
+        assert np.array_equal(top.nodes, walk.nodes[order])
+        assert np.array_equal(top.weights[:-1], walk.weights[order[:-1]])
+        assert 0.0 < top.weights[-1] <= walk.weights[order[-1]]
+        # Degrees descend through the selection, so the weighted top set
+        # holds more records than the count a unit-weight sample keeps.
+        assert len(top) > int(steps * quantile)
+
+    def test_walk_shorter_than_one_over_quantile_refused(self):
+        g = generate_homophilous_graph(100, 2, 0.3, 0.7, rng_seed=72)
+        with pytest.raises(UndefinedShareError, match="selects no records"):
+            top_records(rwrw_walk(g, 4, rng_seed=73), 0.2)
+        assert len(top_records(rwrw_walk(g, 5, rng_seed=73), 0.2)) >= 1
+
+
+class TestWalkSeed:
+    def test_degree_seed_matches_weighted_choice(self):
+        # The seed node is the one rng.choice(p=d/D) picks from the same
+        # draw, on a star, a path and generated graphs up to 100k nodes.
+        graphs = [
+            star_graph(49),
+            path_graph(60),
+            generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=74),
+            generate_homophilous_graph(100_000, 4, 0.2, 0.8, rng_seed=75),
+        ]
+        for g in graphs:
+            p = g.degrees / g.total_degree
+            for seed in range(2000):
+                want = np.random.default_rng(seed).choice(g.node_count, p=p)
+                assert rwrw_walk(g, 1, rng_seed=seed).nodes[0] == want
 
 
 class TestRecords:
