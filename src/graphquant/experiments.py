@@ -194,12 +194,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be an object, got {data!r}")
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
         if "graph" in kwargs:
+            if not isinstance(kwargs["graph"], dict):
+                raise ValueError(f"graph must be an object, got {kwargs['graph']!r}")
             gknown = {f.name for f in GraphSpec.__dataclass_fields__.values()}
             gunknown = set(kwargs["graph"]) - gknown
             if gunknown:
@@ -207,6 +211,8 @@ class ExperimentConfig:
             kwargs["graph"] = GraphSpec(**kwargs["graph"])
         for key in ("samplers", "rates", "sample_sizes"):
             if key in kwargs:
+                if not isinstance(kwargs[key], (list, tuple)):
+                    raise ValueError(f"{key} must be a list, got {kwargs[key]!r}")
                 kwargs[key] = tuple(kwargs[key])
         cfg = cls(**kwargs)
         cfg.validate()

@@ -1,11 +1,12 @@
 """Two-group undirected graphs: synthetic generation, file ingestion and
 preprocessing, and exact whole-graph measures by full enumeration. Graphs
 keep neighbours in CSR arrays and groups as int8 codes. One token table
-(``GROUP_TOKENS``) serves the label-file reader, the preprocessor's
-decode and both writers. numpy's parser reads edge and label files, and a
-line parser that names the first bad line reads any file it refuses.
-Edge files become an int64 array, which preprocessing takes without a
-conversion. One component labelling (``_components``) serves both the
+(``GROUP_TOKENS``) serves the label-file reader and both writers. Both
+readers return one record shape, a ``(k, 2)`` int64 array: ``(u, v)``
+rows for edge files and ``(node id, group code)`` rows for label files.
+numpy's parser reads both files, and one line parser that names the
+first bad line reads any file it refuses. Preprocessing takes these
+arrays only. One component labelling (``_components``) serves both the
 connectivity check and the largest-component cut of preprocessing; it
 works on the edge list, so no traversal is needed.
 """
@@ -15,18 +16,16 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .quantify import EdgeVector, PropVector, coleman_homophily, ingroup_share
 
 # Label-file tokens by group code: 0 is A, 1 is B (by convention the
-# minority) and MISSING is NA. Label records may also give 0, 1 or None.
+# minority) and MISSING is NA.
 GROUP_TOKENS = ("A", "B", "NA")
 MISSING = 2
 _GROUP_CODES = {token: code for code, token in enumerate(GROUP_TOKENS)}
-_GROUP_CODES.update({0: 0, 1: 1, None: MISSING})
 _INT64 = np.iinfo(np.int64)
 
 
@@ -243,52 +242,39 @@ def load_and_preprocess(
     edges, and edges touching unlabeled nodes are dropped; the largest
     connected component survives; node ids are remapped to a dense
     0..N-1 range in ascending original-id order, with the originals kept
-    in ``id_map``. Edge records are a ``(k, 2)`` integer array, such as
-    ``read_edge_list`` returns, or a sequence of ``(u, v)`` pairs. A label
-    is a group token, the integer 0 or 1, or None for a missing label.
-    Ids and labels are never bools. Preprocessing its own output is a
+    in ``id_map``. Both record sets are ``(k, 2)`` integer arrays, as the
+    readers return them: ``(u, v)`` edge rows and ``(node id, group
+    code)`` label rows, with codes in ``GROUP_TOKENS`` order. A node
+    without a label row, or whose last row gives ``MISSING``, is
+    unlabeled. A list, a bool, float or string array, or a group code
+    outside 0..2 raises ``ValueError``. Preprocessing its own output is a
     no-op.
     """
-    values = list(label_records.values())
-    value_types = set(map(type, values))
-    # The integer keys 0 and 1 also match the floats 0.0 and 1.0, so only
-    # strings, integers and None are looked up.
-    if not all(issubclass(t, (str, int, np.integer, type(None))) for t in value_types):
-        raise ValueError("labels must be group tokens, the integers 0 and 1, or None")
-    try:
-        pairs = np.asarray(edge_records)
-        # numpy casts a bool among integers to 0 or 1, and True also finds
-        # the token for group 1, so bools are refused. An array has one
-        # dtype; only Python records need a scan.
-        types = value_types | set(map(type, label_records))
-        if not isinstance(edge_records, np.ndarray):
-            types.update(map(type, chain.from_iterable(edge_records)))
-        if pairs.dtype == np.bool_ or types & {bool, np.bool_}:
-            raise TypeError("bool node id or label")
-        codes = np.fromiter(map(_GROUP_CODES.__getitem__, values), np.int8, len(values))
-        # Ids keep their inferred dtype and only a safe cast to int64 passes,
-        # so a float or string id raises instead of being truncated. No
-        # records at all infer float64, so they get the int64 empty shape.
-        if not pairs.size:
-            pairs = np.empty((0, 2), np.int64)
-        pairs = pairs.astype(np.int64, casting="safe", copy=False)
-        label_ids = np.array(list(label_records) or np.empty(0, np.int64))
-        label_ids = label_ids.astype(np.int64, casting="safe", copy=False)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed records: {exc}") from exc
-    if pairs.shape[1:] != (2,):
-        raise ValueError("malformed edge records: expected (u, v) integer pairs")
+    for records in (edge_records, label_records):
+        # A bool casts safely to int64, so the kind is checked as well.
+        if not (
+            isinstance(records, np.ndarray)
+            and records.shape[1:] == (2,)
+            and records.dtype.kind in "iu"
+            and np.can_cast(records.dtype, np.int64)
+        ):
+            raise ValueError("malformed records: expected a (k, 2) integer array")
+    if ((label_records[:, 1] < 0) | (label_records[:, 1] > MISSING)).any():
+        raise ValueError("malformed records: group code outside 0..2")
+    pairs = edge_records.astype(np.int64, copy=False)
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
 
     # Dense ids 0..K-1 rise with the original ids, so pair keys lo*K + hi
     # cannot overflow and sort like the original pairs.
     ids, dense = np.unique(pairs, return_inverse=True)
     dense = dense.reshape(-1, 2)
-    # Each dense id's group code, searched among the sorted label ids; an id
-    # past the last of them lands on the appended MISSING slot.
-    order = np.argsort(label_ids)
-    label_ids, codes = np.append(label_ids[order], 0), np.append(codes[order], MISSING)
-    at = np.searchsorted(label_ids[:-1], ids)
+    # Each dense id's group code: its last label row, found after a stable
+    # sort as the last sorted id not above it. An id below the first one
+    # lands on -1, the appended MISSING slot.
+    order = np.argsort(label_records[:, 0], kind="stable")
+    label_ids = np.append(label_records[order, 0], 0)
+    codes = np.append(label_records[order, 1], MISSING)
+    at = np.searchsorted(label_ids[:-1], ids, side="right") - 1
     code = np.where(label_ids[at] == ids, codes[at], MISSING)
     k = ids.shape[0]
     u, v = dense[:, 0], dense[:, 1]
@@ -321,21 +307,19 @@ def load_and_preprocess(
     )
 
 
-def top_quantile_indices(degrees, quantile: float, node_ids=None, minimum: int = 0) -> np.ndarray:
+def top_quantile_indices(degrees, quantile: float, minimum: int = 0) -> np.ndarray:
     """Indices of the top-quantile records by degree.
 
     The cutoff keeps floor(count * quantile) records, at least
     ``minimum``; everything strictly above the cutoff degree enters
     first, and ties at the cutoff fill the remaining slots in ascending
-    node-id order so the selection is deterministic.
+    index order so the selection is deterministic.
     """
     deg = np.asarray(degrees, dtype=np.int64)
     count = max(int(minimum), int(deg.shape[0] * quantile))
     if count < 1:
         raise ValueError("quantile selects no records")
-    ids = np.arange(deg.shape[0]) if node_ids is None else np.asarray(node_ids)
-    order = np.lexsort((ids, -deg))
-    return order[:count]
+    return np.argsort(-deg, kind="stable")[:count]
 
 
 @dataclass(frozen=True)
@@ -365,8 +349,11 @@ def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
     """Population measures by full enumeration of nodes and edges.
 
     Homophily for a group is None when that group is empty or is the
-    whole population, where the index is undefined.
+    whole population, where the index is undefined. The top quantile
+    must lie in (0, 1].
     """
+    if not 0.0 < top_quantile <= 1.0:
+        raise ValueError(f"top_quantile must lie in (0, 1], got {top_quantile}")
     p_b = float(np.count_nonzero(g.labels)) / g.node_count
     p = PropVector(1.0 - p_b, p_b)
 
@@ -397,35 +384,32 @@ def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
     )
 
 
-def _fields(path, expected: str):
-    """``(lineno, fields)`` of each data line of a two-column text file.
+def _read_by_line(path, labels: bool = False) -> np.ndarray:
+    """A reader's rows parsed one line at a time, naming the first bad line.
 
     Everything from the first '#' on is a comment, and lines left blank
-    are skipped; a line without exactly two whitespace-separated fields
-    raises ``path:lineno: expected``.
+    are skipped. A label line's group token is checked before its id.
     """
+    expected = "expected node id and group" if labels else "expected two node ids"
+    rows: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.partition("#")[0].split()
-            if not parts:
+            fields = line.partition("#")[0].split()
+            if not fields:
                 continue
-            if len(parts) != 2:
+            if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: {expected}")
-            yield lineno, parts
-
-
-def _read_edges_by_line(path) -> np.ndarray:
-    """``read_edge_list`` one line at a time, naming the first bad line."""
-    out: list[tuple[int, int]] = []
-    for lineno, (u, v) in _fields(path, "expected two node ids"):
-        try:
-            u, v = int(u), int(v)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
-        if not _INT64.min <= min(u, v) <= max(u, v) <= _INT64.max:
-            raise ValueError(f"{path}:{lineno}: node id outside int64")
-        out.append((u, v))
-    return np.array(out, dtype=np.int64).reshape(-1, 2)
+            first, second = fields
+            if labels and second not in _GROUP_CODES:
+                raise ValueError(f"{path}:{lineno}: unknown group token {second!r}")
+            try:
+                row = (int(first), _GROUP_CODES[second] if labels else int(second))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
+            if not _INT64.min <= min(row) <= max(row) <= _INT64.max:
+                raise ValueError(f"{path}:{lineno}: node id outside int64")
+            rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def _loadtxt(path, **kwargs) -> np.ndarray | None:
@@ -446,41 +430,27 @@ def _loadtxt(path, **kwargs) -> np.ndarray | None:
 
 
 def read_edge_list(path) -> np.ndarray:
-    """Edge file as a ``(k, 2)`` int64 array, one row per data line.
+    """Edge file as a ``(k, 2)`` int64 array of ``(u, v)`` rows, one per
+    data line.
 
     A data line holds two whitespace-separated integer ids. Everything
     from the first '#' on is a comment, and lines left blank are skipped.
     A bad line raises ``ValueError("path:lineno: ...")``.
     """
-    pairs = _loadtxt(path)
-    return _read_edges_by_line(path) if pairs is None else pairs
+    rows = _loadtxt(path)
+    return _read_by_line(path) if rows is None else rows
 
 
-def _read_labels_by_line(path) -> dict[int, str]:
-    """``read_label_file`` one line at a time, naming the first bad line."""
-    out: dict[int, str] = {}
-    for lineno, (node, token) in _fields(path, "expected node id and group"):
-        if token not in GROUP_TOKENS:
-            raise ValueError(f"{path}:{lineno}: unknown group token {token!r}")
-        try:
-            node = int(node)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
-        if not _INT64.min <= node <= _INT64.max:
-            raise ValueError(f"{path}:{lineno}: node id outside int64")
-        out[node] = token
-    return out
+def read_label_file(path) -> np.ndarray:
+    """Label file as a ``(k, 2)`` int64 array of ``(node id, group code)``
+    rows, one per data line.
 
-
-def read_label_file(path) -> dict[int, str]:
-    """Label file: ``node_id<TAB>group`` per line, group A, B, or NA.
-
-    Comments, blank lines and bad-line errors are as in ``read_edge_list``;
-    an id given twice keeps its last group."""
+    A data line holds an id and a group token, A, B or NA, read as its
+    code 0, 1 or 2. Comments, blank lines and bad-line errors are as in
+    ``read_edge_list``. Every line is kept; preprocessing gives an id
+    listed twice its last group."""
     rows = _loadtxt(path, converters={1: _GROUP_CODES.__getitem__})
-    if rows is None:
-        return _read_labels_by_line(path)
-    return dict(zip(rows[:, 0].tolist(), np.array(GROUP_TOKENS)[rows[:, 1]].tolist()))
+    return _read_by_line(path, labels=True) if rows is None else rows
 
 
 def load_graph_files(edge_path, label_path, directed: bool = False) -> UndirectedGraph:

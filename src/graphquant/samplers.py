@@ -28,7 +28,8 @@ Visibility is the group-share estimate over the top-quantile records,
 ``estimate_proportions(top_records(sample, q))``: a weighted degree
 quantile, which on a walk undoes the degree bias as the RWRW ratio
 estimator does (Gjoka et al., "Walking in Facebook", INFOCOM 2010), and
-with unit weights selects what ``top_quantile_indices`` selects.
+with unit weights selects the first floor(n * q) records by (-degree,
+node id), the rule ``top_quantile_indices`` applies to a graph's nodes.
 ``importance_resample`` is the resampling reference it is tested against.
 """
 

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from graphquant.graph import GROUP_TOKENS
 from graphquant.noise import dyadic_matrix
 from graphquant.quantify import EdgeVector, PropVector
 
@@ -102,3 +103,16 @@ def assert_induced_edges_match(g, sample):
     assert sample.edge_positions.dtype == np.int64
     assert sample.edge_positions.shape == want.shape
     assert sample.edge_positions.tolist() == want.tolist()
+
+
+def records_array(records) -> np.ndarray:
+    """Python records as the ``(k, 2)`` int64 array the file readers return.
+
+    ``records`` is a sequence of ``(u, v)`` edge pairs or ``(node id,
+    group)`` label pairs, or a dict from node id to group. A group is a
+    token of ``GROUP_TOKENS`` or its code; label pairs keep their order,
+    so an id listed twice stays listed twice."""
+    if isinstance(records, dict):
+        records = records.items()
+    rows = [(u, GROUP_TOKENS.index(v) if isinstance(v, str) else v) for u, v in records]
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)

@@ -79,6 +79,14 @@ class TestConfig:
             ExperimentConfig.from_dict({"resample_factor": 10})
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"snowball_seeds": 10})
+        # JSON values of the wrong shape name their key instead of raising
+        # TypeError from a tuple() or set() call.
+        for data in ({"graph": None}, {"graph": 5}, {"samplers": 5}, {"rates": None}):
+            with pytest.raises(ValueError, match=f"^{next(iter(data))} must be "):
+                ExperimentConfig.from_dict(data)
+        for data in (None, 5):
+            with pytest.raises(ValueError, match="^config must be an object"):
+                ExperimentConfig.from_dict(data)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -599,6 +607,14 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["nodes"] == 150
         assert payload["p_a"] + payload["p_b"] == pytest.approx(1.0)
+
+    def test_truth_refuses_top_quantile_outside_unit_interval(self, tmp_path):
+        edges, labels = self._generate(tmp_path)
+        out = tmp_path / "truth.json"
+        argv = ["truth", "--edges", str(edges), "--labels", str(labels), "--out", str(out)]
+        with pytest.raises(ValueError, match=r"^top_quantile must lie in \(0, 1\]"):
+            cli_main(argv + ["--top-quantile", "2"])
+        assert not out.exists()
 
     def test_walk_records(self, tmp_path):
         edges, labels = self._generate(tmp_path)

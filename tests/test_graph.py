@@ -10,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import has_edge
+from conftest import has_edge, records_array
 from graphquant import graph
 from graphquant.graph import (
+    MISSING,
     UndirectedGraph,
-    _read_edges_by_line,
-    _read_labels_by_line,
+    _read_by_line,
     generate_homophilous_graph,
     graphs_equal,
     ground_truth,
@@ -161,6 +161,15 @@ class TestGroundTruth:
         )
         assert ground_truth(g, top_quantile=0.2).visibility_b == 1.0
 
+    @pytest.mark.parametrize("quantile", [2.0, 0.0, -1.0, float("nan")])
+    def test_top_quantile_outside_unit_interval_refused(self, quantile):
+        # As in ExperimentConfig.validate: a quantile above 1 would use the
+        # whole graph, and one of 0 or below only its top node.
+        g = two_cliques_with_bridge(5)
+        with pytest.raises(ValueError, match=r"^top_quantile must lie in \(0, 1\]"):
+            ground_truth(g, top_quantile=quantile)
+        assert ground_truth(g, top_quantile=1.0).visibility_b == 0.5
+
 
 class TestTopQuantile:
     def test_tie_break_by_ascending_id(self):
@@ -260,11 +269,11 @@ class TestGenerator:
 
 
 def reference_preprocess(edge_records, label_records, directed_input=False):
-    """Set-and-dict preprocessing, one record and one node at a time."""
-    labels = {}
-    for node, raw in label_records.items():
-        if raw is not None and raw != "NA":
-            labels[int(node)] = raw if isinstance(raw, int) else "AB".index(raw)
+    """Set-and-dict preprocessing, one record and one node at a time.
+
+    Label records are ``(node id, group code)`` pairs; an id listed twice
+    keeps its last code."""
+    labels = {node: code for node, code in dict(label_records).items() if code != MISSING}
     if directed_input:
         directed = {(u, v) for u, v in edge_records}
         pairs = {(min(u, v), max(u, v)) for u, v in directed if u != v and (v, u) in directed}
@@ -297,118 +306,129 @@ def reference_preprocess(edge_records, label_records, directed_input=False):
     return g, ordered
 
 
+def preprocess(edges, labels, directed_input=False):
+    """``load_and_preprocess`` on Python records, passed as the readers' arrays."""
+    return load_and_preprocess(records_array(edges), records_array(labels), directed_input)
+
+
+def own_records(g):
+    """A graph's edges and labels as the records it would be read from."""
+    return g.edges, np.column_stack([np.arange(g.node_count), g.labels])
+
+
 class TestPreprocess:
     def test_mutualization_drops_unreciprocated(self):
-        g = load_and_preprocess(
-            [(1, 2), (2, 1), (1, 3)], {1: "A", 2: "B", 3: "A"}, directed_input=True
-        )
+        g = preprocess([(1, 2), (2, 1), (1, 3)], {1: "A", 2: "B", 3: "A"}, directed_input=True)
         assert g.node_count == 2
         assert g.edge_count == 1
         assert g.id_map.tolist() == [1, 2]
 
     def test_largest_component_retained(self):
-        g = load_and_preprocess(
-            [(1, 2), (2, 3), (4, 5)], {i: "A" if i % 2 else "B" for i in range(1, 6)}
-        )
+        g = preprocess([(1, 2), (2, 3), (4, 5)], {i: "A" if i % 2 else "B" for i in range(1, 6)})
         assert g.node_count == 3
         assert g.id_map.tolist() == [1, 2, 3]
 
     def test_unlabeled_nodes_dropped(self):
-        g = load_and_preprocess(
-            [(0, 1), (1, 2), (2, 3)], {0: "A", 1: "B", 2: "NA", 3: "A"}
-        )
+        g = preprocess([(0, 1), (1, 2), (2, 3)], {0: "A", 1: "B", 2: "NA", 3: "A"})
         assert g.node_count == 2
         assert g.id_map.tolist() == [0, 1]
 
     def test_self_loops_and_duplicates_dropped(self):
-        g = load_and_preprocess(
-            [(0, 0), (0, 1), (1, 0), (0, 1), (1, 2)], {0: "A", 1: "B", 2: "A"}
-        )
+        g = preprocess([(0, 0), (0, 1), (1, 0), (0, 1), (1, 2)], {0: "A", 1: "B", 2: "A"})
         assert g.edge_count == 2
 
     def test_empty_result_raises(self):
         with pytest.raises(ValueError):
-            load_and_preprocess([(0, 1)], {0: "NA", 1: "A"})
+            preprocess([(0, 1)], {0: "NA", 1: "A"})
         with pytest.raises(ValueError):
-            load_and_preprocess([(1, 2)], {1: "A", 2: "B"}, directed_input=True)
-        # No records at all, as a list or as the reader's empty array.
-        for records in ([], np.empty((0, 2), np.int64)):
+            preprocess([(1, 2)], {1: "A", 2: "B"}, directed_input=True)
+        # No edge records, or no label records, as the readers' empty array.
+        empty = np.empty((0, 2), np.int64)
+        for edges, labels in ((empty, records_array({1: "A"})), (records_array([(1, 2)]), empty)):
             with pytest.raises(ValueError, match="^empty graph after preprocessing$"):
-                load_and_preprocess(records, {1: "A"})
+                load_and_preprocess(edges, labels)
 
     def test_malformed_records_raise(self):
-        with pytest.raises(ValueError):
-            load_and_preprocess([(1, 2, 3)], {1: "A", 2: "B"})
-        with pytest.raises(ValueError):
-            load_and_preprocess([("x", 2)], {2: "B"})
-        # A float id is refused, not truncated to an integer.
-        with pytest.raises(ValueError):
-            load_and_preprocess([(1.7, 2), (2, 3)], {1: "A", 2: "B", 3: "A"})
-        with pytest.raises(ValueError):
-            load_and_preprocess([(1, 2), (2, 3)], {1.2: "A", 2: "B", 3: "A"})
-        with pytest.raises(ValueError):
-            load_and_preprocess([(np.float64(1.0), 2), (2, 3)], {1: "A", 2: "B", 3: "A"})
-        # Floats never stand for a group, even when they equal 0 or 1.
-        for bad in (2, -1, 1.0, np.float64(0.0), "0", "Q"):
-            with pytest.raises(ValueError):
-                load_and_preprocess([(1, 2)], {1: "A", 2: bad})
-        # A bool is neither an id nor a group, though it casts to 0 or 1.
-        bools = [
-            ([(True, 2), (2, 3)], {1: "A", 2: "B", 3: "A"}),
-            ([(1, 2), (2, 3)], {True: "A", 2: "B", 3: "A"}),
-            ([(1, 2), (2, 3)], {1: "A", 2: True, 3: "A"}),
-            (np.array([(True, False)]), {0: "A", 1: "B"}),
+        edges = records_array([(1, 2), (2, 3)])
+        labels = records_array({1: "A", 2: "B", 3: "A"})
+        malformed = [
+            np.array([(1, 2, 3)]),  # (k, 3) records
+            np.array([1, 2]),
+            np.array([("x", 2)]),  # a string id or label
+            np.array([(1, "A"), (2, "B")]),
+            # A float is refused, not truncated, even when it equals an integer.
+            np.array([(1.7, 2), (2, 3)]),
+            np.array([(1.0, 2), (2, 3)]),
+            np.array([(1, 2)], dtype=object),
+            np.array([(1, 2)], dtype=np.uint64),  # no safe cast to int64
+            # A bool is neither an id nor a group, though it casts to 0 or 1.
+            np.array([(True, False)]),
         ]
-        for records, labels in bools:
-            with pytest.raises(ValueError, match="^malformed records: "):
-                load_and_preprocess(records, labels)
+        for bad in malformed:
+            for records in ((bad, labels), (edges, bad)):
+                with pytest.raises(ValueError, match="^malformed records: expected a"):
+                    load_and_preprocess(*records)
+        # Python records are refused; the readers' arrays are the only input.
+        for records in (([(1, 2), (2, 3)], labels), (edges, {1: "A", 2: "B", 3: "A"})):
+            with pytest.raises(ValueError, match="^malformed records: expected a"):
+                load_and_preprocess(*records)
+        for code in (-1, 3):
+            bad = records_array({1: "A", 2: code, 3: "A"})
+            with pytest.raises(ValueError, match="^malformed records: group code outside 0..2$"):
+                load_and_preprocess(edges, bad)
 
     def test_group_tokens(self):
-        # A and B, or the integers 0 and 1, are groups 0 and 1; NA and None
-        # mark a missing label.
-        records = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
-        tokens = {1: "A", 2: "B", 3: "NA", 4: np.int64(1), 5: 0, 6: None}
-        g = load_and_preprocess(records, tokens)
+        # Codes 0 and 1 are groups A and B; code 2 (NA) marks a missing
+        # label, as does an id without a label row.
+        records = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+        labels = {1: "A", 2: "B", 3: "NA", 4: 1, 5: 0, 6: MISSING}
+        g = preprocess(records, labels)
         assert g.id_map.tolist() == [1, 2]
         assert g.labels.tolist() == [0, 1]
-        g = load_and_preprocess(records[3:], tokens)
+        g = preprocess(records[3:], labels)
         assert g.id_map.tolist() == [4, 5]
         assert g.labels.tolist() == [1, 0]
+        # Narrower integer arrays give the same graph, with int64 ids.
+        narrow = load_and_preprocess(
+            records_array(records[3:]).astype(np.int32), records_array(labels).astype(np.uint8)
+        )
+        assert graphs_equal(narrow, g)
+        assert narrow.id_map.dtype == np.int64
 
     def test_idempotent(self):
-        g = load_and_preprocess(
+        g = preprocess(
             [(7, 3), (3, 9), (9, 7), (9, 12), (100, 200)],
             {3: "A", 7: "B", 9: "A", 12: "B", 100: "A", 200: "B"},
         )
-        again = load_and_preprocess(
-            [tuple(e) for e in g.edges], {i: int(g.labels[i]) for i in range(g.node_count)}
-        )
-        assert graphs_equal(g, again)
+        assert graphs_equal(g, load_and_preprocess(*own_records(g)))
 
     def test_equal_size_components_keep_lowest_original_id(self):
         # Two triangles; the one listed first has the higher ids.
         records = [(50, 51), (51, 52), (52, 50), (7, 30), (30, 9), (9, 7)]
-        g = load_and_preprocess(records, {i: "A" for i in (7, 9, 30, 50, 51, 52)})
+        g = preprocess(records, {i: "A" for i in (7, 9, 30, 50, 51, 52)})
         assert g.id_map.tolist() == [7, 9, 30]
 
     @settings(max_examples=200, deadline=None)
     @given(
         edges=st.lists(st.tuples(st.integers(0, 25), st.integers(0, 25)), max_size=60),
-        tokens=st.lists(st.sampled_from(["A", "B", "NA", 0, 1, None]), min_size=26, max_size=26),
+        labels=st.lists(
+            st.tuples(st.integers(0, 25), st.sampled_from([0, 1, MISSING])), min_size=20, max_size=60
+        ),
         spread=st.sampled_from([1, 7, 10**12]),
         directed=st.booleans(),
     )
-    def test_matches_reference(self, edges, tokens, spread, directed):
+    def test_matches_reference(self, edges, labels, spread, directed):
         # Spread ids apart so dense re-indexing is exercised on sparse ids.
+        # Label rows may skip an id or list it more than once.
         edges = [(u * spread, v * spread) for u, v in edges]
-        labels = {i * spread: token for i, token in enumerate(tokens)}
+        labels = [(node * spread, code) for node, code in labels]
         try:
             want, ordered = reference_preprocess(edges, labels, directed)
         except ValueError:
             with pytest.raises(ValueError):
-                load_and_preprocess(edges, labels, directed_input=directed)
+                preprocess(edges, labels, directed_input=directed)
             return
-        got = load_and_preprocess(edges, labels, directed_input=directed)
+        got = preprocess(edges, labels, directed_input=directed)
         assert graphs_equal(got, want)
         assert got.id_map.tolist() == ordered
 
@@ -433,9 +453,9 @@ class TestPreprocess:
         ids = rng.permutation(10 * n)[:n] + 1  # sparse, shuffled original ids
         records = [(int(ids[u]), int(ids[v])) for u, v in edges]
         rng.shuffle(records)
-        labels = {int(i): "AB"[int(i) % 2] for i in ids}
+        labels = [(int(i), int(i) % 2) for i in ids]
         want, ordered = reference_preprocess(records, labels)
-        got = load_and_preprocess(records, labels)
+        got = preprocess(records, labels)
         assert graphs_equal(got, want)
         assert got.id_map.tolist() == ordered
         if shape == "tied_paths":
@@ -448,13 +468,10 @@ class TestPreprocess:
     def test_idempotent_property(self, edges):
         labels = {i: "A" if i % 3 else "B" for i in range(16)}
         try:
-            g = load_and_preprocess(edges, labels)
+            g = preprocess(edges, labels)
         except ValueError:
             return
-        again = load_and_preprocess(
-            [tuple(e) for e in g.edges], {i: int(g.labels[i]) for i in range(g.node_count)}
-        )
-        assert graphs_equal(g, again)
+        assert graphs_equal(g, load_and_preprocess(*own_records(g)))
 
 
 class TestFiles:
@@ -474,9 +491,10 @@ class TestFiles:
         label_path.write_text("1\tA\n2\tB\n3\tNA\n")
         edges = read_edge_list(edge_path)
         labels = read_label_file(label_path)
-        assert edges.dtype == np.int64
-        assert np.array_equal(edges, [(1, 2), (2, 3)])
-        assert labels == {1: "A", 2: "B", 3: "NA"}
+        # Both readers return (k, 2) int64 rows; a group token becomes its code.
+        assert edges.dtype == labels.dtype == np.int64
+        assert edges.tolist() == [[1, 2], [2, 3]]
+        assert labels.tolist() == [[1, 0], [2, 1], [3, MISSING]]
         g = load_and_preprocess(edges, labels)
         assert g.node_count == 2
 
@@ -515,8 +533,8 @@ class TestFiles:
         assert str(exc.value) == f"{label_path}:4: node id outside int64"
         label_path.write_text("1\tA\n2\tB\n9223372036854775807\tA\n-9223372036854775808\tB\n3\tA\n")
         labels = read_label_file(label_path)
-        assert (labels[2**63 - 1], labels[-(2**63)]) == ("A", "B")
-        assert _read_labels_by_line(label_path) == labels
+        assert labels[2:4].tolist() == [[2**63 - 1, 0], [-(2**63), 1]]
+        assert np.array_equal(_read_by_line(label_path, labels=True), labels)
         assert load_graph_files(edge_path, label_path).node_count == 3
 
     def test_inline_comments(self, tmp_path):
@@ -526,7 +544,7 @@ class TestFiles:
         label_path = tmp_path / "l.txt"
         label_path.write_text("1\tA # A\n2\tB#\n3\tA\n")
         assert read_edge_list(edge_path).tolist() == [[1, 2], [2, 3]]
-        assert read_label_file(label_path) == {1: "A", 2: "B", 3: "A"}
+        assert read_label_file(label_path).tolist() == [[1, 0], [2, 1], [3, 0]]
 
     def test_no_data_lines(self, tmp_path):
         path = tmp_path / "e.txt"
@@ -549,7 +567,7 @@ class TestFiles:
         cases = (
             (read_edge_list, "1 2\n3 4\n", [[1, 2], [3, 4]]),
             (read_edge_list, "1 2\n3 x\n", bad),
-            (read_label_file, "1 A\n3 B\n", {1: "A", 3: "B"}),
+            (read_label_file, "1 A\n3 B\n", [[1, 0], [3, 1]]),
             (read_label_file, "1 A\nx B\n", bad),
         )
         for read_file, text, want in cases:
@@ -558,7 +576,7 @@ class TestFiles:
             def read():
                 try:
                     result = read_file(path)
-                    got.append(result if isinstance(result, dict) else result.tolist())
+                    got.append(result.tolist())
                 except ValueError as exc:
                     got.append(str(exc))
 
@@ -601,7 +619,7 @@ class TestFiles:
             path = os.path.join(tmp, "edges.txt")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            assert outcome(read_edge_list, path) == outcome(_read_edges_by_line, path)
+            assert outcome(read_edge_list, path) == outcome(_read_by_line, path)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -618,30 +636,44 @@ class TestFiles:
     )
     def test_label_reader_matches_line_parser(self, lines):
         # Label files too: on any file numpy's parser and the line parser
-        # raise the same message or return equal dicts, in the same order.
+        # raise the same message or return equal arrays.
         text = "".join(lead + sep.join(fields) + comment + end for lead, fields, sep, comment, end in lines)
 
         def outcome(reader, path):
             try:
-                return list(reader(path).items())
+                got = reader(path)
             except ValueError as exc:
                 return str(exc)
+            assert got.dtype == np.int64 and got.shape[1:] == (2,)
+            return got.tolist()
 
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "labels.txt")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            assert outcome(read_label_file, path) == outcome(_read_labels_by_line, path)
+            line_parser = outcome(lambda path: _read_by_line(path, labels=True), path)
+            assert outcome(read_label_file, path) == line_parser
 
     def test_label_duplicate_ids_keep_last(self, tmp_path, monkeypatch):
-        # Both readers keep an id where it first appears, with its last group.
-        path = tmp_path / "labels.txt"
-        path.write_text("1\tA\n2\tB\n1\tB\n2\tNA\n")
-        want = [(1, "B"), (2, "NA")]
-        assert list(_read_labels_by_line(path).items()) == want
+        # The readers return every label row; loading gives an id listed
+        # more than once its last group, on numpy's path and the line
+        # parser's alike. Node 4's last row is NA, so node 4 is dropped.
+        edge_path = tmp_path / "edges.txt"
+        edge_path.write_text("1 2\n2 3\n3 1\n3 4\n")
+        label_path = tmp_path / "labels.txt"
+        label_path.write_text("1\tA\n2\tB\n3\tA\n4\tB\n1\tB\n2\tNA\n4\tNA\n2\tA\n")
+        rows = [[1, 0], [2, 1], [3, 0], [4, 1], [1, 1], [2, MISSING], [4, MISSING], [2, 0]]
 
-        def refuse(path):
-            pytest.fail("numpy's parse fell back to the line parser")
+        def refuse(*args, **kwargs):
+            pytest.fail("the reader took the other path")
 
-        monkeypatch.setattr(graph, "_read_labels_by_line", refuse)
-        assert list(read_label_file(path).items()) == want
+        for path_taken in ("numpy", "line parser"):
+            with monkeypatch.context() as patch:
+                if path_taken == "numpy":
+                    patch.setattr(graph, "_read_by_line", refuse)
+                else:
+                    patch.setattr(graph, "_loadtxt", lambda path, **kwargs: None)
+                assert read_label_file(label_path).tolist() == rows
+                g = load_graph_files(edge_path, label_path)
+            assert g.id_map.tolist() == [1, 2, 3]
+            assert g.labels.tolist() == [1, 0, 0]

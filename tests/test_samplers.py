@@ -15,7 +15,6 @@ from graphquant.graph import (
     generate_homophilous_graph,
     group_token,
     ground_truth,
-    top_quantile_indices,
 )
 from graphquant.noise import apply_noise, symmetric_confusion
 from graphquant.samplers import (
@@ -51,8 +50,14 @@ def walk_visibility(walk, quantile, out_size=None, rng_seed=None):
     the walk by default), top-quantile selection, then the share estimate
     over the top records."""
     resampled = importance_resample(walk, 10 * len(walk) if out_size is None else out_size, rng_seed)
-    top = top_quantile_indices(resampled.degrees, quantile, node_ids=resampled.nodes)
-    return estimate_proportions(resampled.take(top))
+    return estimate_proportions(resampled.take(by_degree_then_id(resampled, quantile)))
+
+
+def by_degree_then_id(sample, quantile):
+    """Reference top-quantile selection: the first floor(n * q) records in
+    (-degree, node id) order."""
+    order = np.lexsort((sample.nodes, -sample.degrees))
+    return order[: int(len(sample) * quantile)]
 
 
 def triangle():
@@ -561,7 +566,7 @@ class TestTopRecords:
             with pytest.raises(UndefinedShareError):
                 top_records(sample, quantile)
             return
-        want = sample.take(top_quantile_indices(sample.degrees, quantile, node_ids=sample.nodes))
+        want = sample.take(by_degree_then_id(sample, quantile))
         got = top_records(sample, quantile)
         for name in ("nodes", "degrees", "labels", "weights"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
