@@ -29,7 +29,6 @@ from .quantify import (
     UndefinedShareError,
     adjust_edge_proportions,
     adjust_proportions,
-    adjust_visibility,
     coleman_homophily,
     ingroup_share,
     variance_inflation_nodes,

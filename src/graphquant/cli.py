@@ -4,12 +4,14 @@ Subcommands: ``generate`` (emit a synthetic graph as edge + label files),
 ``truth`` (exact measures of a graph), ``walk`` (one random-walk sample
 as an audit record file), ``correct`` (apply the confusion-matrix
 corrections to supplied vectors), and ``experiment`` (full replicated
-grid from a JSON config).
+grid from a JSON config). Refused input exits with status 2 and one
+line on stderr, ``graphquant: error: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ import numpy as np
 
 from .experiments import (
     ExperimentConfig,
+    GraphSpec,
     run_experiment,
     summarize,
     write_rows_csv,
@@ -38,7 +41,7 @@ from .quantify import (
     adjust_proportions,
     variance_inflation_nodes,
 )
-from .samplers import rwrw_walk, with_noisy_labels, write_sample_records
+from .samplers import SEED_DEGREE, SEED_UNIFORM, rwrw_walk, with_noisy_labels, write_sample_records
 
 
 def _confusion_from_args(args) -> ConfusionMatrix:
@@ -46,7 +49,7 @@ def _confusion_from_args(args) -> ConfusionMatrix:
         return ConfusionMatrix(*args.matrix)
     if args.rate is not None:
         return symmetric_confusion(args.rate)
-    raise SystemExit("provide --rate or --matrix")
+    raise ValueError("provide --rate or --matrix")
 
 
 def _cmd_generate(args) -> int:
@@ -121,7 +124,7 @@ def _cmd_correct(args) -> int:
             "out_of_range": corrected.out_of_range,
         }
     if "proportions" not in payload and "edges" not in payload:
-        raise SystemExit("provide --prop and/or --edge")
+        raise ValueError("provide --prop and/or --edge")
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -129,7 +132,7 @@ def _cmd_correct(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "master_seed": args.seed})
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(cfg, threads=args.threads)
@@ -150,10 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic graph and label file")
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--minority-frac", type=float, default=0.2)
-    p.add_argument("--ingroup-pref", type=float, default=0.8)
+    p.add_argument("--n", type=int, default=GraphSpec.n)
+    p.add_argument("--m", type=int, default=GraphSpec.m)
+    p.add_argument("--minority-frac", type=float, default=GraphSpec.minority_frac)
+    p.add_argument("--ingroup-pref", type=float, default=GraphSpec.ingroup_pref)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=_cmd_generate)
@@ -162,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--directed", action="store_true")
-    p.add_argument("--top-quantile", type=float, default=0.2)
+    p.add_argument("--top-quantile", type=float, default=ExperimentConfig.top_quantile)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_truth)
 
@@ -171,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--directed", action="store_true")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed-mode", default="degree_proportional",
-                   choices=["degree_proportional", "uniform_with_burnin"])
+    p.add_argument("--seed-mode", default=SEED_DEGREE, choices=(SEED_DEGREE, SEED_UNIFORM))
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--rate", type=float, help="symmetric misclassification rate")
     p.add_argument("--matrix", type=float, nargs=4, metavar=("AA", "AB", "BA", "BB"),
@@ -201,8 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        parser.exit(2, f"graphquant: error: {exc}\n")
 
 
 if __name__ == "__main__":

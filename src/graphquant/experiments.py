@@ -39,7 +39,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from operator import attrgetter
 from typing import NamedTuple
@@ -60,7 +60,7 @@ from .quantify import (
     UndefinedShareError,
     adjust_edge_proportions,
     adjust_proportions,
-    adjust_visibility,  # alias of adjust_proportions; perfbench/tracing.py wraps it by this name
+    adjust_proportions as adjust_visibility,  # unused here; perfbench/tracing.py wraps it by this name
     coleman_homophily,
     ingroup_share,
 )
@@ -93,9 +93,8 @@ _SNOWBALL_SEEDS = 10
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Graph source: synthetic generator parameters or input files."""
+    """Graph source: input files when ``edge_file`` or ``label_file`` is set, else the generator."""
 
-    kind: str = "generated"  # generated | files
     n: int = 10000
     m: int = 4
     minority_frac: float = 0.2
@@ -105,18 +104,28 @@ class GraphSpec:
     directed: bool = False
 
     def validate(self) -> None:
-        if self.kind == "generated":
-            if self.m < 1 or self.n <= self.m:
-                raise ValueError("generated graph needs n > m >= 1")
-            if not 0.0 <= self.minority_frac <= 1.0:
-                raise ValueError("minority_frac must lie in [0, 1]")
-            if not 0.0 <= self.ingroup_pref <= 1.0:
-                raise ValueError("ingroup_pref must lie in [0, 1]")
-        elif self.kind == "files":
-            if not self.edge_file or not self.label_file:
+        files = (self.edge_file, self.label_file)
+        if files != (None, None):
+            if not all(isinstance(p, (str, os.PathLike)) and p for p in files):
                 raise ValueError("files graph needs edge_file and label_file")
-        else:
-            raise ValueError(f"unknown graph kind {self.kind!r}")
+            return
+        if self.m < 1 or self.n <= self.m:
+            raise ValueError("generated graph needs n > m >= 1")
+        if not 0.0 <= self.minority_frac <= 1.0:
+            raise ValueError("minority_frac must lie in [0, 1]")
+        if not 0.0 <= self.ingroup_pref <= 1.0:
+            raise ValueError("ingroup_pref must lie in [0, 1]")
+
+
+def _object(data, name: str, cls) -> dict:
+    """A JSON object as keyword arguments of ``cls``: a dict whose keys
+    are all field names of ``cls``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be an object, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,7 @@ class ExperimentConfig:
     top_quantile: float = 0.2
     master_seed: int = 0
     fixed_graph: bool = False
-    seed_mode: str = "degree_proportional"
+    seed_mode: str = SEED_DEGREE
     burn_in: int = 0
     confusion_from_labeled: int | None = None
 
@@ -154,24 +163,20 @@ class ExperimentConfig:
             if not isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"{name} must be true or false, got {value!r}")
         self.graph.validate()
-        if not self.samplers:
-            raise ValueError("need at least one sampler")
         for s in self.samplers:
             if s not in SAMPLERS:
                 raise ValueError(f"unknown sampler {s!r}")
-        if len(set(self.samplers)) != len(self.samplers):
-            raise ValueError("duplicate sampler")
-        if not self.rates:
-            raise ValueError("need at least one rate")
         for r in self.rates:
             if not 0.0 <= r < 0.5:
                 raise ValueError(f"rates must lie in [0, 0.5), got {r}")
-        if len(set(self.rates)) != len(self.rates):
-            raise ValueError("duplicate rate")
-        if not self.sample_sizes or any(z < 1 for z in self.sample_sizes):
+        if any(z < 1 for z in self.sample_sizes):
             raise ValueError("sample sizes must be positive")
-        if len(set(self.sample_sizes)) != len(self.sample_sizes):
-            raise ValueError("duplicate sample size")
+        for name in ("samplers", "rates", "sample_sizes"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {values!r}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if not 0.0 < self.top_quantile <= 1.0:
@@ -185,30 +190,11 @@ class ExperimentConfig:
         if self.confusion_from_labeled is not None and self.confusion_from_labeled < 2:
             raise ValueError("confusion_from_labeled needs at least 2 labeled nodes")
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["samplers"] = list(self.samplers)
-        out["rates"] = list(self.rates)
-        out["sample_sizes"] = list(self.sample_sizes)
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ValueError(f"config must be an object, got {data!r}")
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
+        kwargs = _object(data, "config", cls)
         if "graph" in kwargs:
-            if not isinstance(kwargs["graph"], dict):
-                raise ValueError(f"graph must be an object, got {kwargs['graph']!r}")
-            gknown = {f.name for f in GraphSpec.__dataclass_fields__.values()}
-            gunknown = set(kwargs["graph"]) - gknown
-            if gunknown:
-                raise ValueError(f"unknown graph config keys: {sorted(gunknown)}")
-            kwargs["graph"] = GraphSpec(**kwargs["graph"])
+            kwargs["graph"] = GraphSpec(**_object(kwargs["graph"], "graph", GraphSpec))
         for key in ("samplers", "rates", "sample_sizes"):
             if key in kwargs:
                 if not isinstance(kwargs[key], (list, tuple)):
@@ -267,7 +253,7 @@ def _graph_for_rep(cfg: ExperimentConfig, rep: int) -> tuple[UndirectedGraph, _T
     """The replication's graph and the truths known for it: those of the
     cached graph, or none yet for a fresh one."""
     spec = cfg.graph
-    if spec.kind == "files":
+    if spec.edge_file:
         # Size and mtime are part of the key, so a rewritten file is read again.
         stats = [os.stat(path) for path in (spec.edge_file, spec.label_file)]
         key = (spec.edge_file, spec.label_file, spec.directed) + tuple(
@@ -348,7 +334,7 @@ def _variants(measured: tuple, correction: ConfusionMatrix | None) -> dict[str, 
     if correction is not None:
         p_vec = _attempt(adjust_proportions, p_vec, correction)
         t_vec = _attempt(adjust_edge_proportions, t_vec, correction)
-        v_vec = _attempt(adjust_visibility, v_vec, correction)
+        v_vec = _attempt(adjust_proportions, v_vec, correction)
     share = _attempt(ingroup_share, t_vec, 1)
     if isinstance(share, Exception):
         ingroup = _entry(share)
@@ -400,12 +386,9 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
                 uncorrected = _variants(measured, None)
                 correction = confusions[ri]
                 if cfg.confusion_from_labeled is not None:
-                    try:
-                        correction = _estimated_confusion(
-                            cfg, seen, seen_labels, noisy_maps[ri], rep, si, zi, ri
-                        )
-                    except ValueError:
-                        correction = None
+                    correction = _estimated_confusion(
+                        cfg, seen, seen_labels, noisy_maps[ri], rep, si, zi, ri
+                    )
                 if correction is None:
                     corrected = {m: (None, "failed:confusion_undefined") for m in MEASURES}
                 else:
@@ -427,13 +410,17 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
 def _estimated_confusion(
     cfg: ExperimentConfig, nodes: np.ndarray, labels: np.ndarray, noisy_map: np.ndarray,
     rep: int, si: int, zi: int, ri: int,
-) -> ConfusionMatrix:
+) -> ConfusionMatrix | None:
     """Confusion matrix estimated from k labeled nodes drawn among the
-    ``nodes`` a sample saw, whose true ``labels`` the sample recorded."""
+    ``nodes`` a sample saw, whose true ``labels`` the sample recorded;
+    None when the draw holds one true group only."""
     k = min(cfg.confusion_from_labeled, nodes.shape[0])
     rng = np.random.default_rng(_stream(cfg.master_seed, _LABELED, rep, si, zi, ri))
     idx = rng.choice(nodes.shape[0], size=k, replace=False)
-    return empirical_confusion(labels[idx], noisy_map[nodes[idx]])
+    drawn = labels[idx]
+    if drawn.min() == drawn.max():
+        return None
+    return empirical_confusion(drawn, noisy_map[nodes[idx]])
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:

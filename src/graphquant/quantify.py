@@ -116,11 +116,6 @@ def adjust_proportions(measured: PropVector, confusion: ConfusionMatrix) -> Prop
     return PropVector(p_a, p_b)
 
 
-def adjust_visibility(measured_topq: PropVector, confusion: ConfusionMatrix) -> PropVector:
-    """Correct top-quantile group shares; same contract as adjust_proportions."""
-    return adjust_proportions(measured_topq, confusion)
-
-
 def _inverse_3x3(rows):
     (a, b, c), (d, e, f), (g, h, i) = rows
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

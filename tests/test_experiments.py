@@ -34,7 +34,6 @@ from graphquant.quantify import (
     PropVector,
     adjust_edge_proportions,
     adjust_proportions,
-    adjust_visibility,
 )
 from graphquant.samplers import (
     NoObservedEdgesError,
@@ -66,7 +65,7 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = small_config()
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         loaded = ExperimentConfig.from_json_file(path)
         assert loaded == cfg
 
@@ -79,6 +78,11 @@ class TestConfig:
             ExperimentConfig.from_dict({"resample_factor": 10})
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"snowball_seeds": 10})
+        # The graph source follows from edge_file and label_file; the
+        # former kind key is refused.
+        for kind in ("files", "generated"):
+            with pytest.raises(ValueError, match="^unknown graph keys: \\['kind'\\]"):
+                ExperimentConfig.from_dict({"graph": {"kind": kind}})
         # JSON values of the wrong shape name their key instead of raising
         # TypeError from a tuple() or set() call.
         for data in ({"graph": None}, {"graph": 5}, {"samplers": 5}, {"rates": None}):
@@ -119,6 +123,11 @@ class TestConfig:
             {"top_quantile": "0.2"},
             {"graph": GraphSpec(n=300, m=3, minority_frac="0.2")},
             {"graph": GraphSpec(n=300, m=3, ingroup_pref="0.8")},
+            {"graph": GraphSpec(edge_file="g.edges")},
+            {"graph": GraphSpec(label_file="g.labels")},
+            {"graph": GraphSpec(edge_file="", label_file="g.labels")},
+            {"graph": GraphSpec(edge_file=0, label_file=0)},
+            {"graph": GraphSpec(edge_file=["g.edges"], label_file="g.labels")},
         ],
     )
     def test_invariant_violations(self, overrides):
@@ -245,7 +254,7 @@ class TestRunExperiment:
             write_edge_list(g, edges)
             write_label_file(g, labels)
             cfg = small_config(
-                graph=GraphSpec(kind="files", edge_file=str(edges), label_file=str(labels))
+                graph=GraphSpec(edge_file=str(edges), label_file=str(labels))
             )
         elif mode == "confusion_from_labeled":
             cfg = small_config(confusion_from_labeled=30)
@@ -317,7 +326,7 @@ class TestRunExperiment:
             write_edge_list(g, edges)
             write_label_file(g, labels)
             cfg = dataclasses.replace(
-                cfg, graph=GraphSpec(kind="files", edge_file=str(edges), label_file=str(labels))
+                cfg, graph=GraphSpec(edge_file=str(edges), label_file=str(labels))
             )
         run_experiment(cfg)
         assert calls == {0.2: 4 if mode == "fresh" else 1}
@@ -386,7 +395,7 @@ class TestRunExperiment:
         write_edge_list(g, edges)
         write_label_file(g, labels)
         cfg = small_config(
-            graph=GraphSpec(kind="files", edge_file=str(edges), label_file=str(labels)),
+            graph=GraphSpec(edge_file=str(edges), label_file=str(labels)),
             sample_sizes=(40,),
             replications=2,
         )
@@ -399,7 +408,7 @@ class TestRunExperiment:
         edges = tmp_path / "g.edges"
         labels = tmp_path / "g.labels"
         cfg = small_config(
-            graph=GraphSpec(kind="files", edge_file=str(edges), label_file=str(labels)),
+            graph=GraphSpec(edge_file=str(edges), label_file=str(labels)),
             sample_sizes=(40,),
             replications=1,
         )
@@ -436,6 +445,25 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "estimate_edge_vector", broken)
         with pytest.raises(ValueError, match="bug"):
             run_experiment(small_config(replications=1))
+
+    def test_confusion_programming_errors_raise(self, monkeypatch):
+        # Only a one-group draw leaves C undefined; any error from
+        # estimating it is a bug and raises.
+        def broken(truth, predicted):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(experiments, "empirical_confusion", broken)
+        with pytest.raises(ValueError, match="bug"):
+            run_experiment(small_config(confusion_from_labeled=40, replications=1))
+
+    def test_one_group_draw_fails_corrected_rows_only(self):
+        # Two labeled nodes often share a group, and then C is undefined.
+        res = run_experiment(small_config(confusion_from_labeled=2, replications=3))
+        corrected = rows_for(res, variant="corrected")
+        undefined = [r for r in corrected if r.flags == "failed:confusion_undefined"]
+        assert 0 < len(undefined) < len(corrected)
+        assert all(r.estimate is None for r in undefined)
+        assert all(r.flags != "failed:confusion_undefined" for r in res.rows if r.variant != "corrected")
 
     def test_each_label_set_measured_once(self, monkeypatch):
         # Per (sampler, size): group, edge-type and top-quantile shares of
@@ -573,7 +601,7 @@ class TestGroupSwap:
                     p, t, v,
                     adjust_proportions(p, confusion),
                     adjust_edge_proportions(t, confusion),
-                    adjust_visibility(v, confusion),
+                    adjust_proportions(v, confusion),
                 ))
             for x, y in zip(*vectors):
                 assert_mirrored(x, y)
@@ -608,13 +636,39 @@ class TestCli:
         assert payload["nodes"] == 150
         assert payload["p_a"] + payload["p_b"] == pytest.approx(1.0)
 
-    def test_truth_refuses_top_quantile_outside_unit_interval(self, tmp_path):
+    def test_truth_refuses_top_quantile_outside_unit_interval(self, tmp_path, capsys):
         edges, labels = self._generate(tmp_path)
         out = tmp_path / "truth.json"
         argv = ["truth", "--edges", str(edges), "--labels", str(labels), "--out", str(out)]
-        with pytest.raises(ValueError, match=r"^top_quantile must lie in \(0, 1\]"):
+        with pytest.raises(SystemExit) as exc:
             cli_main(argv + ["--top-quantile", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "graphquant: error: top_quantile must lie in (0, 1], got 2.0\n"
+        )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["correct", "--prop", "0.68", "0.32"], "provide --rate or --matrix"),
+            (["correct", "--rate", "0.2"], "provide --prop and/or --edge"),
+        ],
+    )
+    def test_refused_input_exits_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"graphquant: error: {message}\n"
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"graph": {"kind": "generated"}}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "graphquant: error: unknown graph keys: ['kind']\n"
+        assert not (tmp_path / "run").exists()
 
     def test_walk_records(self, tmp_path):
         edges, labels = self._generate(tmp_path)
@@ -653,7 +707,7 @@ class TestCli:
     def test_experiment_subcommand(self, tmp_path, capsys):
         cfg = small_config(replications=2)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
         out_dir = tmp_path / "run"
         code = cli_main(
             ["experiment", "--config", str(cfg_path), "--out", str(out_dir), "--threads", "1"]
@@ -668,3 +722,17 @@ class TestCli:
             "sampler,rate,size,measure,variant,reps,failures,mean_error,p2_5,p97_5,nrmse,"
             "out_of_range_rate,failure_rate"
         )
+
+    def test_seed_override_matches_config_seed(self, tmp_path):
+        cfg = small_config(replications=2)
+        outs = []
+        for name, cfg_seed, argv_seed in (("flag", 13, ["--seed", "7"]), ("config", 7, [])):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(
+                json.dumps(dataclasses.asdict(dataclasses.replace(cfg, master_seed=cfg_seed)))
+            )
+            out_dir = tmp_path / name
+            argv = ["experiment", "--config", str(cfg_path), "--out", str(out_dir)] + argv_seed
+            assert cli_main(argv) == 0
+            outs.append((out_dir / "rows.csv").read_bytes())
+        assert outs[0] == outs[1]

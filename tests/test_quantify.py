@@ -17,7 +17,6 @@ from graphquant.quantify import (
     _inverse_3x3,
     adjust_edge_proportions,
     adjust_proportions,
-    adjust_visibility,
     coleman_homophily,
     ingroup_share,
     variance_inflation_nodes,
@@ -146,16 +145,6 @@ class TestAdjustEdgeProportions:
             s = EdgeVector(raw[0], raw[1], raw[2])
             back = adjust_edge_proportions(measured_edge_proportions(s, c), c)
             assert back.as_tuple() == pytest.approx(s.as_tuple(), abs=1e-12)
-
-
-class TestAdjustVisibility:
-    def test_same_contract_as_proportions(self):
-        c = symmetric_confusion(0.2)
-        m = measured_proportions(PropVector(0.9, 0.1), c)
-        assert adjust_visibility(m, c).as_tuple() == pytest.approx(
-            adjust_proportions(m, c).as_tuple()
-        )
-        assert adjust_visibility(PropVector(0.5, 0.5), symmetric_confusion(0.0)).b == 0.5
 
 
 class TestIngroupShare:
