@@ -2,15 +2,12 @@
 with confusion-matrix correction of classifier-induced bias."""
 
 from .graph import (
-    GroundTruth,
     UndirectedGraph,
     generate_homophilous_graph,
-    ground_truth,
     load_and_preprocess,
     load_graph_files,
     read_edge_list,
     read_label_file,
-    top_quantile_indices,
     write_edge_list,
     write_label_file,
 )
@@ -34,10 +31,12 @@ from .quantify import (
     variance_inflation_nodes,
 )
 from .samplers import (
+    GroundTruth,
     Sample,
     edge_sample,
     estimate_edge_vector,
     estimate_proportions,
+    ground_truth,
     node_sample,
     rwrw_walk,
     snowball_sample,

@@ -5,7 +5,8 @@ Subcommands: ``generate`` (emit a synthetic graph as edge + label files),
 as an audit record file), ``correct`` (apply the confusion-matrix
 corrections to supplied vectors), and ``experiment`` (full replicated
 grid from a JSON config). Refused input exits with status 2 and one
-line on stderr, ``graphquant: error: <message>``.
+line on stderr, ``graphquant: error: <message>``. A reader that closes
+stdout early ends the command with status 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -26,13 +28,7 @@ from .experiments import (
     write_rows_csv,
     write_summary_csv,
 )
-from .graph import (
-    generate_homophilous_graph,
-    ground_truth,
-    load_graph_files,
-    write_edge_list,
-    write_label_file,
-)
+from .graph import generate_homophilous_graph, load_graph_files, write_edge_list, write_label_file
 from .noise import ConfusionMatrix, apply_noise, symmetric_confusion
 from .quantify import (
     EdgeVector,
@@ -41,7 +37,14 @@ from .quantify import (
     adjust_proportions,
     variance_inflation_nodes,
 )
-from .samplers import SEED_DEGREE, SEED_UNIFORM, rwrw_walk, with_noisy_labels, write_sample_records
+from .samplers import (
+    SEED_DEGREE,
+    SEED_UNIFORM,
+    ground_truth,
+    rwrw_walk,
+    with_noisy_labels,
+    write_sample_records,
+)
 
 
 def _confusion_from_args(args) -> ConfusionMatrix:
@@ -133,6 +136,10 @@ def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
+    # Checked before the output directory is made, so refused input leaves none.
+    cfg.validate()
+    if args.threads < 1:
+        raise ValueError("threads must be positive")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(cfg, threads=args.threads)
@@ -206,7 +213,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, as ``| head`` does. Python's signal docs:
+        # point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         parser.exit(2, f"graphquant: error: {exc}\n")
 

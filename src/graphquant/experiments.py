@@ -49,7 +49,6 @@ import numpy as np
 from .graph import (
     UndirectedGraph,
     generate_homophilous_graph,
-    ground_truth,
     load_graph_files,
     top_quantile_indices,  # unused here; perfbench/tracing.py wraps it by this name
 )
@@ -71,6 +70,7 @@ from .samplers import (
     edge_sample,
     estimate_edge_vector,
     estimate_proportions,
+    ground_truth,
     importance_resample,  # unused here; perfbench/tracing.py wraps it by this name
     node_sample,
     rwrw_walk,
@@ -358,7 +358,9 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
     if cfg.top_quantile not in known:
         gt = ground_truth(g, cfg.top_quantile)
         # The truths are the four measures of the population's exact vectors.
-        population = (gt.p, gt.s, PropVector(1.0 - gt.visibility_b, gt.visibility_b))
+        vis = gt.visibility_b
+        top = UndefinedShareError("no top quantile") if vis is None else PropVector(1.0 - vis, vis)
+        population = (gt.p, gt.s, top)
         known[cfg.top_quantile] = {m: est for m, (est, _) in _variants(population, None).items()}
     truths = known[cfg.top_quantile]
 

@@ -1,14 +1,14 @@
-"""Two-group undirected graphs: synthetic generation, file ingestion and
-preprocessing, and exact whole-graph measures by full enumeration. Graphs
-keep neighbours in CSR arrays and groups as int8 codes. One token table
-(``GROUP_TOKENS``) serves the label-file reader and both writers. Both
-readers return one record shape, a ``(k, 2)`` int64 array: ``(u, v)``
-rows for edge files and ``(node id, group code)`` rows for label files.
-numpy's parser reads both files, and one line parser that names the
-first bad line reads any file it refuses. Preprocessing takes these
-arrays only. One component labelling (``_components``) serves both the
-connectivity check and the largest-component cut of preprocessing; it
-works on the edge list, so no traversal is needed.
+"""Two-group undirected graphs: structure, synthetic generation, and file
+ingestion and preprocessing. Graphs keep neighbours in CSR arrays and
+groups as int8 codes. One token table (``GROUP_TOKENS``) serves the
+label-file reader and both writers. Both readers return one record
+shape, a ``(k, 2)`` int64 array: ``(u, v)`` rows for edge files and
+``(node id, group code)`` rows for label files. numpy's parser reads
+both files, and one line parser that names the first bad line reads any
+file it refuses. Preprocessing takes these arrays only. One component
+labelling (``_components``) serves both the connectivity check and the
+largest-component cut of preprocessing; it works on the edge list, so no
+traversal is needed.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .quantify import EdgeVector, PropVector, coleman_homophily, ingroup_share
 
 # Label-file tokens by group code: 0 is A, 1 is B (by convention the
 # minority) and MISSING is NA.
@@ -79,16 +77,21 @@ class UndirectedGraph:
     ) -> "UndirectedGraph":
         if node_count < 2:
             raise ValueError("graph needs at least two nodes")
-        edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edge_arr.shape[0] == 0:
+        # Values are checked as given, so no cast can change them first.
+        edge_arr = np.asarray(edges)
+        if edge_arr.size == 0:
             raise ValueError("graph has no edges")
+        if edge_arr.dtype.kind not in "iu":
+            raise ValueError("edge endpoints must be integers")
         if edge_arr.min() < 0 or edge_arr.max() >= node_count:
             raise ValueError("edge endpoint outside 0..N-1")
-        label_arr = np.asarray(labels, dtype=np.int8)
+        edge_arr = edge_arr.astype(np.int64, copy=False).reshape(-1, 2)
+        label_arr = np.asarray(labels)
         if label_arr.shape != (node_count,):
             raise ValueError("labels must give one group per node")
-        if label_arr.min() < 0 or label_arr.max() > 1:
+        if not np.isin(label_arr, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
+        label_arr = label_arr.astype(np.int8, copy=False)
 
         u, v = edge_arr[:, 0], edge_arr[:, 1]
         keys = np.sort(np.minimum(u, v) * node_count + np.maximum(u, v))
@@ -307,81 +310,20 @@ def load_and_preprocess(
     )
 
 
-def top_quantile_indices(degrees, quantile: float, minimum: int = 0) -> np.ndarray:
+def top_quantile_indices(degrees, quantile: float) -> np.ndarray:
     """Indices of the top-quantile records by degree.
 
-    The cutoff keeps floor(count * quantile) records, at least
-    ``minimum``; everything strictly above the cutoff degree enters
-    first, and ties at the cutoff fill the remaining slots in ascending
-    index order so the selection is deterministic.
+    The cutoff keeps floor(count * quantile) records; everything strictly
+    above the cutoff degree enters first, and ties at the cutoff fill the
+    remaining slots in ascending index order so the selection is
+    deterministic. ``samplers.top_records`` applies the same rule to the
+    records of a sample.
     """
     deg = np.asarray(degrees, dtype=np.int64)
-    count = max(int(minimum), int(deg.shape[0] * quantile))
+    count = int(deg.shape[0] * quantile)
     if count < 1:
         raise ValueError("quantile selects no records")
     return np.argsort(-deg, kind="stable")[:count]
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Exact population measures of a labeled graph."""
-
-    p: PropVector
-    s: EdgeVector
-    visibility_b: float
-    homophily_a: float | None
-    homophily_b: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "p_a": self.p.a,
-            "p_b": self.p.b,
-            "s_aa": self.s.aa,
-            "s_ab": self.s.ab,
-            "s_bb": self.s.bb,
-            "visibility_b": self.visibility_b,
-            "homophily_a": self.homophily_a,
-            "homophily_b": self.homophily_b,
-        }
-
-
-def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
-    """Population measures by full enumeration of nodes and edges.
-
-    Homophily for a group is None when that group is empty or is the
-    whole population, where the index is undefined. The top quantile
-    must lie in (0, 1].
-    """
-    if not 0.0 < top_quantile <= 1.0:
-        raise ValueError(f"top_quantile must lie in (0, 1], got {top_quantile}")
-    p_b = float(np.count_nonzero(g.labels)) / g.node_count
-    p = PropVector(1.0 - p_b, p_b)
-
-    pair = g.labels[g.edges[:, 0]].astype(np.int64) + g.labels[g.edges[:, 1]]
-    e = g.edge_count
-    s = EdgeVector(
-        float(np.count_nonzero(pair == 0)) / e,
-        float(np.count_nonzero(pair == 1)) / e,
-        float(np.count_nonzero(pair == 2)) / e,
-    )
-
-    # Population visibility always exists: on very small graphs the top
-    # quantile clamps to the single highest-degree node.
-    top = top_quantile_indices(g.degrees, top_quantile, minimum=1)
-    visibility_b = float(np.count_nonzero(g.labels[top])) / top.shape[0]
-
-    def h_for(p_g: float, group: int) -> float | None:
-        if p_g <= 0.0 or p_g >= 1.0:
-            return None
-        return coleman_homophily(ingroup_share(s, group), p_g).value
-
-    return GroundTruth(
-        p=p,
-        s=s,
-        visibility_b=visibility_b,
-        homophily_a=h_for(p.a, 0),
-        homophily_b=h_for(p.b, 1),
-    )
 
 
 def _read_by_line(path, labels: bool = False) -> np.ndarray:

@@ -29,8 +29,10 @@ Visibility is the group-share estimate over the top-quantile records,
 quantile, which on a walk undoes the degree bias as the RWRW ratio
 estimator does (Gjoka et al., "Walking in Facebook", INFOCOM 2010), and
 with unit weights selects the first floor(n * q) records by (-degree,
-node id), the rule ``top_quantile_indices`` applies to a graph's nodes.
-``importance_resample`` is the resampling reference it is tested against.
+node id). ``importance_resample`` is the resampling reference it is
+tested against. A graph's exact measures (``ground_truth``) are these
+estimators run on the census, the graph as a sample of every node, so a
+sample and its graph share one top-quantile rule.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MISSING, UndirectedGraph, group_token
-from .quantify import PropVector, EdgeVector, UndefinedShareError
+from .quantify import EdgeVector, PropVector, UndefinedShareError, coleman_homophily, ingroup_share
 
 SEED_DEGREE = "degree_proportional"
 SEED_UNIFORM = "uniform_with_burnin"
@@ -305,6 +307,56 @@ def estimate_edge_vector(sample: Sample) -> EdgeVector:
     pair = sample.labels[pos[:, 0]].astype(np.int64) + sample.labels[pos[:, 1]]
     shares = np.bincount(pair, minlength=3) / pos.shape[0]
     return EdgeVector(*shares.tolist())
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """Exact population measures of a labeled graph."""
+
+    p: PropVector
+    s: EdgeVector
+    visibility_b: float | None
+    homophily_a: float | None
+    homophily_b: float | None
+
+    def as_dict(self) -> dict:
+        return {
+            "p_a": self.p.a,
+            "p_b": self.p.b,
+            "s_aa": self.s.aa,
+            "s_ab": self.s.ab,
+            "s_bb": self.s.bb,
+            "visibility_b": self.visibility_b,
+            "homophily_a": self.homophily_a,
+            "homophily_b": self.homophily_b,
+        }
+
+
+def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
+    """Exact population measures: the estimators above run on the census,
+    every node once at unit weight with every edge observed.
+
+    As for a sample, visibility is None below 1/q nodes. Homophily for a
+    group is None when that group is empty or is the whole population,
+    where the index is undefined. The top quantile must lie in (0, 1].
+    """
+    if not 0.0 < top_quantile <= 1.0:
+        raise ValueError(f"top_quantile must lie in (0, 1], got {top_quantile}")
+    # Record i is node i, so the edge list holds the census's edge positions.
+    census = _records(g, np.arange(g.node_count), g.edges)
+    p = estimate_proportions(census)
+    s = estimate_edge_vector(census)
+    try:
+        visibility_b = estimate_proportions(top_records(census, top_quantile)).b
+    except UndefinedShareError:
+        visibility_b = None
+
+    def h_for(p_g: float, group: int) -> float | None:
+        if p_g <= 0.0 or p_g >= 1.0:
+            return None
+        return coleman_homophily(ingroup_share(s, group), p_g).value
+
+    return GroundTruth(p, s, visibility_b, h_for(p.a, 0), h_for(p.b, 1))
 
 
 def write_sample_records(sample: Sample, path, noisy: Sample | None = None) -> None:

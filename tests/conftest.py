@@ -65,6 +65,34 @@ def measured_edge_proportions(true: EdgeVector, confusion) -> EdgeVector:
     return EdgeVector(t[0], t[1], t[2])
 
 
+def mean_field_mixing(minority_frac: float, ingroup_pref: float) -> tuple[float, EdgeVector]:
+    """Mean-field fixed point of the homophilous preferential attachment of
+    Karimi et al. (Sci. Rep. 8:11077, 2018), the model the generator samples:
+    the minority's share x* of degree mass, and the edge-type shares.
+
+    A new node of group g picks a group-b target with probability
+    pi_g(x) = w_gb x / (w_ga (1 - x) + w_gb x), with w_same = ingroup_pref
+    and w_cross = 1 - ingroup_pref. It adds m stubs to its own group and m
+    to its targets' groups, so x* = (f + f pi_b(x*) + (1 - f) pi_a(x*)) / 2,
+    s_bb = f pi_b(x*) and s_aa = (1 - f)(1 - pi_a(x*)). Bisection probes
+    only the open interval, where no denominator vanishes."""
+    f, same, cross = minority_frac, ingroup_pref, 1.0 - ingroup_pref
+
+    def pi_b(x):
+        return same * x / (cross * (1.0 - x) + same * x)
+
+    def pi_a(x):
+        return cross * x / (same * (1.0 - x) + cross * x)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        x = (lo + hi) / 2.0
+        lo, hi = (x, hi) if (f + f * pi_b(x) + (1.0 - f) * pi_a(x)) / 2.0 > x else (lo, x)
+    x = (lo + hi) / 2.0
+    s_bb, s_aa = f * pi_b(x), (1.0 - f) * (1.0 - pi_a(x))
+    return x, EdgeVector(s_aa, 1.0 - s_aa - s_bb, s_bb)
+
+
 def rows_for(result, **filters):
     """Result rows whose fields equal the given values."""
     return [r for r in result.rows if all(getattr(r, k) == v for k, v in filters.items())]

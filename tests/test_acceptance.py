@@ -27,10 +27,10 @@ from graphquant.experiments import (
     write_rows_csv,
     write_summary_csv,
 )
+from graphquant import ground_truth
 from graphquant.graph import (
     UndirectedGraph,
     generate_homophilous_graph,
-    ground_truth,
 )
 from graphquant.noise import (
     ConfusionMatrix,

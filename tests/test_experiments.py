@@ -3,13 +3,17 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import assert_induced_edges_match, rows_for
-from graphquant import experiments
+from graphquant import experiments, ground_truth
 from graphquant.cli import main as cli_main
 from graphquant.experiments import (
     ExperimentConfig,
@@ -25,7 +29,6 @@ from graphquant.experiments import (
 from graphquant.graph import (
     UndirectedGraph,
     generate_homophilous_graph,
-    ground_truth,
     write_edge_list,
     write_label_file,
 )
@@ -669,6 +672,49 @@ class TestCli:
         assert exc.value.code == 2
         assert capsys.readouterr().err == "graphquant: error: unknown graph keys: ['kind']\n"
         assert not (tmp_path / "run").exists()
+
+    def test_truth_below_one_over_q_nodes_prints_null(self, tmp_path, capsys):
+        # Four nodes at the default q = 0.2: floor(4 * 0.2) selects no node.
+        edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+        edges.write_text("0 1\n1 2\n2 3\n")
+        labels.write_text("0\tA\n1\tB\n2\tA\n3\tB\n")
+        assert cli_main(["truth", "--edges", str(edges), "--labels", str(labels)]) == 0
+        out = capsys.readouterr().out
+        assert '"visibility_b": null' in out
+        assert json.loads(out)["nodes"] == 4
+
+    def test_closed_stdout_exits_1_silently(self, tmp_path):
+        # The reader of stdout is gone before the command writes, as when
+        # `| head` has exited.
+        edges, labels = self._generate(tmp_path)
+        path = [str(Path(experiments.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        argv = ["truth", "--edges", str(edges), "--labels", str(labels)]
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphquant.cli", *argv],
+                stdout=w, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--seed", "-1"], "master_seed must be nonnegative"),
+         (["--threads", "0"], "threads must be positive")],
+    )
+    def test_refused_experiment_leaves_no_directory(self, tmp_path, capsys, argv, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dataclasses.asdict(small_config(replications=1))))
+        out_dir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["experiment", "--config", str(cfg_path), "--out", str(out_dir)] + argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"graphquant: error: {message}\n"
+        assert not out_dir.exists()
 
     def test_walk_records(self, tmp_path):
         edges, labels = self._generate(tmp_path)

@@ -10,15 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import has_edge, records_array
-from graphquant import graph
+from conftest import has_edge, mean_field_mixing, records_array
+from graphquant import graph, ground_truth
 from graphquant.graph import (
     MISSING,
     UndirectedGraph,
     _read_by_line,
     generate_homophilous_graph,
     graphs_equal,
-    ground_truth,
     load_and_preprocess,
     load_graph_files,
     read_edge_list,
@@ -27,6 +26,7 @@ from graphquant.graph import (
     write_edge_list,
     write_label_file,
 )
+from graphquant.quantify import EdgeVector, PropVector, coleman_homophily, ingroup_share
 
 
 # Node id fields for the reader grammar tests: the odd spellings Python's
@@ -83,6 +83,19 @@ class TestConstruction:
         UndirectedGraph.from_edges(2000, edges, labels)
         with pytest.raises(ValueError, match="single connected component"):
             UndirectedGraph.from_edges(2000, np.delete(edges, 999, axis=0), labels)
+
+    @pytest.mark.parametrize("labels", [np.array([0, 257, 256]), [0.0, 0.7, 1.0]])
+    def test_labels_checked_before_cast(self, labels):
+        # A cast to int8 first would read these as [0, 1, 0] and [0, 0, 1].
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            UndirectedGraph.from_edges(3, [(0, 1), (1, 2)], labels)
+
+    def test_non_integer_edges_refused(self):
+        # A cast to int64 first would read (1, 2.9) as (1, 2).
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            UndirectedGraph.from_edges(3, [(0, 1), (1, 2.9)], [0, 1, 0])
+        with pytest.raises(ValueError, match="graph has no edges"):
+            UndirectedGraph.from_edges(3, [], [0, 1, 0])
 
     def test_adjacency_symmetric_and_sorted(self):
         g = UndirectedGraph.from_edges(4, [(2, 0), (1, 0), (3, 1), (2, 1)], [0, 0, 1, 1])
@@ -161,6 +174,26 @@ class TestGroundTruth:
         )
         assert ground_truth(g, top_quantile=0.2).visibility_b == 1.0
 
+    @pytest.mark.parametrize("n", [7, 12, 40, 3000])
+    def test_census_equals_hand_count(self, n):
+        # Counts over the graph's own arrays and top_quantile_indices give
+        # the same floats bit for bit; below 1/q nodes there is no top node.
+        g = generate_homophilous_graph(n, 3, 0.3, 0.7, rng_seed=n)
+        p_b = np.count_nonzero(g.labels) / n
+        pair = g.labels[g.edges].sum(axis=1)
+        s = EdgeVector(*(np.count_nonzero(pair == k) / g.edge_count for k in range(3)))
+        for q in (0.05, 0.2, 0.37, 1.0):
+            gt = ground_truth(g, q)
+            assert gt.p == PropVector(1.0 - p_b, p_b)
+            assert gt.s == s
+            if int(n * q) < 1:
+                assert gt.visibility_b is None
+            else:
+                top = top_quantile_indices(g.degrees, q)
+                assert gt.visibility_b == np.count_nonzero(g.labels[top]) / top.shape[0]
+            assert gt.homophily_a == coleman_homophily(ingroup_share(s, 0), 1.0 - p_b).value
+            assert gt.homophily_b == coleman_homophily(ingroup_share(s, 1), p_b).value
+
     @pytest.mark.parametrize("quantile", [2.0, 0.0, -1.0, float("nan")])
     def test_top_quantile_outside_unit_interval_refused(self, quantile):
         # As in ExperimentConfig.validate: a quantile above 1 would use the
@@ -234,6 +267,32 @@ class TestGenerator:
                     seen.add(int(v))
                     stack.append(int(v))
         assert len(seen) == n
+
+    @pytest.mark.parametrize(
+        "frac, pref, seeds",
+        [(0.2, 0.8, 20), (0.3, 0.3, 20), (0.2, 1.0, 4), (0.2, 0.0, 4), (0.0, 0.8, 2), (1.0, 0.8, 2)],
+    )
+    def test_mixing_matches_mean_field_oracle(self, frac, pref, seeds):
+        # Seed means of the minority's degree-mass share and the edge-type
+        # shares. Over ten seed sets the largest gap was 0.0062 absolute
+        # (finite n, the initial clique, the spread of group counts); a
+        # generator that ignores ingroup_pref reads s_aa 0.640 against the
+        # oracle's 0.763 at (0.2, 0.8).
+        x_star, shares = mean_field_mixing(frac, pref)
+        got = []
+        for seed in range(seeds):
+            g = generate_homophilous_graph(10000, 4, frac, pref, rng_seed=seed)
+            pair = g.labels[g.edges].sum(axis=1)
+            mass = g.degrees[g.labels == 1].sum() / g.total_degree
+            got.append([mass, *np.bincount(pair, minlength=3) / g.edge_count])
+        assert np.mean(got, axis=0) == pytest.approx([x_star, *shares.as_tuple()], abs=0.02)
+
+    def test_oracle_extremes(self):
+        # Full in-group preference keeps each group's degree mass to itself;
+        # full cross-group preference gives every edge one endpoint in each.
+        assert mean_field_mixing(0.2, 1.0)[0] == pytest.approx(0.2, abs=1e-12)
+        assert mean_field_mixing(0.2, 0.0)[0] == pytest.approx(0.5, abs=1e-12)
+        assert mean_field_mixing(0.2, 0.0)[1].ab == pytest.approx(1.0, abs=1e-12)
 
     def test_neutral_preference_gives_no_homophily(self):
         values = [

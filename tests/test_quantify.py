@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import measured_edge_proportions, measured_proportions
-from graphquant.graph import generate_homophilous_graph, ground_truth
+from graphquant import ground_truth
+from graphquant.graph import generate_homophilous_graph
 from graphquant.noise import ConfusionMatrix, dyadic_matrix, symmetric_confusion
 from graphquant.quantify import (
     EdgeVector,

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import assert_induced_edges_match, has_edge
+from graphquant import ground_truth
 from graphquant.graph import (
     UndirectedGraph,
     generate_homophilous_graph,
     group_token,
-    ground_truth,
 )
 from graphquant.noise import apply_noise, symmetric_confusion
 from graphquant.samplers import (
