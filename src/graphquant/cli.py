@@ -96,38 +96,30 @@ def _cmd_walk(args) -> int:
     if args.rate is not None or args.matrix is not None:
         confusion = _confusion_from_args(args)
         noisy = with_noisy_labels(sample, apply_noise(g.labels, confusion, seeds[1]))
+    # The walk ran on dense ids; the audit file names nodes as the edge file does.
+    sample = dataclasses.replace(sample, nodes=g.id_map[sample.nodes])
     write_sample_records(sample, args.out, noisy)
     print(f"wrote {args.out}: {len(sample)} steps over {np.unique(sample.nodes).size} nodes")
     return 0
 
 
 def _cmd_correct(args) -> int:
+    if args.prop is None and args.edge is None:
+        raise ValueError("provide --prop and/or --edge")
     confusion = _confusion_from_args(args)
     payload: dict = {"matrix": confusion.to_flat(), "det": confusion.det}
-    if args.prop is not None:
-        vec = PropVector(args.prop[0], args.prop[1])
-        corrected = adjust_proportions(vec, confusion)
+    for key, values, vector_type, adjust in (
+        ("proportions", args.prop, PropVector, adjust_proportions),
+        ("edges", args.edge, EdgeVector, adjust_edge_proportions),
+    ):
+        if values is None:
+            continue
+        corrected = adjust(vector_type(*values), confusion)
         if args.clip:
             corrected = corrected.clipped()
-        payload["proportions"] = {
-            "a": corrected.a,
-            "b": corrected.b,
-            "out_of_range": corrected.out_of_range,
-        }
-        payload["variance_inflation"] = variance_inflation_nodes(confusion)
-    if args.edge is not None:
-        vec = EdgeVector(args.edge[0], args.edge[1], args.edge[2])
-        corrected = adjust_edge_proportions(vec, confusion)
-        if args.clip:
-            corrected = corrected.clipped()
-        payload["edges"] = {
-            "aa": corrected.aa,
-            "ab": corrected.ab,
-            "bb": corrected.bb,
-            "out_of_range": corrected.out_of_range,
-        }
-    if "proportions" not in payload and "edges" not in payload:
-        raise ValueError("provide --prop and/or --edge")
+        payload[key] = {**dataclasses.asdict(corrected), "out_of_range": corrected.out_of_range}
+        if vector_type is PropVector:
+            payload["variance_inflation"] = variance_inflation_nodes(confusion)
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -48,6 +48,7 @@ import numpy as np
 
 from .graph import (
     UndirectedGraph,
+    check_growth,
     generate_homophilous_graph,
     load_graph_files,
     top_quantile_indices,  # unused here; perfbench/tracing.py wraps it by this name
@@ -65,8 +66,9 @@ from .quantify import (
 )
 from .samplers import (
     SEED_DEGREE,
-    SEED_UNIFORM,
     NoObservedEdgesError,
+    check_quantile,
+    check_walk,
     edge_sample,
     estimate_edge_vector,
     estimate_proportions,
@@ -109,12 +111,7 @@ class GraphSpec:
             if not all(isinstance(p, (str, os.PathLike)) and p for p in files):
                 raise ValueError("files graph needs edge_file and label_file")
             return
-        if self.m < 1 or self.n <= self.m:
-            raise ValueError("generated graph needs n > m >= 1")
-        if not 0.0 <= self.minority_frac <= 1.0:
-            raise ValueError("minority_frac must lie in [0, 1]")
-        if not 0.0 <= self.ingroup_pref <= 1.0:
-            raise ValueError("ingroup_pref must lie in [0, 1]")
+        check_growth(self.n, self.m, self.minority_frac, self.ingroup_pref)
 
 
 def _object(data, name: str, cls) -> dict:
@@ -167,8 +164,7 @@ class ExperimentConfig:
             if s not in SAMPLERS:
                 raise ValueError(f"unknown sampler {s!r}")
         for r in self.rates:
-            if not 0.0 <= r < 0.5:
-                raise ValueError(f"rates must lie in [0, 0.5), got {r}")
+            symmetric_confusion(r)
         if any(z < 1 for z in self.sample_sizes):
             raise ValueError("sample sizes must be positive")
         for name in ("samplers", "rates", "sample_sizes"):
@@ -179,14 +175,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be distinct, got {values!r}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        if not 0.0 < self.top_quantile <= 1.0:
-            raise ValueError("top_quantile must lie in (0, 1]")
+        check_quantile(self.top_quantile)
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
-        if self.seed_mode not in (SEED_DEGREE, SEED_UNIFORM):
-            raise ValueError(f"unknown seed_mode {self.seed_mode!r}")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
+        check_walk(self.seed_mode, self.burn_in)
         if self.confusion_from_labeled is not None and self.confusion_from_labeled < 2:
             raise ValueError("confusion_from_labeled needs at least 2 labeled nodes")
 
@@ -306,11 +298,9 @@ def _draw_sample(cfg: ExperimentConfig, g: UndirectedGraph, sampler: str, size: 
     if sampler == "node":
         return node_sample(g, size, rng_seed=seed)
     if sampler == "edge":
-        # Edge sampling spends the size budget on endpoint records, two per edge.
-        n_edges = max(1, size // 2)
-        if n_edges > g.edge_count:
-            raise ValueError(f"edge budget {n_edges} exceeds edge count {g.edge_count}")
-        return edge_sample(g, n_edges, rng_seed=seed)
+        # Edge sampling spends the size budget on endpoint records, two per
+        # edge; a connected graph has at least N - 1 >= size // 2 edges.
+        return edge_sample(g, max(1, size // 2), rng_seed=seed)
     if sampler == "snowball":
         return snowball_sample(g, size, n_seeds=_SNOWBALL_SEEDS, rng_seed=seed)
     raise ValueError(f"unknown sampler {sampler!r}")

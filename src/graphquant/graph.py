@@ -94,24 +94,23 @@ class UndirectedGraph:
         label_arr = label_arr.astype(np.int8, copy=False)
 
         u, v = edge_arr[:, 0], edge_arr[:, 1]
-        keys = np.sort(np.minimum(u, v) * node_count + np.maximum(u, v))
-        lo, hi = np.divmod(keys, node_count)
-        if (lo == hi).any():
+        if (u == v).any():
             raise ValueError("self loops are not allowed")
+        # One sort of the half-edge keys src*N + dst orders the CSR, neighbours
+        # ascending. An edge given twice, in either direction, repeats its keys.
+        keys = np.concatenate([u * node_count + v, v * node_count + u])
+        keys.sort()
         if (np.diff(keys) == 0).any():
             raise ValueError("duplicate edges are not allowed")
-
-        # Without self loops or duplicates the half-edge keys src*N + dst are
-        # distinct, so one plain sort of them orders the CSR, neighbours
-        # ascending, and the key modulo N is the neighbour.
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
+        src, indices = np.divmod(keys, node_count)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-        indices = np.sort(src * node_count + dst) % node_count
         degrees = np.diff(indptr)
         if (degrees == 0).any():
             raise ValueError("every node must be incident to at least one edge")
+        # The upward half-edges are each edge once, in (lo, hi) order.
+        up = src < indices
+        lo, hi = src[up], indices[up]
         if check_connected and _components(node_count, lo, hi).any():
             raise ValueError("graph must be a single connected component")
         return cls(
@@ -155,6 +154,16 @@ def graphs_equal(g1: UndirectedGraph, g2: UndirectedGraph) -> bool:
     )
 
 
+def check_growth(n: int, m: int, minority_frac: float, ingroup_pref: float) -> None:
+    """Refuse generator parameters outside ``n > m >= 1`` and fractions in [0, 1]."""
+    if m < 1 or n <= m:
+        raise ValueError(f"need n > m >= 1, got n={n}, m={m}")
+    if not 0.0 <= minority_frac <= 1.0:
+        raise ValueError(f"minority_frac must lie in [0, 1], got {minority_frac}")
+    if not 0.0 <= ingroup_pref <= 1.0:
+        raise ValueError(f"ingroup_pref must lie in [0, 1], got {ingroup_pref}")
+
+
 def generate_homophilous_graph(
     n: int, m: int, minority_frac: float, ingroup_pref: float, rng_seed=None
 ) -> UndirectedGraph:
@@ -170,13 +179,7 @@ def generate_homophilous_graph(
     the remaining slots are filled uniformly so growth stays total at the
     preference extremes. The result is connected by construction.
     """
-    if m < 1 or n <= m:
-        raise ValueError(f"need n > m >= 1, got n={n}, m={m}")
-    if not 0.0 <= minority_frac <= 1.0:
-        raise ValueError(f"minority_frac must lie in [0, 1], got {minority_frac}")
-    if not 0.0 <= ingroup_pref <= 1.0:
-        raise ValueError(f"ingroup_pref must lie in [0, 1], got {ingroup_pref}")
-
+    check_growth(n, m, minority_frac, ingroup_pref)
     rng = np.random.default_rng(rng_seed)
     labels = np.empty(n, dtype=np.int8)
     labels[:m] = np.arange(m) % 2
@@ -217,8 +220,7 @@ def generate_homophilous_graph(
             pool = rep_a if wb == 0.0 or buf[buf_at] * total < wa else rep_b
             u = pool[int(buf[buf_at + 1] * len(pool))]
             buf_at += 2
-            if u not in targets:
-                targets.add(u)
+            targets.add(u)
             tries -= 1
         if len(targets) < m:
             rest = [u for u in range(v) if u not in targets]

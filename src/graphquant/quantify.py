@@ -31,61 +31,49 @@ class UndefinedShareError(ValueError):
 
 
 @dataclass(frozen=True)
-class PropVector:
-    """Two-group share vector (majority a, minority b); components sum to 1."""
+class _ShareVector:
+    """Shares, the subclass's fields in order, that sum to 1.
 
-    a: float
-    b: float
+    A component outside [0, 1] is flagged, never clipped; NaN is flagged too.
+    """
 
     def __post_init__(self) -> None:
-        if abs(self.a + self.b - 1.0) > _SUM_TOL:
-            raise ValueError(f"proportions must sum to 1, got {self.a + self.b!r}")
+        total = sum(self.as_tuple())
+        if abs(total - 1.0) > _SUM_TOL:
+            raise ValueError(f"shares must sum to 1, got {total!r}")
 
     @property
     def out_of_range(self) -> bool:
-        return not (0.0 <= self.a <= 1.0 and 0.0 <= self.b <= 1.0)
+        return not all(0.0 <= v <= 1.0 for v in self.as_tuple())
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.a, self.b)
+    def as_tuple(self) -> tuple[float, ...]:
+        # A dataclass __init__ sets the fields in declaration order.
+        return tuple(self.__dict__.values())
 
-    def clipped(self) -> "PropVector":
-        """Clip to [0, 1] and renormalize. Display-only; biased."""
-        a = min(max(self.a, 0.0), 1.0)
-        b = min(max(self.b, 0.0), 1.0)
-        total = a + b
-        if total <= 0.0:
-            raise UndefinedShareError("cannot renormalize an all-zero vector")
-        return PropVector(a / total, b / total)
-
-
-@dataclass(frozen=True)
-class EdgeVector:
-    """Edge-type share vector (aa, ab, bb); components sum to 1."""
-
-    aa: float
-    ab: float
-    bb: float
-
-    def __post_init__(self) -> None:
-        if abs(self.aa + self.ab + self.bb - 1.0) > _SUM_TOL:
-            raise ValueError(
-                f"edge shares must sum to 1, got {self.aa + self.ab + self.bb!r}"
-            )
-
-    @property
-    def out_of_range(self) -> bool:
-        return not all(0.0 <= v <= 1.0 for v in (self.aa, self.ab, self.bb))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.aa, self.ab, self.bb)
-
-    def clipped(self) -> "EdgeVector":
+    def clipped(self) -> "_ShareVector":
         """Clip to [0, 1] and renormalize. Display-only; biased."""
         vals = [min(max(v, 0.0), 1.0) for v in self.as_tuple()]
         total = sum(vals)
         if total <= 0.0:
             raise UndefinedShareError("cannot renormalize an all-zero vector")
-        return EdgeVector(vals[0] / total, vals[1] / total, vals[2] / total)
+        return type(self)(*(v / total for v in vals))
+
+
+@dataclass(frozen=True)
+class PropVector(_ShareVector):
+    """Two-group share vector (majority a, minority b); components sum to 1."""
+
+    a: float
+    b: float
+
+
+@dataclass(frozen=True)
+class EdgeVector(_ShareVector):
+    """Edge-type share vector (aa, ab, bb); components sum to 1."""
+
+    aa: float
+    ab: float
+    bb: float
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,14 @@ def with_noisy_labels(sample: Sample, noisy_by_node) -> Sample:
     return dataclasses.replace(sample, labels=arr)
 
 
+def check_walk(seed_mode: str, burn_in: int) -> None:
+    """Refuse an unknown walk seed mode or a negative burn-in."""
+    if seed_mode not in (SEED_DEGREE, SEED_UNIFORM):
+        raise ValueError(f"unknown seed_mode {seed_mode!r}")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+
+
 def rwrw_walk(
     g: UndirectedGraph,
     n_steps: int,
@@ -122,10 +130,7 @@ def rwrw_walk(
     """
     if n_steps < 1:
         raise ValueError("walk needs at least one step")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
-    if seed_mode not in (SEED_DEGREE, SEED_UNIFORM):
-        raise ValueError(f"unknown seed_mode {seed_mode!r}")
+    check_walk(seed_mode, burn_in)
     rng = np.random.default_rng(rng_seed)
     if seed_mode == SEED_DEGREE:
         # indptr[1:] is the unnormalised degree CDF: the node rng.choice(p=d/D) picks.
@@ -263,12 +268,20 @@ def importance_resample(sample: Sample, out_size: int, rng_seed=None) -> Sample:
     return dataclasses.replace(sample.take(idx), weights=np.ones(out_size))
 
 
+def check_quantile(quantile: float) -> None:
+    """Refuse a top quantile outside (0, 1], NaN included."""
+    if not 0.0 < quantile <= 1.0:
+        raise ValueError(f"top_quantile must lie in (0, 1], got {quantile}")
+
+
 def top_records(sample: Sample, quantile: float) -> Sample:
     """The top-quantile records by (-degree, node id), taken whole while
     their cumulative weight stays within ``sum(w) * count / n``, where
     ``count = floor(n * quantile)``; the next record carries the weight
     left over. Unit weights give exactly the first ``count`` records.
-    Raises ``UndefinedShareError`` when ``count`` is 0."""
+    Raises ``UndefinedShareError`` when ``count`` is 0, and refuses a
+    quantile outside (0, 1] with a plain ``ValueError``."""
+    check_quantile(quantile)
     n = len(sample)
     count = int(n * quantile)
     if count < 1:
@@ -340,8 +353,6 @@ def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
     group is None when that group is empty or is the whole population,
     where the index is undefined. The top quantile must lie in (0, 1].
     """
-    if not 0.0 < top_quantile <= 1.0:
-        raise ValueError(f"top_quantile must lie in (0, 1], got {top_quantile}")
     # Record i is node i, so the edge list holds the census's edge positions.
     census = _records(g, np.arange(g.node_count), g.edges)
     p = estimate_proportions(census)
@@ -352,9 +363,10 @@ def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
         visibility_b = None
 
     def h_for(p_g: float, group: int) -> float | None:
-        if p_g <= 0.0 or p_g >= 1.0:
+        try:
+            return coleman_homophily(ingroup_share(s, group), p_g).value
+        except UndefinedShareError:
             return None
-        return coleman_homophily(ingroup_share(s, group), p_g).value
 
     return GroundTruth(p, s, visibility_b, h_for(p.a, 0), h_for(p.b, 1))
 

@@ -131,6 +131,10 @@ class TestConfig:
             {"graph": GraphSpec(edge_file="", label_file="g.labels")},
             {"graph": GraphSpec(edge_file=0, label_file=0)},
             {"graph": GraphSpec(edge_file=["g.edges"], label_file="g.labels")},
+            {"graph": GraphSpec(n=3, m=3)},
+            {"graph": GraphSpec(n=300, m=0)},
+            {"graph": GraphSpec(n=300, m=3, minority_frac=1.5)},
+            {"graph": GraphSpec(n=300, m=3, ingroup_pref=-0.1)},
         ],
     )
     def test_invariant_violations(self, overrides):
@@ -390,6 +394,27 @@ class TestRunExperiment:
             small_config(samplers=("node",), sample_sizes=(2,), rates=(0.2,), replications=5)
         )
         assert drawn == [2] * 5
+
+    def test_undefined_truth_rows(self):
+        # m = 1 seeds no B node, so at minority_frac 0 the graph is all A and
+        # its minority in-group share and homophily are undefined. Noisy
+        # labels still give estimates, which the rows keep with no error; an
+        # estimate that failed itself keeps its own code.
+        cfg = small_config(
+            graph=GraphSpec(n=300, m=1, minority_frac=0.0), rates=(0.0, 0.2), replications=2
+        )
+        res = run_experiment(cfg)
+        for measure in ("ingroup", "homophily"):
+            for variant in ("uncorrected", "corrected"):
+                rows = rows_for(res, rate=0.2, measure=measure, variant=variant)
+                assert len(rows) == 4  # two samplers, two replications
+                for r in rows:
+                    assert r.error is None
+                    if r.estimate is None:
+                        assert r.flags in ("failed:undefined_share", "failed:inputs")
+                    else:
+                        assert r.flags == "failed:undefined_truth"
+                assert sum(r.flags == "failed:undefined_truth" for r in rows) >= 3
 
     def test_files_graph_kind(self, tmp_path):
         g = generate_homophilous_graph(120, 3, 0.3, 0.7, rng_seed=3)
@@ -733,6 +758,26 @@ class TestCli:
         assert code == 0
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(body) == 50
+
+    def test_walk_writes_file_ids(self, tmp_path):
+        # Sparse ids: the walk runs on dense ids 0..3, the audit file names
+        # each node, its degree and its label as the input files do.
+        edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+        pairs = [(100, 200), (200, 300), (300, 400), (400, 100), (100, 300)]
+        groups = {100: "A", 200: "B", 300: "B", 400: "A"}
+        edges.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+        labels.write_text("".join(f"{node} {group}\n" for node, group in groups.items()))
+        degree = Counter(node for pair in pairs for node in pair)
+        out = tmp_path / "records.txt"
+        argv = ["walk", "--edges", str(edges), "--labels", str(labels), "--steps", "40",
+                "--rate", "0.2", "--seed", "4", "--out", str(out)]
+        assert cli_main(argv) == 0
+        body = [l.split() for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(body) == 40
+        for node, deg, true_label, _, _ in body:
+            assert int(node) in groups
+            assert int(deg) == degree[int(node)]
+            assert true_label == groups[int(node)]
 
     def test_correct_matches_closed_form(self, capsys):
         code = cli_main(["correct", "--rate", "0.2", "--prop", "0.68", "0.32"])

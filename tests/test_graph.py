@@ -67,6 +67,8 @@ class TestConstruction:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(ValueError):
             UndirectedGraph.from_edges(3, [(0, 1), (1, 0), (1, 2)], [0, 1, 0])
+        with pytest.raises(ValueError, match="duplicate edges"):
+            UndirectedGraph.from_edges(3, [(1, 2), (0, 1), (1, 2)], [0, 1, 0])
 
     def test_rejects_isolated_node(self):
         with pytest.raises(ValueError):

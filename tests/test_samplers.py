@@ -607,6 +607,14 @@ class TestTopRecords:
             top_records(rwrw_walk(g, 4, rng_seed=73), 0.2)
         assert len(top_records(rwrw_walk(g, 5, rng_seed=73), 0.2)) >= 1
 
+    @pytest.mark.parametrize("quantile", [0.0, -0.5, 1.5, float("nan")])
+    def test_quantile_outside_unit_interval_refused(self, quantile):
+        # A refusal, not a domain failure that a run would record as a row flag.
+        walk = rwrw_walk(generate_homophilous_graph(100, 2, 0.3, 0.7, rng_seed=72), 50, rng_seed=73)
+        with pytest.raises(ValueError, match=r"^top_quantile must lie in \(0, 1\]") as exc:
+            top_records(walk, quantile)
+        assert not isinstance(exc.value, UndefinedShareError)
+
 
 class TestWalkSeed:
     def test_degree_seed_matches_weighted_choice(self):
