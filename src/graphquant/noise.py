@@ -96,14 +96,14 @@ def empirical_confusion(truth, predicted) -> ConfusionMatrix:
     )
 
 
-def dyadic_matrix(confusion: ConfusionMatrix) -> tuple[tuple[float, float, float], ...]:
-    """Edge-level misclassification matrix under independent endpoint noise.
+def dyadic_matrix(entries) -> tuple[tuple[float, float, float], ...]:
+    """Edge-level matrix of the 2x2 matrix with row-major ``entries``.
 
-    Its three rows map true edge-type shares (aa, ab, bb) to measured
-    ones. Entries multiply the two endpoints' independent flip
-    probabilities, so columns sum to 1 like the node-level matrix.
+    For a confusion matrix's ``to_flat()``, its rows map true edge-type
+    shares (aa, ab, bb) to measured ones under independent endpoint
+    noise. As C's action on unordered pairs, D(AB) = D(A) D(B).
     """
-    aa, ab, ba, bb = confusion.to_flat()
+    aa, ab, ba, bb = entries
     return (
         (aa * aa, aa * ab, ab * ab),
         (2.0 * aa * ba, aa * bb + ab * ba, 2.0 * ab * bb),

@@ -3,8 +3,8 @@
 Measured group shares under classifier noise relate to the true shares
 through a column-stochastic confusion matrix. Inverting that map removes
 the group-level bias at the cost of extra variance; this module holds the
-share-vector types, the closed-form corrections (2x2 and 3x3 cofactor
-inverses, no linear-algebra dependency), Coleman's homophily index, and
+share-vector types, the closed-form corrections (C's adjugate over its
+determinant, no linear-algebra dependency), Coleman's homophily index, and
 the variance-inflation factor of the corrected group shares.
 
 Corrected shares may land outside [0, 1]. They are flagged, never
@@ -14,6 +14,7 @@ exists on the vector types for display purposes only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .noise import ConfusionMatrix, dyadic_matrix
@@ -34,12 +35,16 @@ class UndefinedShareError(ValueError):
 class _ShareVector:
     """Shares, the subclass's fields in order, that sum to 1.
 
-    A component outside [0, 1] is flagged, never clipped; NaN is flagged too.
+    A component outside [0, 1] is flagged, never clipped; one that is not
+    finite is refused. The sum's tolerance grows with the largest component.
     """
 
     def __post_init__(self) -> None:
-        total = sum(self.as_tuple())
-        if abs(total - 1.0) > _SUM_TOL:
+        vals = self.as_tuple()
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"shares must be finite, got {vals!r}")
+        total = sum(vals)
+        if abs(total - 1.0) > _SUM_TOL * max(1.0, *map(abs, vals)):
             raise ValueError(f"shares must sum to 1, got {total!r}")
 
     @property
@@ -82,11 +87,12 @@ class HomophilyIndex:
     out_of_range: bool = False
 
 
-def _checked_det(confusion: ConfusionMatrix) -> float:
+def _checked_det(confusion: ConfusionMatrix, power: int = 1) -> float:
+    """det(C), once det(C)**power clears the guard: 1 for C, 3 for its dyadic matrix."""
     det = confusion.det
-    if abs(det) < DET_GUARD:
+    if abs(det**power) < DET_GUARD:
         raise SingularCorrectionError(
-            f"confusion matrix determinant {det!r} below guard {DET_GUARD}"
+            f"determinant {det**power!r} of the matrix to invert below guard {DET_GUARD}"
         )
     return det
 
@@ -104,27 +110,14 @@ def adjust_proportions(measured: PropVector, confusion: ConfusionMatrix) -> Prop
     return PropVector(p_a, p_b)
 
 
-def _inverse_3x3(rows):
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if abs(det) < DET_GUARD:
-        raise SingularCorrectionError(
-            f"dyadic matrix determinant {det!r} below guard {DET_GUARD}"
-        )
-    return (
-        ((e * i - f * h) / det, (c * h - b * i) / det, (b * f - c * e) / det),
-        ((f * g - d * i) / det, (a * i - c * g) / det, (c * d - a * f) / det),
-        ((d * h - e * g) / det, (b * g - a * h) / det, (a * e - b * d) / det),
-    )
-
-
 def adjust_edge_proportions(measured: EdgeVector, confusion: ConfusionMatrix) -> EdgeVector:
-    """Remove classification bias from measured edge-type shares."""
-    _checked_det(confusion)
-    inv = _inverse_3x3(dyadic_matrix(confusion))
+    """Remove classification bias from measured edge-type shares: the
+    dyadic matrix D inverts as D(C^-1) = D(adj C) / det(C)^2."""
+    det = _checked_det(confusion, 3)
+    aa, ab, ba, bb = confusion.to_flat()
     t = measured.as_tuple()
-    s = [row[0] * t[0] + row[1] * t[1] + row[2] * t[2] for row in inv]
-    return EdgeVector(s[0], s[1], s[2])
+    adj = dyadic_matrix((bb, -ab, -ba, aa))
+    return EdgeVector(*((r[0] * t[0] + r[1] * t[1] + r[2] * t[2]) / (det * det) for r in adj))
 
 
 def ingroup_share(edge_shares: EdgeVector, group: int) -> float:

@@ -49,7 +49,7 @@ def dyadic_apply(confusion, shares) -> tuple[float, float, float]:
     """Forward dyadic map: expected measured edge-type shares (aa, ab, bb)
     of the true ``shares`` under independent endpoint noise."""
     x, y, z = shares
-    return tuple(r[0] * x + r[1] * y + r[2] * z for r in dyadic_matrix(confusion))
+    return tuple(r[0] * x + r[1] * y + r[2] * z for r in dyadic_matrix(confusion.to_flat()))
 
 
 def measured_proportions(true: PropVector, confusion) -> PropVector:

@@ -73,7 +73,8 @@ def grid():
         replications=500,
         master_seed=MASTER_SEED,
     )
-    result = run_experiment(cfg)
+    # Thread count does not change the output bytes (test_threads_do_not_change_output).
+    result = run_experiment(cfg, threads=2)
     return result, summarize(result)
 
 

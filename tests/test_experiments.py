@@ -493,6 +493,38 @@ class TestRunExperiment:
         assert all(r.estimate is None for r in undefined)
         assert all(r.flags != "failed:confusion_undefined" for r in res.rows if r.variant != "corrected")
 
+    def test_rates_share_one_labeled_set(self, monkeypatch):
+        # Noisy maps carry each node's id beside its label (label + 2 id), so
+        # the nodes each empirical_confusion call grades can be read back;
+        # the samples see the label alone. Per (sampler, size), every rate
+        # grades its noisy labels on one set of labeled nodes.
+        cfg = small_config(
+            rates=(0.0, 0.1, 0.2), sample_sizes=(60, 80), confusion_from_labeled=30
+        )
+        ids = 2 * np.arange(cfg.graph.n)
+        noise, relabel, grade = (
+            experiments.apply_noise, experiments.with_noisy_labels, experiments.empirical_confusion
+        )
+        calls = []
+
+        def recorded(truth, predicted):
+            calls.append((predicted // 2, truth))
+            return grade(truth, predicted % 2)
+
+        monkeypatch.setattr(experiments, "apply_noise", lambda *args: noise(*args) + ids)
+        monkeypatch.setattr(experiments, "with_noisy_labels", lambda s, noisy: relabel(s, noisy % 2))
+        monkeypatch.setattr(experiments, "empirical_confusion", recorded)
+        experiments._replication_rows(cfg, 0)
+        g, _ = experiments._graph_for_rep(cfg, 0)
+        assert len(calls) == len(cfg.samplers) * len(cfg.sample_sizes) * len(cfg.rates)
+        for cell in range(0, len(calls), len(cfg.rates)):
+            nodes, truth = calls[cell]
+            assert np.unique(nodes).size == nodes.size == 30
+            assert np.array_equal(truth, g.labels[nodes])
+            for other_nodes, other_truth in calls[cell + 1 : cell + len(cfg.rates)]:
+                assert np.array_equal(other_nodes, nodes)
+                assert np.array_equal(other_truth, truth)
+
     def test_each_label_set_measured_once(self, monkeypatch):
         # Per (sampler, size): group, edge-type and top-quantile shares of
         # the true labels and of each rate's noisy labels, once each.
@@ -548,19 +580,22 @@ class TestPinnedBytes:
     # sha256 of rows.csv and summary.csv, taken under numpy 2.4.6. A change
     # that keeps the output must keep these; numpy may change its random
     # streams in a feature release, which alone would also move them. They
-    # moved last when walk visibility became a weighted degree quantile.
+    # moved last when the edge correction became D(adj C) / det(C)^2, which
+    # rounds differently in the last bits of corrected ingroup and homophily
+    # rows, and when every rate came to share one labeled set per sample,
+    # which draws new labeled nodes for every corrected fixed_graph row.
     @pytest.mark.parametrize(
         "overrides, rows_sha, summary_sha",
         [
             (
                 {},
-                "69e29f032adb5a8d1ae5c195869bdce2c3917e8c40dd11bcd2755502c7b4a98a",
-                "0e0604ff0eb1a6695c05d2f641d960e17f91fa5c65c935e8a07e2c9b04bbb104",
+                "477c572096c02d7a23bd7e8e1e462c59e21cd94a4488ad132a9b7324834101d5",
+                "a915e7547818ee1b5956626f82d3056652607d3e5a1c681ddf8ed0db3218e747",
             ),
             (
                 PINNED_FIXED,
-                "82980c47613eb1361a0e2302701c9e11bd952b6159e566efdcd934d7d9ede208",
-                "43b19238a13797b411d45f5d747f6f7722e96a86a38a48b7784a6b3db2dbd99e",
+                "3e54efcac81f6141fa75e502b8cd23d9d0061a4f44a90ac3b82c28228e02c732",
+                "6b34ded9fe4cd04030e2eee2ac3ea37d5d18536658990b1f9d50cbeaac050d9d",
             ),
         ],
         ids=["fresh", "fixed_graph"],
@@ -570,12 +605,13 @@ class TestPinnedBytes:
         assert got == [rows_sha, summary_sha], f"pinned under numpy 2.4.6, running {np.__version__}"
 
     # sha256 of the rows.csv lines other than the walk's visibility rows,
-    # header included. Only the walk's top-quantile estimator may move them.
+    # header included. The walk's top-quantile estimator alone does not move
+    # them; they moved with the edge correction and the shared labeled set.
     @pytest.mark.parametrize(
         "overrides, sha",
         [
-            ({}, "16b4432a27f62083600fdcf9046e815d7950c895959909463a5a2c70fc5b7e18"),
-            (PINNED_FIXED, "9092baf1c10e12992a813af4114a02fbc26a4b3d38372b69e2e7732388b92ef3"),
+            ({}, "ee4448545ee95382584f8264c95ec1e948d7d5d35a662c1aeb9b105bc3e9ea17"),
+            (PINNED_FIXED, "42b894056c72212f2044c283ef5ac62cd96e1152227439689a59069adb87fd2c"),
         ],
         ids=["fresh", "fixed_graph"],
     )
@@ -681,6 +717,10 @@ class TestCli:
         [
             (["correct", "--prop", "0.68", "0.32"], "provide --rate or --matrix"),
             (["correct", "--rate", "0.2"], "provide --prop and/or --edge"),
+            (["correct", "--rate", "0.2", "--prop", "nan", "0.5"],
+             "shares must be finite, got (nan, 0.5)"),
+            (["correct", "--rate", "0.2", "--edge", "0.5", "inf", "0.5"],
+             "shares must be finite, got (0.5, inf, 0.5)"),
         ],
     )
     def test_refused_input_exits_2(self, argv, message, capsys):
@@ -794,6 +834,25 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert sum(payload["edges"][k] for k in ("aa", "ab", "bb")) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            # det(C) 0.0016: corrected edge shares near 1e5, whose sum
+            # rounds by more than 1e-9.
+            (["--matrix", "0.0909090909090909", "0.0892857142857143", "0.9090909090909091",
+              "0.9107142857142857", "--edge", "0.45395799676898224", "0.2633279483037157",
+              "0.2827140549273021"], "edges"),
+            # det(C) 5e-9, above the guard: components near 4e7 round by more than 1e-9.
+            (["--matrix", "0.500000005", "0.5", "0.499999995", "0.5", "--prop", "0.3", "0.7"],
+             "proportions"),
+        ],
+        ids=["edges_det_0.0016", "proportions_det_5e-9"],
+    )
+    def test_correct_near_singular_flags_out_of_range(self, argv, key, capsys):
+        assert cli_main(["correct"] + argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload[key]["out_of_range"] is True
 
     def test_experiment_subcommand(self, tmp_path, capsys):
         cfg = small_config(replications=2)

@@ -126,22 +126,38 @@ class TestEmpiricalConfusion:
 
 class TestDyadicMatrix:
     def test_identity_maps_to_identity(self):
-        m = dyadic_matrix(symmetric_confusion(0.0))
+        m = dyadic_matrix(symmetric_confusion(0.0).to_flat())
         assert np.array_equal(np.array(m), np.eye(3))
 
     def test_middle_entry_rate_02(self):
         # caa*cbb + cab*cba = 0.8*0.8 + 0.2*0.2 = 0.68
-        m = dyadic_matrix(symmetric_confusion(0.2))
+        m = dyadic_matrix(symmetric_confusion(0.2).to_flat())
         assert m[1][1] == pytest.approx(0.68, abs=1e-15)
 
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.25, 0.4])
     def test_columns_sum_to_one(self, rate):
-        arr = np.array(dyadic_matrix(symmetric_confusion(rate)))
+        arr = np.array(dyadic_matrix(symmetric_confusion(rate).to_flat()))
         assert arr.sum(axis=0) == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
     def test_asymmetric_columns_sum_to_one(self):
-        arr = np.array(dyadic_matrix(ConfusionMatrix(0.9, 0.25, 0.1, 0.75)))
+        arr = np.array(dyadic_matrix(ConfusionMatrix(0.9, 0.25, 0.1, 0.75).to_flat()))
         assert arr.sum(axis=0) == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
+
+    def test_multiplicative_on_any_2x2(self):
+        # Row-major entries of any real 2x2 matrix, negative ones included:
+        # D(AB) = D(A) D(B), so D(adj C) / det(C)^2 inverts D(C), and
+        # det D(A) = det(A)^3.
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            a, b = rng.uniform(-2.0, 2.0, size=(2, 2, 2))
+            d_ab = np.array(dyadic_matrix((a @ b).ravel()))
+            d_a, d_b = np.array(dyadic_matrix(a.ravel())), np.array(dyadic_matrix(b.ravel()))
+            assert d_ab == pytest.approx(d_a @ d_b, abs=1e-12)
+            assert np.linalg.det(d_a) == pytest.approx(np.linalg.det(a) ** 3, abs=1e-9)
+        c = ConfusionMatrix(0.9, 0.25, 0.1, 0.75)
+        adj = np.array(dyadic_matrix((c.b_given_b, -c.a_given_b, -c.b_given_a, c.a_given_a)))
+        inv = np.linalg.inv(np.array(dyadic_matrix(c.to_flat())))
+        assert adj / c.det**2 == pytest.approx(inv, abs=1e-12)
 
     def test_all_a_square_against_enumeration(self):
         # 4-node all-A path: M @ (1,0,0) must equal the exhaustive

@@ -10,12 +10,11 @@ from graphquant import ground_truth
 from graphquant.graph import generate_homophilous_graph
 from graphquant.noise import ConfusionMatrix, dyadic_matrix, symmetric_confusion
 from graphquant.quantify import (
+    DET_GUARD,
     EdgeVector,
     PropVector,
     SingularCorrectionError,
     UndefinedShareError,
-    _checked_det,
-    _inverse_3x3,
     adjust_edge_proportions,
     adjust_proportions,
     coleman_homophily,
@@ -34,9 +33,34 @@ def variance_inflation_edges(confusion: ConfusionMatrix, var_t) -> float:
     vals = [float(v) for v in var_t]
     if len(vals) != 3 or any(v < 0 for v in vals):
         raise ValueError("var_t must be 3 nonnegative variances")
-    _checked_det(confusion)
-    b0 = _inverse_3x3(dyadic_matrix(confusion))[0]
+    b0 = np.linalg.inv(np.array(dyadic_matrix(confusion.to_flat())))[0]
     return b0[0] ** 2 * vals[0] + b0[1] ** 2 * vals[1] + b0[2] ** 2 * vals[2]
+
+
+def edge_share_covariance(g, confusion: ConfusionMatrix) -> np.ndarray:
+    """Exact noise-only covariance of a graph's measured (aa, ab, bb) edge
+    shares under independent per-node flips, in O(E).
+
+    Each edge adds its multinomial term. Two edges (w, u) and (w, v) that
+    share the endpoint w co-vary only through w's flip, by
+    sigma2_w delta_u delta_v^T, where sigma2_w = pi_w (1 - pi_w), pi is a
+    node's chance of a noisy b label, and delta_u is the change of the
+    edge's expected type vector when w turns from a to b,
+    (pi_u - 1, 1 - 2 pi_u, pi_u). Summed over ordered pairs of distinct
+    neighbors u != v of w, that is sigma2_w (S_w S_w^T - sum_u delta_u delta_u^T)
+    with S_w the sum of w's neighbors' deltas.
+    """
+    pi = np.where(g.labels == 1, confusion.b_given_b, confusion.b_given_a)
+    pu, pv = pi[g.edges[:, 0]], pi[g.edges[:, 1]]
+    p = np.stack([(1 - pu) * (1 - pv), pu * (1 - pv) + pv * (1 - pu), pu * pv], axis=1)
+    cov = np.diag(p.sum(axis=0)) - p.T @ p
+    ends = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
+    po = pi[np.concatenate([g.edges[:, 1], g.edges[:, 0]])]
+    delta = np.stack([po - 1.0, 1.0 - 2.0 * po, po], axis=1)
+    sigma2 = pi * (1.0 - pi)
+    s = np.stack([np.bincount(ends, delta[:, k], g.node_count) for k in range(3)], axis=1)
+    cov += (s * sigma2[:, None]).T @ s - (delta * sigma2[ends, None]).T @ delta
+    return cov / g.edge_count**2
 
 
 def random_confusion(rng, max_rate=0.45):
@@ -58,6 +82,22 @@ class TestVectors:
         assert PropVector(1.2, -0.2).out_of_range
         assert not PropVector(0.7, 0.3).out_of_range
         assert EdgeVector(1.1, 0.0, -0.1).out_of_range
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_component_refused(self, bad):
+        with pytest.raises(ValueError, match="shares must be finite"):
+            PropVector(bad, 0.5)
+        with pytest.raises(ValueError, match="shares must be finite"):
+            EdgeVector(0.5, bad, 0.5)
+
+    def test_sum_tolerance_scales_with_components(self):
+        # Shares in [0, 1] keep the absolute 1e-9 check; a corrected vector
+        # with components near 1e7 carries rounding of about 1e-9 of them.
+        with pytest.raises(ValueError, match="shares must sum to 1"):
+            PropVector(0.6, 0.4 + 5e-9)
+        assert PropVector(-4e7, 4e7 + 1.0 + 0.01).out_of_range
+        with pytest.raises(ValueError, match="shares must sum to 1"):
+            PropVector(-4e7, 4e7 + 1.0 + 0.1)
 
     def test_clipped_renormalizes(self):
         clipped = PropVector(1.2, -0.2).clipped()
@@ -134,9 +174,35 @@ class TestAdjustEdgeProportions:
         c = symmetric_confusion(0.2)
         t = EdgeVector(1 / 3, 1 / 3, 1 / 3)
         got = adjust_edge_proportions(t, c)
-        expected = np.linalg.solve(np.array(dyadic_matrix(c)), np.array(t.as_tuple()))
+        expected = np.linalg.solve(np.array(dyadic_matrix(c.to_flat())), np.array(t.as_tuple()))
         assert got.as_tuple() == pytest.approx(tuple(expected), abs=1e-12)
         assert sum(got.as_tuple()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_near_singular_sweep(self):
+        # 2000 matrices with |det C| <= 2e-3, about half of them under the
+        # guard det(D) = det(C)^3 < 1e-9. Each corrects or is refused as
+        # singular, never with a plain ValueError from its own rounding, and
+        # it is refused exactly when D's determinant, expanded by cofactors
+        # from D's entries, is under the guard.
+        rng = np.random.default_rng(2024)
+        t = EdgeVector(0.5, 0.3, 0.2)
+        refused = 0
+        for _ in range(2000):
+            a_a = rng.uniform(0.002, 0.998)
+            a_b = a_a - rng.uniform(-2e-3, 2e-3)
+            c = ConfusionMatrix(a_a, a_b, 1.0 - a_a, 1.0 - a_b)
+            d = np.array(dyadic_matrix(c.to_flat()))
+            (a, b, cc), (dd, e, f), (g, h, i) = d
+            cofactor_det = a * (e * i - f * h) - b * (dd * i - f * g) + cc * (dd * h - e * g)
+            try:
+                got = adjust_edge_proportions(t, c)
+            except SingularCorrectionError:
+                refused += 1
+                assert abs(cofactor_det) < DET_GUARD
+                continue
+            assert abs(cofactor_det) >= DET_GUARD
+            assert d @ np.array(got.as_tuple()) == pytest.approx(t.as_tuple(), abs=1e-8)
+        assert 500 < refused < 1500
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(7)
@@ -222,7 +288,7 @@ class TestVarianceInflation:
 
     def test_edges_single_term(self):
         c = symmetric_confusion(0.2)
-        b00 = np.linalg.inv(np.array(dyadic_matrix(c)))[0, 0]
+        b00 = np.linalg.inv(np.array(dyadic_matrix(c.to_flat())))[0, 0]
         assert variance_inflation_edges(c, (2.0, 0.0, 0.0)) == pytest.approx(
             b00 ** 2 * 2.0, abs=1e-12
         )
@@ -248,11 +314,43 @@ class TestVarianceInflation:
         pair = noisy[:, src] + noisy[:, dst]
         t_hat = np.stack([(pair == k).mean(axis=1) for k in (0, 1, 2)], axis=1)
         var_t = t_hat.var(axis=0, ddof=1)
-        inv = np.linalg.inv(np.array(dyadic_matrix(c)))
+        inv = np.linalg.inv(np.array(dyadic_matrix(c.to_flat())))
         s_aa_corrected = t_hat @ inv[0]
         empirical = s_aa_corrected.var(ddof=1)
         predicted = variance_inflation_edges(c, tuple(var_t))
         assert predicted == pytest.approx(empirical, rel=0.30)
+
+    @pytest.mark.parametrize(
+        "confusion",
+        [symmetric_confusion(0.2), ConfusionMatrix(0.95, 0.4, 0.05, 0.6)],
+        ids=["symmetric", "low_recall"],
+    )
+    def test_edges_exact_covariance_against_monte_carlo(self, confusion):
+        # The graph of test_edges_against_monte_carlo, 20 000 noise draws.
+        # The corrected covariance is D^-1 Sigma D^-T with Sigma from
+        # edge_share_covariance. Over eight seed sets its variances read
+        # 0.97-1.02 of the empirical ones; the diagonal-only form, which
+        # drops Sigma's covariances, read 0.67-0.88 or 1.12-1.67 in every
+        # component, so the 5% band rejects it.
+        g = generate_homophilous_graph(400, 3, 0.3, 0.7, rng_seed=5)
+        c = confusion
+        rng = np.random.default_rng(88)
+        src, dst = g.edges[:, 0], g.edges[:, 1]
+        t_hat = []
+        for _ in range(10):
+            u = rng.random((2000, g.node_count))
+            flip = np.where(g.labels == 1, u < c.a_given_b, u < c.b_given_a)
+            noisy = (g.labels ^ flip).astype(np.int8)
+            pair = noisy[:, src] + noisy[:, dst]
+            t_hat.append(np.stack([(pair == k).mean(axis=1) for k in (0, 1, 2)], axis=1))
+        inv = np.linalg.inv(np.array(dyadic_matrix(c.to_flat())))
+        empirical = (np.concatenate(t_hat) @ inv.T).var(axis=0, ddof=1)
+        sigma = edge_share_covariance(g, c)
+        predicted = np.diag(inv @ sigma @ inv.T)
+        diagonal_only = inv**2 @ np.diag(sigma)
+        assert predicted == pytest.approx(empirical, rel=0.05)
+        for got, want in zip(diagonal_only, empirical):
+            assert got != pytest.approx(want, rel=0.05)
 
     def test_low_recall_node_variance_against_prediction(self):
         # An asymmetric low-recall classifier: P(a|a) = 0.95 and P(b|b) = 0.6,
