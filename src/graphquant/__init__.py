@@ -14,7 +14,6 @@ from .graph import (
 from .noise import (
     ConfusionMatrix,
     apply_noise,
-    dyadic_matrix,
     empirical_confusion,
     symmetric_confusion,
 )
@@ -50,7 +49,6 @@ from .experiments import (
     GraphSpec,
     ResultRow,
     SummaryRow,
-    nrmse,
     run_experiment,
     summarize,
     write_rows_csv,

@@ -115,8 +115,6 @@ def _cmd_correct(args) -> int:
         if values is None:
             continue
         corrected = adjust(vector_type(*values), confusion)
-        if args.clip:
-            corrected = corrected.clipped()
         payload[key] = {**dataclasses.asdict(corrected), "out_of_range": corrected.out_of_range}
         if vector_type is PropVector:
             payload["variance_inflation"] = variance_inflation_nodes(confusion)
@@ -129,7 +127,6 @@ def _cmd_experiment(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
     # Checked before the output directory is made, so refused input leaves none.
-    cfg.validate()
     if args.threads < 1:
         raise ValueError("threads must be positive")
     out_dir = Path(args.out)
@@ -187,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", type=float, nargs=4, metavar=("AA", "AB", "BA", "BB"))
     p.add_argument("--prop", type=float, nargs=2, metavar=("A", "B"))
     p.add_argument("--edge", type=float, nargs=3, metavar=("AA", "AB", "BB"))
-    p.add_argument("--clip", action="store_true",
-                   help="clip and renormalize corrected vectors (display only)")
     p.set_defaults(func=_cmd_correct)
 
     p = sub.add_parser("experiment", help="run a replicated grid from a JSON config")

@@ -91,6 +91,20 @@ _GRAPH, _NOISE, _SAMPLE, _LABELED = 0, 1, 2, 3
 _SNOWBALL_SEEDS = 10
 
 
+def _check_kinds(integers, reals, flags) -> None:
+    """Refuse (name, value) pairs of the wrong kind: bool is an int
+    subclass, and a float size only fails inside numpy."""
+    for name, value in integers:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    for name, value in reals:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    for name, value in flags:
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Graph source: input files when ``edge_file`` or ``label_file`` is set, else the generator."""
@@ -103,7 +117,9 @@ class GraphSpec:
     label_file: str | None = None
     directed: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        reals = [("minority_frac", self.minority_frac), ("ingroup_pref", self.ingroup_pref)]
+        _check_kinds([("n", self.n), ("m", self.m)], reals, [("directed", self.directed)])
         files = (self.edge_file, self.label_file)
         if files != (None, None):
             if not all(isinstance(p, (str, os.PathLike)) and p for p in files):
@@ -137,27 +153,16 @@ class ExperimentConfig:
     burn_in: int = 0
     confusion_from_labeled: int | None = None
 
-    def validate(self) -> None:
-        # bool is an int subclass, and a float size only fails inside numpy.
+    def __post_init__(self) -> None:
+        if not isinstance(self.graph, GraphSpec):
+            raise ValueError(f"graph must be a GraphSpec, got {self.graph!r}")
         names = ("replications", "master_seed", "burn_in")
         integers = [(name, getattr(self, name)) for name in names]
-        integers += [("n", self.graph.n), ("m", self.graph.m)]
         integers += [("sample_sizes", z) for z in self.sample_sizes]
         if self.confusion_from_labeled is not None:
             integers.append(("confusion_from_labeled", self.confusion_from_labeled))
-        for name, value in integers:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         reals = [("rates", r) for r in self.rates] + [("top_quantile", self.top_quantile)]
-        reals += [("minority_frac", self.graph.minority_frac)]
-        reals += [("ingroup_pref", self.graph.ingroup_pref)]
-        for name, value in reals:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        for name, value in (("fixed_graph", self.fixed_graph), ("directed", self.graph.directed)):
-            if not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
-        self.graph.validate()
+        _check_kinds(integers, reals, [("fixed_graph", self.fixed_graph)])
         for s in self.samplers:
             if s not in SAMPLERS:
                 raise ValueError(f"unknown sampler {s!r}")
@@ -190,9 +195,7 @@ class ExperimentConfig:
                 if not isinstance(kwargs[key], (list, tuple)):
                     raise ValueError(f"{key} must be a list, got {kwargs[key]!r}")
                 kwargs[key] = tuple(kwargs[key])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -327,8 +330,8 @@ def _variants(measured: tuple, correction: ConfusionMatrix | None) -> dict[str, 
     if isinstance(share, Exception):
         ingroup = _entry(share)
     else:
-        flagged = t_vec.out_of_range or not 0.0 <= share <= 1.0
-        ingroup = (share, "out_of_range" if flagged else "")
+        # Rounding is monotone, so an in-range t_vec gives a share in [0, 1].
+        ingroup = (share, "out_of_range" if t_vec.out_of_range else "")
     if isinstance(p_vec, Exception) or isinstance(share, Exception):
         homophily = (None, "failed:inputs")
     else:
@@ -405,7 +408,6 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run the full grid; deterministic given the config and master seed."""
-    cfg.validate()
     if threads < 1:
         raise ValueError("threads must be positive")
     reps = range(cfg.replications)

@@ -8,8 +8,7 @@ determinant, no linear-algebra dependency), Coleman's homophily index, and
 the variance-inflation factor of the corrected group shares.
 
 Corrected shares may land outside [0, 1]. They are flagged, never
-clipped: clipping would reintroduce bias. A clip-and-renormalize helper
-exists on the vector types for display purposes only.
+clipped: clipping would reintroduce bias.
 """
 
 from __future__ import annotations
@@ -54,14 +53,6 @@ class _ShareVector:
     def as_tuple(self) -> tuple[float, ...]:
         # A dataclass __init__ sets the fields in declaration order.
         return tuple(self.__dict__.values())
-
-    def clipped(self) -> "_ShareVector":
-        """Clip to [0, 1] and renormalize. Display-only; biased."""
-        vals = [min(max(v, 0.0), 1.0) for v in self.as_tuple()]
-        total = sum(vals)
-        if total <= 0.0:
-            raise UndefinedShareError("cannot renormalize an all-zero vector")
-        return type(self)(*(v / total for v in vals))
 
 
 @dataclass(frozen=True)
@@ -142,13 +133,14 @@ def coleman_homophily(s_g: float, p_g: float) -> HomophilyIndex:
     below (p_g) random mixing, so 1 means perfect homophily, 0 random
     mixing and -1 perfect heterophily. Undefined when the group is the
     whole population or empty. Corrected inputs may fall outside [0, 1];
-    the value is still computed and the result flagged.
+    the value is still computed and flagged. Rounding is monotone, so
+    in-range inputs give a value in [-1, 1]: the flag reads the inputs.
     """
     if p_g == 0.0 or p_g == 1.0:
         raise UndefinedShareError(f"homophily undefined for group proportion {p_g}")
     diff = s_g - p_g
     value = diff / (1.0 - p_g) if diff >= 0.0 else diff / p_g
-    flagged = not (0.0 <= s_g <= 1.0 and 0.0 < p_g < 1.0 and -1.0 <= value <= 1.0)
+    flagged = not (0.0 <= s_g <= 1.0 and 0.0 < p_g < 1.0)
     return HomophilyIndex(value=value, out_of_range=flagged)
 
 

@@ -123,8 +123,8 @@ def rwrw_walk(
     """Random-walk the graph and record one node per step.
 
     The seed node is drawn proportional to degree (the walk's stationary
-    distribution) or uniformly; with a uniform seed, ``burn_in`` leading
-    steps are discarded before recording starts. Transitions are uniform
+    distribution) or uniformly; in either mode, ``burn_in`` leading steps
+    are discarded before recording starts. Transitions are uniform
     over the current node's neighbors. Records carry ``1/d`` weights and
     consecutive steps as observed edges.
     """

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from graphquant.graph import (
 )
 from graphquant.noise import ConfusionMatrix, apply_noise
 from graphquant.quantify import (
+    EdgeVector,
     PropVector,
     adjust_edge_proportions,
     adjust_proportions,
@@ -110,9 +112,9 @@ class TestConfig:
             {"burn_in": -1},
             {"burn_in": True},
             {"sample_sizes": (20.0,)},
-            {"graph": GraphSpec(n=200.0, m=3)},
+            {"graph": {"n": 200.0, "m": 3}},
             {"replications": True},
-            {"graph": GraphSpec(n=300, m=3.0)},
+            {"graph": {"n": 300, "m": 3.0}},
             {"burn_in": 1.0},
             {"confusion_from_labeled": 1},
             {"top_quantile": 1.5},
@@ -121,25 +123,44 @@ class TestConfig:
             {"rates": (0.1, 0.1)},
             {"sample_sizes": (50, 50)},
             {"fixed_graph": "no"},
-            {"graph": GraphSpec(n=300, m=3, directed="false")},
+            {"graph": {"n": 300, "m": 3, "directed": "false"}},
             {"rates": ("0.1",)},
             {"top_quantile": "0.2"},
-            {"graph": GraphSpec(n=300, m=3, minority_frac="0.2")},
-            {"graph": GraphSpec(n=300, m=3, ingroup_pref="0.8")},
-            {"graph": GraphSpec(edge_file="g.edges")},
-            {"graph": GraphSpec(label_file="g.labels")},
-            {"graph": GraphSpec(edge_file="", label_file="g.labels")},
-            {"graph": GraphSpec(edge_file=0, label_file=0)},
-            {"graph": GraphSpec(edge_file=["g.edges"], label_file="g.labels")},
-            {"graph": GraphSpec(n=3, m=3)},
-            {"graph": GraphSpec(n=300, m=0)},
-            {"graph": GraphSpec(n=300, m=3, minority_frac=1.5)},
-            {"graph": GraphSpec(n=300, m=3, ingroup_pref=-0.1)},
+            {"graph": {"n": 300, "m": 3, "minority_frac": "0.2"}},
+            {"graph": {"n": 300, "m": 3, "ingroup_pref": "0.8"}},
+            {"graph": {"edge_file": "g.edges"}},
+            {"graph": {"label_file": "g.labels"}},
+            {"graph": {"edge_file": "", "label_file": "g.labels"}},
+            {"graph": {"edge_file": 0, "label_file": 0}},
+            {"graph": {"edge_file": ["g.edges"], "label_file": "g.labels"}},
+            {"graph": {"n": 3, "m": 3}},
+            {"graph": {"n": 300, "m": 0}},
+            {"graph": {"n": 300, "m": 3, "minority_frac": 1.5}},
+            {"graph": {"n": 300, "m": 3, "ingroup_pref": -0.1}},
         ],
     )
     def test_invariant_violations(self, overrides):
-        with pytest.raises(ValueError):
-            small_config(**overrides).validate()
+        # A bad value is refused when the config is made, however it is
+        # made. A "graph" entry holds GraphSpec keywords, so the spec is
+        # built here rather than when the cases are collected.
+        valid = small_config()
+        graph = overrides.get("graph")
+        if graph is None:
+            direct = partial(small_config, **overrides)
+            replaced = partial(dataclasses.replace, valid, **overrides)
+            data = {**dataclasses.asdict(valid), **overrides}
+        else:
+            direct = lambda: small_config(graph=GraphSpec(**graph))
+            replaced = partial(dataclasses.replace, valid.graph, **graph)
+            data = {**dataclasses.asdict(valid), "graph": {**dataclasses.asdict(valid.graph), **graph}}
+        for build in (direct, replaced, partial(ExperimentConfig.from_dict, data)):
+            with pytest.raises(ValueError):
+                build()
+
+    def test_graph_must_be_a_graph_spec(self):
+        # from_dict builds the GraphSpec; a direct caller must pass one.
+        with pytest.raises(ValueError, match="^graph must be a GraphSpec"):
+            small_config(graph={"n": 300, "m": 3})
 
     def test_sample_size_above_graph_fails_at_run(self):
         cfg = small_config(sample_sizes=(301,), replications=1)
@@ -556,6 +577,33 @@ class TestRunExperiment:
         for out in (uncorrected, corrected):
             assert out["ingroup"] == (None, "failed:no_edges")
             assert out["homophily"] == (None, "failed:inputs")
+
+    def test_flagged_homophily_has_a_flagged_input(self):
+        # Coleman's index is flagged only by its inputs, so an out-of-range
+        # homophily row has an out-of-range in-group or proportion row in
+        # its (sampler, rate, size, rep, variant) cell.
+        cfg = small_config(
+            graph=GraphSpec(n=600, m=3, minority_frac=0.3, ingroup_pref=0.6),
+            samplers=experiments.SAMPLERS,
+            rates=(0.2, 0.4),
+            sample_sizes=(40, 100),
+            replications=6,
+            master_seed=7,
+        )
+        cells: dict[tuple, dict[str, str]] = {}
+        for r in run_experiment(cfg).rows:
+            cells.setdefault((r.sampler, r.rate, r.size, r.rep, r.variant), {})[r.measure] = r.flags
+        flagged = [c for c in cells.values() if c["homophily"] == "out_of_range"]
+        assert len(flagged) > 10
+        for cell in flagged:
+            assert "out_of_range" in (cell["ingroup"], cell["proportion"])
+        # The converse need not hold: a flagged edge vector with no bb
+        # edges gives an in-group share of -0.0, flagged with the vector,
+        # and an index of exactly -1.0, unflagged.
+        measured = (PropVector(0.7, 0.3), EdgeVector(1.1, -0.1, 0.0), PropVector(0.6, 0.4))
+        one_way = experiments._variants(measured, None)
+        assert one_way["ingroup"] == (0.0, "out_of_range")
+        assert one_way["homophily"] == (-1.0, "")
 
 
 PINNED_GRAPH = GraphSpec(n=400, m=3, minority_frac=0.25, ingroup_pref=0.7)

@@ -18,6 +18,8 @@ from graphquant.graph import (
 )
 from graphquant.noise import apply_noise, symmetric_confusion
 from graphquant.samplers import (
+    SEED_DEGREE,
+    SEED_UNIFORM,
     NoObservedEdgesError,
     edge_sample,
     estimate_edge_vector,
@@ -186,6 +188,16 @@ class TestWalk:
         assert len(walk) == 50
         assert walk.burn_in == 20
         assert walk.edge_positions.shape == (49, 2)
+
+    @pytest.mark.parametrize("seed_mode", [SEED_DEGREE, SEED_UNIFORM])
+    def test_burn_in_discarded_in_both_seed_modes(self, seed_mode):
+        # Burn-in steps are the first steps of the same walk, whatever
+        # the seed node's distribution.
+        g = generate_homophilous_graph(200, 2, 0.3, 0.7, rng_seed=6)
+        for seed, n, k in ((11, 50, 20), (12, 1, 1), (13, 300, 1000)):
+            walk = rwrw_walk(g, n, seed_mode=seed_mode, burn_in=k, rng_seed=seed)
+            longer = rwrw_walk(g, n + k, seed_mode=seed_mode, rng_seed=seed)
+            assert np.array_equal(walk.nodes, longer.nodes[k:])
 
     def test_bad_arguments(self):
         g = triangle()
