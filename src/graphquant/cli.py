@@ -126,12 +126,10 @@ def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    # Checked before the output directory is made, so refused input leaves none.
-    if args.threads < 1:
-        raise ValueError("threads must be positive")
+    result = run_experiment(cfg, threads=args.threads)
+    # Made once the grid has run, so a refused run leaves no directory.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_experiment(cfg, threads=args.threads)
     rows_path = out_dir / "rows.csv"
     summary_path = out_dir / "summary.csv"
     write_rows_csv(result, rows_path)

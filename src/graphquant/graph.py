@@ -13,6 +13,7 @@ traversal is needed.
 
 from __future__ import annotations
 
+import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -25,10 +26,6 @@ GROUP_TOKENS = ("A", "B", "NA")
 MISSING = 2
 _GROUP_CODES = {token: code for code, token in enumerate(GROUP_TOKENS)}
 _INT64 = np.iinfo(np.int64)
-
-
-def group_token(code: int) -> str:
-    return GROUP_TOKENS[code]
 
 
 @dataclass
@@ -198,30 +195,26 @@ def generate_homophilous_graph(
             rep[label_of[i]].append(i)
             rep[label_of[j]].append(j)
 
-    draw = rng.random
-    buf = draw(16384).tolist()
-    buf_at = 0
-    rep_a, rep_b = rep
-    w_same = ingroup_pref
-    w_cross = 1.0 - ingroup_pref
+    # Mixing weight of each target group, by the new node's group.
+    mixing = ((ingroup_pref, 1.0 - ingroup_pref), (1.0 - ingroup_pref, ingroup_pref))
+    # One stream of uniforms in blocks: the first drawn now, each later one only
+    # when a try needs it, so fallback draws keep their place. A try reads two.
+    blocks = iter(lambda: rng.random(16384).tolist(), None)
+    uniforms = itertools.chain.from_iterable(itertools.chain([next(blocks)], blocks))
+    pairs = zip(uniforms, uniforms)
     for v in range(m, n):
         gv = label_of[v]
-        wa = (w_same if gv == 0 else w_cross) * len(rep_a)
-        wb = (w_same if gv == 1 else w_cross) * len(rep_b)
+        wa, wb = mixing[gv][0] * len(rep[0]), mixing[gv][1] * len(rep[1])
         total = wa + wb
         targets: set[int] = set()
-        tries = 60 * m + 60  # rejection cap before the uniform fallback
-        while len(targets) < m and total > 0.0 and tries:
-            if buf_at + 2 > 16384:
-                buf = draw(16384).tolist()
-                buf_at = 0
+        tries = 60 * m + 60 if total > 0.0 else 0  # rejections before the uniform fallback
+        for x, y in itertools.islice(pairs, tries):
             # A pool with zero mass is never picked, even when rounding
             # pushes the draw to the boundary (denormal weights).
-            pool = rep_a if wb == 0.0 or buf[buf_at] * total < wa else rep_b
-            u = pool[int(buf[buf_at + 1] * len(pool))]
-            buf_at += 2
-            targets.add(u)
-            tries -= 1
+            pool = rep[0] if wb == 0.0 or x * total < wa else rep[1]
+            targets.add(pool[int(y * len(pool))])
+            if len(targets) == m:
+                break
         if len(targets) < m:
             rest = [u for u in range(v) if u not in targets]
             picked = rng.choice(len(rest), size=m - len(targets), replace=False)
@@ -406,12 +399,10 @@ def load_graph_files(edge_path, label_path, directed: bool = False) -> Undirecte
 def write_edge_list(g: UndirectedGraph, path) -> None:
     """Write dense-id edges, one per line, compatible with read_edge_list."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# src dst\n")
-        for u, v in g.edges:
-            fh.write(f"{int(u)} {int(v)}\n")
+        np.savetxt(fh, g.edges, fmt="%d", header="src dst")
 
 
 def write_label_file(g: UndirectedGraph, path) -> None:
+    tokens = np.array(GROUP_TOKENS)[g.labels]
     with open(path, "w", encoding="utf-8") as fh:
-        for node in range(g.node_count):
-            fh.write(f"{node}\t{group_token(g.labels[node])}\n")
+        np.savetxt(fh, np.column_stack([np.arange(g.node_count), tokens]), fmt="%s", delimiter="\t")

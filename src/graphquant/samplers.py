@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MISSING, UndirectedGraph, group_token
+from .graph import GROUP_TOKENS, MISSING, UndirectedGraph
 from .quantify import EdgeVector, PropVector, UndefinedShareError, coleman_homophily, ingroup_share
 
 SEED_DEGREE = "degree_proportional"
@@ -375,10 +375,7 @@ def write_sample_records(sample: Sample, path, noisy: Sample | None = None) -> N
     """Audit format: one record per line as ``node_id degree true_label
     noisy_label step_index``, noisy labels from the copy ``noisy`` or NA."""
     noisy_codes = np.full(len(sample), MISSING) if noisy is None else noisy.labels
+    tokens = np.array(GROUP_TOKENS)[np.column_stack([sample.labels, noisy_codes])]
+    rows = np.column_stack([sample.nodes, sample.degrees, tokens, np.arange(len(sample))])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# node_id degree true_label noisy_label step_index\n")
-        for i in range(len(sample)):
-            fh.write(
-                f"{int(sample.nodes[i])} {int(sample.degrees[i])} "
-                f"{group_token(sample.labels[i])} {group_token(noisy_codes[i])} {i}\n"
-            )
+        np.savetxt(fh, rows, fmt="%s", header="node_id degree true_label noisy_label step_index")

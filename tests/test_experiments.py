@@ -816,18 +816,29 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [(["--seed", "-1"], "master_seed must be nonnegative"),
-         (["--threads", "0"], "threads must be positive")],
+        [(["--config", "cfg.json", "--seed", "-1"], "master_seed must be nonnegative"),
+         (["--config", "cfg.json", "--threads", "0"], "threads must be positive"),
+         (["--config", "oversized.json"], "sample size 500 exceeds graph size 300"),
+         (["--config", "no_file.json"], "[Errno 2] No such file or directory: 'absent.edges'")],
     )
-    def test_refused_experiment_leaves_no_directory(self, tmp_path, capsys, argv, message):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(dataclasses.asdict(small_config(replications=1))))
-        out_dir = tmp_path / "run"
+    def test_refused_experiment_leaves_no_directory(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        # The last two configs are valid and refused only while the grid runs.
+        monkeypatch.chdir(tmp_path)
+        configs = {
+            "cfg.json": dataclasses.asdict(small_config(replications=1)),
+            "oversized.json": {"graph": {"n": 300, "m": 3}, "samplers": ["node"], "rates": [0.1],
+                               "sample_sizes": [500], "replications": 1},
+            "no_file.json": {"graph": {"edge_file": "absent.edges", "label_file": "absent.labels"}},
+        }
+        for name, cfg in configs.items():
+            Path(name).write_text(json.dumps(cfg))
         with pytest.raises(SystemExit) as exc:
-            cli_main(["experiment", "--config", str(cfg_path), "--out", str(out_dir)] + argv)
+            cli_main(["experiment", "--out", "run"] + argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"graphquant: error: {message}\n"
-        assert not out_dir.exists()
+        assert not Path("run").exists()
 
     def test_walk_records(self, tmp_path):
         edges, labels = self._generate(tmp_path)

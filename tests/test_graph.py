@@ -1,5 +1,7 @@
 """Graph construction, generation, preprocessing, and exact measures."""
 
+import dataclasses
+import hashlib
 import os
 import tempfile
 import threading
@@ -27,6 +29,7 @@ from graphquant.graph import (
     write_label_file,
 )
 from graphquant.quantify import EdgeVector, PropVector, coleman_homophily, ingroup_share
+from graphquant.samplers import node_sample, with_noisy_labels, write_sample_records
 
 
 # Node id fields for the reader grammar tests: the odd spellings Python's
@@ -237,6 +240,38 @@ class TestGenerator:
         a = generate_homophilous_graph(200, 3, 0.2, 0.8, rng_seed=9)
         b = generate_homophilous_graph(200, 3, 0.2, 0.8, rng_seed=9)
         assert graphs_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "n, m, frac, pref, seed, edges_sha, labels_sha",
+        [
+            (2, 1, 0.5, 0.5, 0, "9d34149fbd1fe777", "96a296d224f285c6"),
+            (5, 4, 0.2, 0.8, 7, "b7fb824b99cde1cd", "01e246b58d8e782f"),
+            (300, 1, 0.2, 0.8, 0, "0164a1044cd16a96", "96053ffd979d6133"),
+            (300, 3, 0.0, 0.8, 7, "853419c328b743f8", "c90c75cc1af2fdc0"),
+            (300, 3, 1.0, 0.8, 0, "dd6ff6a23960991b", "23e1ac64a8338b8d"),
+            (300, 3, 0.2, 0.0, 7, "2fa7a00ffa44a873", "cb3d80e956e2fa98"),
+            (300, 3, 0.2, 1.0, 0, "ae9adb87afc38a48", "4e0839619472abf4"),
+            (300, 2, 0.5, 5e-324, 7, "78a79307ce9d7404", "241433dedf501429"),
+            (10, 1, 0.0, 5e-324, 0, "bf0165ed0c1e16ee", "01d448afd9280654"),
+            (300, 1, 0.5, 1.0, 0, "40a96b958f0a07ea", "da555f567a39a028"),
+            (1000, 4, 0.5, 0.2, 7, "03c085287e9eb44e", "79f9709137b32921"),
+            (3000, 5, 0.2, 0.8, 0, "5f228c49c383750a", "00614ceec7fa91bc"),
+            (30000, 4, 0.0001, 1.0, 1, "e3795fd9eba256f2", "6ac5e36295855db5"),
+        ],
+    )
+    def test_pinned_graphs(self, n, m, frac, pref, seed, edges_sha, labels_sha):
+        # The exact graphs, as sha256 prefixes of the edge and label bytes.
+        # The points hold the generator's corners: n = m + 1, m = 1, all-A
+        # and all-B groups, preference 0, 1 and denormal, and uniform
+        # fallbacks. At (300, 1, 0.5, 1.0) node 2 finds no weighted
+        # candidate and falls back before any try, so its draws follow the
+        # first block of uniforms. The last point draws 15 blocks and runs
+        # its fourth fallback after the sixth refill, so that fallback's
+        # draws sit between two blocks. A rewrite of the generator that
+        # keeps its random stream keeps these.
+        g = generate_homophilous_graph(n, m, frac, pref, rng_seed=seed)
+        assert hashlib.sha256(g.edges.tobytes()).hexdigest()[:16] == edges_sha
+        assert hashlib.sha256(g.labels.tobytes()).hexdigest()[:16] == labels_sha
 
     def test_reference_cell_shape(self):
         g = generate_homophilous_graph(10000, 4, 0.2, 0.8, rng_seed=1)
@@ -544,6 +579,30 @@ class TestFiles:
         write_label_file(g, label_path)
         loaded = load_graph_files(edge_path, label_path)
         assert graphs_equal(g, loaded)
+
+    def test_writers_exact_text(self, tmp_path):
+        # The three writers' bytes: header lines, separators and tokens.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+        g = UndirectedGraph.from_edges(4, edges, [0, 1, 1, 0])
+        write_edge_list(g, tmp_path / "g.edges")
+        write_label_file(g, tmp_path / "g.labels")
+        assert (tmp_path / "g.edges").read_bytes() == b"# src dst\n0 1\n0 2\n0 3\n1 2\n2 3\n"
+        assert (tmp_path / "g.labels").read_bytes() == b"0\tA\n1\tB\n2\tB\n3\tA\n"
+        # Every node once, in id order; records name nodes by any int64 id.
+        sample = node_sample(g, 4, rng_seed=0)
+        noisy = with_noisy_labels(sample, [1, 1, 0, 0])
+        sample = dataclasses.replace(sample, nodes=np.array([100, 7, 2**63 - 1, -(2**63)]))
+        header = b"# node_id degree true_label noisy_label step_index\n"
+        write_sample_records(sample, tmp_path / "noisy.txt", noisy)
+        assert (tmp_path / "noisy.txt").read_bytes() == header + (
+            b"100 3 A B 0\n7 2 B B 1\n"
+            b"9223372036854775807 3 B A 2\n-9223372036854775808 2 A A 3\n"
+        )
+        write_sample_records(sample, tmp_path / "plain.txt")
+        assert (tmp_path / "plain.txt").read_bytes() == header + (
+            b"100 3 A NA 0\n7 2 B NA 1\n"
+            b"9223372036854775807 3 B NA 2\n-9223372036854775808 2 A NA 3\n"
+        )
 
     def test_comments_and_na_tokens(self, tmp_path):
         edge_path = tmp_path / "e.txt"

@@ -37,9 +37,9 @@ def variance_inflation_edges(confusion: ConfusionMatrix, var_t) -> float:
     return b0[0] ** 2 * vals[0] + b0[1] ** 2 * vals[1] + b0[2] ** 2 * vals[2]
 
 
-def edge_share_covariance(g, confusion: ConfusionMatrix) -> np.ndarray:
-    """Exact noise-only covariance of a graph's measured (aa, ab, bb) edge
-    shares under independent per-node flips, in O(E).
+def share_covariance(g, confusion: ConfusionMatrix) -> np.ndarray:
+    """Exact noise-only covariance of a graph's measured minority node share
+    and (aa, ab, bb) edge shares under independent per-node flips, in O(E).
 
     Each edge adds its multinomial term. Two edges (w, u) and (w, v) that
     share the endpoint w co-vary only through w's flip, by
@@ -48,7 +48,9 @@ def edge_share_covariance(g, confusion: ConfusionMatrix) -> np.ndarray:
     edge's expected type vector when w turns from a to b,
     (pi_u - 1, 1 - 2 pi_u, pi_u). Summed over ordered pairs of distinct
     neighbors u != v of w, that is sigma2_w (S_w S_w^T - sum_u delta_u delta_u^T)
-    with S_w the sum of w's neighbors' deltas.
+    with S_w the sum of w's neighbors' deltas. The same flip moves w's own
+    record, so the node share co-varies with the edge shares by
+    sum_w sigma2_w S_w / (N E), and has variance sum_w sigma2_w / N^2.
     """
     pi = np.where(g.labels == 1, confusion.b_given_b, confusion.b_given_a)
     pu, pv = pi[g.edges[:, 0]], pi[g.edges[:, 1]]
@@ -60,24 +62,40 @@ def edge_share_covariance(g, confusion: ConfusionMatrix) -> np.ndarray:
     sigma2 = pi * (1.0 - pi)
     s = np.stack([np.bincount(ends, delta[:, k], g.node_count) for k in range(3)], axis=1)
     cov += (s * sigma2[:, None]).T @ s - (delta * sigma2[ends, None]).T @ delta
-    return cov / g.edge_count**2
+    joint = np.empty((4, 4))
+    joint[0, 0] = sigma2.sum() / g.node_count**2
+    joint[0, 1:] = joint[1:, 0] = sigma2 @ s / (g.node_count * g.edge_count)
+    joint[1:, 1:] = cov / g.edge_count**2
+    return joint
 
 
-def corrected_edge_share_draws(g, confusion: ConfusionMatrix, seed: int) -> np.ndarray:
-    """The graph's corrected (aa, ab, bb) edge shares under 20 000
-    independent noise draws, one row per draw."""
+def edge_share_covariance(g, confusion: ConfusionMatrix) -> np.ndarray:
+    """The (aa, ab, bb) block of ``share_covariance``."""
+    return share_covariance(g, confusion)[1:, 1:]
+
+
+def corrected_share_draws(g, confusion: ConfusionMatrix, seed: int) -> np.ndarray:
+    """The graph's corrected minority node share and (aa, ab, bb) edge
+    shares under 20 000 independent noise draws, one row per draw."""
     c = confusion
     rng = np.random.default_rng(seed)
     src, dst = g.edges[:, 0], g.edges[:, 1]
-    t_hat = []
+    m_hat, t_hat = [], []
     for _ in range(10):
         u = rng.random((2000, g.node_count))
         flip = np.where(g.labels == 1, u < c.a_given_b, u < c.b_given_a)
         noisy = (g.labels ^ flip).astype(np.int8)
+        m_hat.append(noisy.mean(axis=1))
         pair = noisy[:, src] + noisy[:, dst]
         t_hat.append(np.stack([(pair == k).mean(axis=1) for k in (0, 1, 2)], axis=1))
     inv = np.linalg.inv(np.array(dyadic_matrix(c.to_flat())))
-    return np.concatenate(t_hat) @ inv.T
+    p_b = (np.concatenate(m_hat) - c.b_given_a) / c.det
+    return np.column_stack([p_b, np.concatenate(t_hat) @ inv.T])
+
+
+def corrected_edge_share_draws(g, confusion: ConfusionMatrix, seed: int) -> np.ndarray:
+    """The (aa, ab, bb) columns of ``corrected_share_draws``."""
+    return corrected_share_draws(g, confusion, seed)[:, 1:]
 
 
 def random_confusion(rng, max_rate=0.45):
@@ -409,6 +427,51 @@ class TestVarianceInflation:
         sigma = edge_share_covariance(g, c)
         assert grad @ sigma @ grad == pytest.approx(empirical, rel=0.15)
         assert grad @ np.diag(np.diag(sigma)) @ grad != pytest.approx(empirical, rel=0.15)
+
+    @pytest.mark.parametrize(
+        "confusion, cross_term_visible",
+        [(symmetric_confusion(0.2), False), (ConfusionMatrix(0.95, 0.4, 0.05, 0.6), True)],
+        ids=["symmetric", "low_recall"],
+    )
+    def test_corrected_coleman_index_delta_method(self, confusion, cross_term_visible):
+        # The corrected minority index is h = (s - p) / (1 - p) of the
+        # corrected node share p and in-group share s = 2 bb / (2 bb + ab),
+        # on the branch s >= p where the graph's index lies. With L =
+        # diag(1/det, D^-1) the two corrections and Sigma from
+        # share_covariance, the delta method predicts its noise-only
+        # variance as grad h^T L Sigma L^T grad h. Over eight seed sets
+        # (88-95) of 20 000 draws:
+        # - the node-edge block of L Sigma L^T read 0.95-1.03 of the draws'
+        #   covariances, inside a 7% band;
+        # - the prediction read 0.91-0.95 (symmetric) and 0.96-0.99 (low
+        #   recall) of the empirical variance, the shortfall being h's
+        #   curvature. Over all draws, the index as coleman_homophily
+        #   computes it (diff / p below s = p, 1-2% of draws) read 0.87-0.91
+        #   and 0.93-0.95;
+        # - without the node-edge block it read 1.18-1.21 (low recall),
+        #   which the 10% band rejects, and 0.96-0.99 (symmetric), where the
+        #   block moves the prediction by under 5% and only its own band
+        #   checks it.
+        g = generate_homophilous_graph(400, 3, 0.3, 0.7, rng_seed=5)
+        c = confusion
+        lin = np.zeros((4, 4))
+        lin[0, 0] = 1.0 / c.det
+        lin[1:, 1:] = np.linalg.inv(np.array(dyadic_matrix(c.to_flat())))
+        sigma = lin @ share_covariance(g, c) @ lin.T
+        z = corrected_share_draws(g, c, 88)
+        assert sigma[0, 1:] == pytest.approx(np.cov(z.T)[0, 1:], rel=0.07)
+        s = 2 * z[:, 3] / (2 * z[:, 3] + z[:, 2])
+        empirical = ((s - z[:, 0]) / (1 - z[:, 0])).var(ddof=1)
+        truth = ground_truth(g)
+        p, s0 = truth.p.b, ingroup_share(truth.s, 1)
+        _, ab, bb = truth.s.as_tuple()
+        grad_s = np.array([0.0, -2 * bb, 2 * ab]) / (2 * bb + ab) ** 2
+        grad = np.concatenate([[(s0 - 1) / (1 - p) ** 2], grad_s / (1 - p)])
+        assert grad @ sigma @ grad == pytest.approx(empirical, rel=0.10)
+        without = sigma.copy()
+        without[0, 1:] = without[1:, 0] = 0.0
+        if cross_term_visible:
+            assert grad @ without @ grad != pytest.approx(empirical, rel=0.10)
 
     def test_low_recall_node_variance_against_prediction(self):
         # An asymmetric low-recall classifier: P(a|a) = 0.95 and P(b|b) = 0.6,

@@ -12,9 +12,9 @@ from scipy import stats
 from conftest import assert_induced_edges_match, has_edge
 from graphquant import ground_truth
 from graphquant.graph import (
+    GROUP_TOKENS,
     UndirectedGraph,
     generate_homophilous_graph,
-    group_token,
 )
 from graphquant.noise import apply_noise, symmetric_confusion
 from graphquant.samplers import (
@@ -660,8 +660,8 @@ class TestRecords:
             node = int(node)
             assert node == walk.nodes[i]
             assert int(degree) == g.degrees[node]
-            assert true_tok == group_token(g.labels[node])
-            assert noisy_tok == group_token(noisy[node])
+            assert true_tok == GROUP_TOKENS[g.labels[node]]
+            assert noisy_tok == GROUP_TOKENS[noisy[node]]
             assert idx == str(i)
 
     def test_without_noisy_labels_uses_na(self, tmp_path):
