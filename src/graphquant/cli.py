@@ -48,6 +48,8 @@ from .samplers import (
 
 
 def _confusion_from_args(args) -> ConfusionMatrix:
+    if args.matrix is not None and args.rate is not None:
+        raise ValueError("give --rate or --matrix, not both")
     if args.matrix is not None:
         return ConfusionMatrix(*args.matrix)
     if args.rate is not None:

@@ -305,22 +305,6 @@ def load_and_preprocess(
     )
 
 
-def top_quantile_indices(degrees, quantile: float) -> np.ndarray:
-    """Indices of the top-quantile records by degree.
-
-    The cutoff keeps floor(count * quantile) records; everything strictly
-    above the cutoff degree enters first, and ties at the cutoff fill the
-    remaining slots in ascending index order so the selection is
-    deterministic. ``samplers.top_records`` applies the same rule to the
-    records of a sample.
-    """
-    deg = np.asarray(degrees, dtype=np.int64)
-    count = int(deg.shape[0] * quantile)
-    if count < 1:
-        raise ValueError("quantile selects no records")
-    return np.argsort(-deg, kind="stable")[:count]
-
-
 def _read_by_line(path, labels: bool = False) -> np.ndarray:
     """A reader's rows parsed one line at a time, naming the first bad line.
 

@@ -29,8 +29,7 @@ Visibility is the group-share estimate over the top-quantile records,
 quantile, which on a walk undoes the degree bias as the RWRW ratio
 estimator does (Gjoka et al., "Walking in Facebook", INFOCOM 2010), and
 with unit weights selects the first floor(n * q) records by (-degree,
-node id). ``importance_resample`` is the resampling reference it is
-tested against. A graph's exact measures (``ground_truth``) are these
+node id). A graph's exact measures (``ground_truth``) are these
 estimators run on the census, the graph as a sample of every node, so a
 sample and its graph share one top-quantile rule.
 """
@@ -249,23 +248,6 @@ def snowball_sample(g: UndirectedGraph, n_target: int, n_seeds: int = 10, rng_se
 
     children = np.arange(seeds.shape[0], count)
     return _records(g, np.concatenate(waves), np.column_stack([np.concatenate(parents), children]))
-
-
-def importance_resample(sample: Sample, out_size: int, rng_seed=None) -> Sample:
-    """Redraw records with replacement, in proportion to their weights.
-
-    On a walk the normalized 1/d weights undo the degree bias, so the
-    resampled multiset approximates a uniform-node sample. The resample
-    has unit weights and no observed edges.
-    """
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    if out_size < 1:
-        raise ValueError("out_size must be positive")
-    rng = np.random.default_rng(rng_seed)
-    p = sample.weights / sample.weights.sum()
-    idx = rng.choice(len(sample), size=out_size, replace=True, p=p)
-    return dataclasses.replace(sample.take(idx), weights=np.ones(out_size))
 
 
 def check_quantile(quantile: float) -> None:

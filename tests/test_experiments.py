@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -769,6 +770,8 @@ class TestCli:
              "shares must be finite, got (nan, 0.5)"),
             (["correct", "--rate", "0.2", "--edge", "0.5", "inf", "0.5"],
              "shares must be finite, got (0.5, inf, 0.5)"),
+            (["correct", "--rate", "0.1", "--matrix", "0.9", "0.3", "0.1", "0.7",
+              "--prop", "0.7", "0.3"], "give --rate or --matrix, not both"),
         ],
     )
     def test_refused_input_exits_2(self, argv, message, capsys):
@@ -858,6 +861,20 @@ class TestCli:
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(body) == 50
 
+    def test_walk_refuses_rate_and_matrix_together(self, tmp_path, capsys):
+        # Either one names the classifier; given both, neither is dropped in
+        # silence, and the refusal comes before the audit file is written.
+        edges, labels = self._generate(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "records.txt"
+        argv = ["walk", "--edges", str(edges), "--labels", str(labels), "--steps", "50",
+                "--rate", "0.1", "--matrix", "0.9", "0.3", "0.1", "0.7", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "graphquant: error: give --rate or --matrix, not both\n"
+        assert not out.exists()
+
     def test_walk_writes_file_ids(self, tmp_path):
         # Sparse ids: the walk runs on dense ids 0..3, the audit file names
         # each node, its degree and its label as the input files do.
@@ -945,3 +962,45 @@ class TestCli:
             assert cli_main(argv) == 0
             outs.append((out_dir / "rows.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestTracerNames:
+    """The benchmark's tracer looks functions up by module and name, so a
+    name it wraps must stay findable, and its block must put back every
+    original."""
+
+    @pytest.fixture(scope="class")
+    def tracing(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_wrapped_name_resolves(self, tracing):
+        import graphquant
+
+        missing = [(module, attr) for module, attr, _ in tracing.WRAPPED
+                   if not hasattr(getattr(graphquant, module), attr)]
+        assert missing == []
+        # Only the declared placeholders stand for functions the package dropped.
+        placeholders = {attr for module, attr, _ in tracing.WRAPPED
+                        if getattr(getattr(graphquant, module), attr) is None}
+        assert placeholders == {"adjust_visibility", "importance_resample", "top_quantile_indices"}
+
+    def test_installed_block_restores_originals(self, tracing):
+        import graphquant
+
+        def current():
+            return ([getattr(getattr(graphquant, module), attr)
+                     for module, attr, _ in tracing.WRAPPED],
+                    UndirectedGraph.__dict__["from_edges"])
+
+        before, before_from_edges = current()
+        with tracing.Tracer().installed():
+            inside, inside_from_edges = current()
+            assert all(a is not b for a, b in zip(before, inside))
+            assert inside_from_edges is not before_from_edges
+        after, after_from_edges = current()
+        assert all(a is b for a, b in zip(before, after))
+        assert after_from_edges is before_from_edges

@@ -24,7 +24,6 @@ from graphquant.graph import (
     load_graph_files,
     read_edge_list,
     read_label_file,
-    top_quantile_indices,
     write_edge_list,
     write_label_file,
 )
@@ -181,8 +180,9 @@ class TestGroundTruth:
 
     @pytest.mark.parametrize("n", [7, 12, 40, 3000])
     def test_census_equals_hand_count(self, n):
-        # Counts over the graph's own arrays and top_quantile_indices give
-        # the same floats bit for bit; below 1/q nodes there is no top node.
+        # Counts over the graph's own arrays, with the top nodes ranked by
+        # descending degree and ties by ascending id, give the same floats
+        # bit for bit; below 1/q nodes there is no top node.
         g = generate_homophilous_graph(n, 3, 0.3, 0.7, rng_seed=n)
         p_b = np.count_nonzero(g.labels) / n
         pair = g.labels[g.edges].sum(axis=1)
@@ -194,7 +194,7 @@ class TestGroundTruth:
             if int(n * q) < 1:
                 assert gt.visibility_b is None
             else:
-                top = top_quantile_indices(g.degrees, q)
+                top = np.argsort(-g.degrees, kind="stable")[: int(n * q)]
                 assert gt.visibility_b == np.count_nonzero(g.labels[top]) / top.shape[0]
             assert gt.homophily_a == coleman_homophily(ingroup_share(s, 0), 1.0 - p_b).value
             assert gt.homophily_b == coleman_homophily(ingroup_share(s, 1), p_b).value
@@ -207,22 +207,6 @@ class TestGroundTruth:
         with pytest.raises(ValueError, match=r"^top_quantile must lie in \(0, 1\]"):
             ground_truth(g, top_quantile=quantile)
         assert ground_truth(g, top_quantile=1.0).visibility_b == 0.5
-
-
-class TestTopQuantile:
-    def test_tie_break_by_ascending_id(self):
-        degrees = [5, 3, 3, 3, 1]
-        picked = top_quantile_indices(degrees, 0.6)
-        assert sorted(picked.tolist()) == [0, 1, 2]
-
-    def test_strictly_higher_degrees_enter_first(self):
-        degrees = [1, 9, 2, 9, 3]
-        picked = top_quantile_indices(degrees, 0.4)
-        assert sorted(picked.tolist()) == [1, 3]
-
-    def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError):
-            top_quantile_indices([3, 2, 1], 0.2)
 
 
 class TestGenerator:

@@ -531,6 +531,43 @@ class TestVarianceInflation:
         assert np.var(measured, ddof=1) == pytest.approx(predicted, rel=0.10)
         assert per_record != pytest.approx(predicted, rel=0.10)
 
+    @pytest.mark.parametrize(
+        "confusion, det2_model_rejected",
+        [(symmetric_confusion(0.2), False), (ConfusionMatrix(0.95, 0.4, 0.05, 0.6), True)],
+        ids=["symmetric", "low_recall"],
+    )
+    def test_walk_corrected_variance_unconditional(self, confusion, det2_model_rejected):
+        # 2000 replications of a 1000-step walk, each with its own
+        # whole-graph noise map, so a node keeps one noisy label however
+        # often the walk visits it. Given the walk, noise adds
+        # sum_v (W_v / W)^2 sigma^2(y_v) to the measured share (as in the
+        # test above), and the correction divides it by det^2:
+        #   Var(corrected) = Var(p_walk) + E[sum_v (W_v / W)^2 sigma^2(y_v)] / det^2
+        # Over 28 graph and seed sets this read 0.95-1.07 of the empirical
+        # variance for both classifiers. The model Var(p_walk) / det^2 read
+        # 1.54-1.79 for the low-recall classifier, which the 10% band
+        # rejects, but 0.97-1.23 at symmetric rate 0.2: there 2000
+        # replications cannot tell the two models apart.
+        from graphquant.noise import apply_noise
+        from graphquant.samplers import estimate_proportions, rwrw_walk, with_noisy_labels
+
+        g = generate_homophilous_graph(2000, 3, 0.2, 0.8, rng_seed=6)
+        c = confusion
+        sigma2 = np.where(g.labels == 1, c.b_given_b * c.a_given_b, c.b_given_a * c.a_given_a)
+        clean, corrected, noise = [], [], []
+        for rep in range(2000):
+            walk = rwrw_walk(g, 1000, rng_seed=(908, rep))
+            node_weight = np.bincount(walk.nodes, weights=walk.weights, minlength=g.node_count)
+            noise.append((node_weight**2 * sigma2).sum() / node_weight.sum() ** 2)
+            noisy = with_noisy_labels(walk, apply_noise(g.labels, c, rng_seed=(909, rep)))
+            clean.append(estimate_proportions(walk).b)
+            corrected.append(adjust_proportions(estimate_proportions(noisy), c).b)
+        var_clean, empirical = np.var(clean, ddof=1), np.var(corrected, ddof=1)
+        det2 = c.det**2
+        assert var_clean + np.mean(noise) / det2 == pytest.approx(empirical, rel=0.10)
+        if det2_model_rejected:
+            assert var_clean / det2 != pytest.approx(empirical, rel=0.10)
+
 
 class TestUnbiasednessMonteCarlo:
     def test_corrected_walk_and_node_estimates_unbiased(self):

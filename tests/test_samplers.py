@@ -21,10 +21,10 @@ from graphquant.samplers import (
     SEED_DEGREE,
     SEED_UNIFORM,
     NoObservedEdgesError,
+    Sample,
     edge_sample,
     estimate_edge_vector,
     estimate_proportions,
-    importance_resample,
     node_sample,
     rwrw_walk,
     snowball_sample,
@@ -45,6 +45,23 @@ def star_graph(leaves, hub_label=1, leaf_label=0):
     edges = [(0, i) for i in range(1, leaves + 1)]
     labels = [hub_label] + [leaf_label] * leaves
     return UndirectedGraph.from_edges(leaves + 1, edges, labels)
+
+
+def importance_resample(sample: Sample, out_size: int, rng_seed=None) -> Sample:
+    """Redraw records with replacement, in proportion to their weights.
+
+    On a walk the normalized 1/d weights undo the degree bias, so the
+    resampled multiset approximates a uniform-node sample. The resample
+    has unit weights and no observed edges.
+    """
+    if len(sample) == 0:
+        raise ValueError("empty sample")
+    if out_size < 1:
+        raise ValueError("out_size must be positive")
+    rng = np.random.default_rng(rng_seed)
+    p = sample.weights / sample.weights.sum()
+    idx = rng.choice(len(sample), size=out_size, replace=True, p=p)
+    return dataclasses.replace(sample.take(idx), weights=np.ones(out_size))
 
 
 def walk_visibility(walk, quantile, out_size=None, rng_seed=None):
