@@ -11,6 +11,12 @@ reused across replications (``fixed_graph``, or files) is built once per
 process, and its truths are computed once per top quantile and kept in
 the same cache slot.
 
+Each sampler draws once per replication, at the largest size, and every
+size is measured on a prefix of that draw (``Sample.prefix``), which is
+a sample of that size. Rows of different sizes in one replication thus
+share random numbers; each summary cell holds one size, and its rows
+are independent across replications.
+
 Each sample is measured once per label set (its true labels, then each
 rate's noisy labels): group shares, edge-type shares and the group shares
 of its top-quantile records. The variants come from these stored vectors:
@@ -41,7 +47,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -291,7 +297,16 @@ def _entry(result, field: str = "b") -> tuple[float | None, str]:
     return getattr(result, field), "out_of_range" if result.out_of_range else ""
 
 
-def _draw_sample(cfg: ExperimentConfig, g: UndirectedGraph, sampler: str, size: int, seed):
+def _records_for(sampler: str, size: int) -> int:
+    """Records of a sample of the given size. Edge sampling spends the size
+    budget on endpoint records, two per edge; a connected graph has at
+    least N - 1 >= size // 2 edges."""
+    return 2 * max(1, size // 2) if sampler == "edge" else size
+
+
+def _draw_sample(cfg: ExperimentConfig, g: UndirectedGraph, sampler: str, seed):
+    """One sample at the largest size; its prefixes are the smaller sizes."""
+    size = max(cfg.sample_sizes)
     if size > g.node_count:
         raise ValueError(f"sample size {size} exceeds graph size {g.node_count}")
     if sampler == "rwrw":
@@ -299,9 +314,7 @@ def _draw_sample(cfg: ExperimentConfig, g: UndirectedGraph, sampler: str, size: 
     if sampler == "node":
         return node_sample(g, size, rng_seed=seed)
     if sampler == "edge":
-        # Edge sampling spends the size budget on endpoint records, two per
-        # edge; a connected graph has at least N - 1 >= size // 2 edges.
-        return edge_sample(g, max(1, size // 2), rng_seed=seed)
+        return edge_sample(g, _records_for(sampler, size) // 2, rng_seed=seed)
     if sampler == "snowball":
         return snowball_sample(g, size, n_seeds=_SNOWBALL_SEEDS, rng_seed=seed)
     raise ValueError(f"unknown sampler {sampler!r}")
@@ -363,8 +376,9 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
 
     rows: list[ResultRow] = []
     for si, sampler in enumerate(cfg.samplers):
+        drawn = _draw_sample(cfg, g, sampler, _stream(cfg.master_seed, _SAMPLE, rep, si))
         for zi, size in enumerate(cfg.sample_sizes):
-            base = _draw_sample(cfg, g, sampler, size, _stream(cfg.master_seed, _SAMPLE, rep, si, zi))
+            base = drawn.prefix(_records_for(sampler, size))
             # Weights depend only on degrees, so every label set shares one selection.
             top = _attempt(top_records, base, cfg.top_quantile)
             corrections = confusions
@@ -425,25 +439,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     return ExperimentResult(config=cfg, rows=rows)
 
 
-def nrmse(errors, truth: float) -> float | None:
-    """Root mean squared error over the truth's magnitude; None when the
-    truth is 0.
-
-    Dividing by ``|truth|`` keeps the NRMSE of a negative truth (homophily
-    on a heterophilous graph) nonnegative. The undefined marker keeps
-    zero-truth cells out of NRMSE tables instead of dividing by zero.
-    """
-    arr = np.asarray(list(errors), dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one error")
-    if truth == 0.0:
-        return None
-    return float(np.sqrt(np.mean(arr * arr)) / abs(truth))
-
-
-def _nearest_rank(sorted_values: np.ndarray, pct: float) -> float:
-    rank = max(1, math.ceil(pct / 100.0 * sorted_values.shape[0]))
-    return float(sorted_values[rank - 1])
+def _nearest_rank(pct: float, count: int) -> int:
+    """Index of the nearest-rank percentile among ``count`` sorted values."""
+    return max(1, math.ceil(pct / 100.0 * count)) - 1
 
 
 class SummaryRow(NamedTuple):
@@ -466,35 +464,70 @@ class SummaryRow(NamedTuple):
 
 def summarize(result: ExperimentResult) -> list[SummaryRow]:
     """Per-cell error summaries: mean, central 95% band (nearest rank),
-    NRMSE against the mean truth, and flag rates."""
-    groups: dict[tuple, list[ResultRow]] = {}
-    for row in result.rows:
-        groups.setdefault(
-            (row.sampler, row.rate, row.size, row.measure, row.variant), []
-        ).append(row)
+    NRMSE, and flag rates. NRMSE is the root mean squared error over the
+    magnitude of the mean truth, so a negative truth (homophily on a
+    heterophilous graph) keeps it nonnegative; it is None when that truth
+    is 0, which keeps such cells out of NRMSE tables.
+
+    One stable sort puts the rows in cell order. The cells with k usable
+    rows (neither failed nor without an error) are reduced together, as a
+    C-ordered (cells x k) block along its rows; each row of such a block
+    rounds as the 1-D reduction of that cell alone would.
+    """
+    rows = result.rows
+    if not rows:
+        return []
+    cells: dict[tuple, int] = {}  # cell key, as its first row has it, to first-seen index
+    seen = [cells.setdefault(key, len(cells)) for key in map(itemgetter(0, 1, 2, 4, 5), rows)]
+    estimate, error, flags = (list(map(itemgetter(i), rows)) for i in (6, 7, 8))
+    keys = list(cells)
+    ranked = sorted(
+        range(len(keys)),
+        key=lambda c: (*keys[c][:3], MEASURES.index(keys[c][3]), VARIANTS.index(keys[c][4])),
+    )
+    position = np.empty(len(keys), dtype=np.int64)
+    position[ranked] = np.arange(len(keys))
+    cell_of = position[seen]
+    order = np.argsort(cell_of, kind="stable")  # cell by cell, each in row order
+
+    failed = np.array([f.startswith("failed") for f in flags])
+    usable = ~failed & np.not_equal(np.array(error, dtype=object), None)
+    out_of_range = np.array([f == "out_of_range" for f in flags])
+    n_rows = np.bincount(cell_of, minlength=len(keys))
+    ok = np.bincount(cell_of[usable], minlength=len(keys))
+    flagged = np.bincount(cell_of[out_of_range], minlength=len(keys))
+
+    errors = np.array(error, dtype=float)
+    truths = np.array(estimate, dtype=float) - errors
+    usable_rows = order[usable[order]]
+    ok_starts = np.cumsum(ok) - ok
+    stats: dict[int, tuple] = {}
+    for k in np.unique(ok[ok > 0]).tolist():
+        block_cells = np.flatnonzero(ok == k)
+        block = usable_rows[ok_starts[block_cells][:, None] + np.arange(k)]
+        errs = np.sort(errors[block], axis=1)
+        columns = (
+            errs.mean(axis=1),
+            errs[:, _nearest_rank(2.5, k)],
+            errs[:, _nearest_rank(97.5, k)],
+            np.sqrt((errs * errs).mean(axis=1)),
+            truths[block].mean(axis=1),
+        )
+        stats.update(zip(block_cells.tolist(), zip(*(c.tolist() for c in columns))))
 
     out: list[SummaryRow] = []
-    for key in sorted(
-        groups,
-        key=lambda k: (k[0], k[1], k[2], MEASURES.index(k[3]), VARIANTS.index(k[4])),
-    ):
-        rows = groups[key]
-        ok = [r for r in rows if not r.flags.startswith("failed") and r.error is not None]
-        failures = len(rows) - len(ok)
-        flagged = sum(1 for r in rows if r.flags == "out_of_range")
-        if ok:
-            errors = np.sort(np.array([r.error for r in ok], dtype=float))
-            truth_mean = float(np.mean([r.estimate - r.error for r in ok]))
-            mean_error = float(errors.mean())
-            p_lo = _nearest_rank(errors, 2.5)
-            p_hi = _nearest_rank(errors, 97.5)
-            cell_nrmse = nrmse(errors, truth_mean)
+    for cell, first_seen in enumerate(ranked):
+        n = int(n_rows[cell])
+        failures = n - int(ok[cell])
+        if cell in stats:
+            mean_error, p_lo, p_hi, rms, truth_mean = stats[cell]
+            cell_nrmse = None if truth_mean == 0.0 else rms / abs(truth_mean)
         else:
             mean_error = p_lo = p_hi = cell_nrmse = None
         out.append(
             SummaryRow(
-                *key, len(rows), failures, mean_error, p_lo, p_hi, cell_nrmse,
-                flagged / len(rows), failures / len(rows),
+                *keys[first_seen], n, failures, mean_error, p_lo, p_hi, cell_nrmse,
+                int(flagged[cell]) / n, failures / n,
             )
         )
     return out

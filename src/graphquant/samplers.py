@@ -18,6 +18,15 @@ sampler ran:
   ``(2i, 2i+1)`` for edge samples, the induced edges for node samples,
   and the discovery edges for snowball samples.
 
+Records come in the order the sampler drew them, so the first z records
+of a sample, with the observed edges between them (``Sample.prefix``),
+are a sample of size z of the same sampler: a walk's first z steps are a
+z-step walk, the first z of a uniform ordered draw of nodes or edges are
+a uniform z-subset, and a snowball crawl's records come wave by wave,
+each wave in a uniform order, so its first z are whole waves and a
+uniform part of the next. One draw at the largest size thus serves every
+smaller size.
+
 Node samples and snowball waves read the same CSR gather
 (``_neighbours``). A node sample's induced edges are the neighbours in
 the sampled nodes' rows that are sampled and greater than the row's
@@ -70,6 +79,18 @@ class Sample:
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
+
+    def prefix(self, count: int) -> "Sample":
+        """The first ``count`` records and the observed edges between them."""
+        pos = self.edge_positions
+        return Sample(
+            nodes=self.nodes[:count],
+            degrees=self.degrees[:count],
+            labels=self.labels[:count],
+            weights=self.weights[:count],
+            edge_positions=pos[pos.max(axis=1) < count],
+            burn_in=self.burn_in,
+        )
 
     def take(self, idx) -> "Sample":
         """The records at ``idx`` with their weights, and no observed edges."""
@@ -159,22 +180,26 @@ def rwrw_walk(
 
 
 def node_sample(g: UndirectedGraph, n: int, rng_seed=None) -> Sample:
-    """Uniform sample of n distinct nodes, with their induced edges."""
+    """Uniform sample of n distinct nodes in draw order, with their induced edges."""
     if not 1 <= n <= g.node_count:
         raise ValueError(f"need 1 <= n <= {g.node_count}, got {n}")
     rng = np.random.default_rng(rng_seed)
-    ids = np.sort(rng.choice(g.node_count, size=n, replace=False))
+    ids = rng.choice(g.node_count, size=n, replace=False)
+    order = np.argsort(ids)  # record index of each node in ascending id order
+    rows = ids[order]
     mask = np.zeros(g.node_count, dtype=bool)
     mask[ids] = True
     # Rows ascend and so do neighbours within a row, so the pairs (row node,
     # larger neighbour) come in the order of g.edges.
-    nbrs, row = _neighbours(g.indptr, g.indices, ids)
-    keep = mask[nbrs] & (nbrs > ids[row])
-    return _records(g, ids, np.column_stack([row[keep], np.searchsorted(ids, nbrs[keep])]))
+    nbrs, row = _neighbours(g.indptr, g.indices, rows)
+    keep = mask[nbrs] & (nbrs > rows[row])
+    pairs = np.column_stack([row[keep], np.searchsorted(rows, nbrs[keep])])
+    return _records(g, ids, order[pairs])
 
 
 def edge_sample(g: UndirectedGraph, n_edges: int, rng_seed=None) -> Sample:
-    """Uniform sample of n distinct undirected edges with endpoint records.
+    """Uniform sample of n distinct undirected edges in draw order, with
+    endpoint records.
 
     Endpoint records are flattened in edge order, so there are two
     records per sampled edge and nodes shared between edges repeat.
@@ -182,7 +207,7 @@ def edge_sample(g: UndirectedGraph, n_edges: int, rng_seed=None) -> Sample:
     if not 1 <= n_edges <= g.edge_count:
         raise ValueError(f"need 1 <= n_edges <= {g.edge_count}, got {n_edges}")
     rng = np.random.default_rng(rng_seed)
-    idx = np.sort(rng.choice(g.edge_count, size=n_edges, replace=False))
+    idx = rng.choice(g.edge_count, size=n_edges, replace=False)
     return _records(g, g.edges[idx].reshape(-1), np.arange(2 * n_edges))
 
 
@@ -215,38 +240,44 @@ def _wave(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, visited
 def snowball_sample(g: UndirectedGraph, n_target: int, n_seeds: int = 10, rng_seed=None) -> Sample:
     """Breadth-first crawl from uniform seeds up to exactly n_target nodes.
 
-    Whole waves are added while they fit; the wave that would overshoot is
-    truncated by a uniform draw. Observed edges are the discovery edges
-    into nodes that were kept, from parent record to child record.
+    Waves are traversed in frontier order: the seeds ascending, then each
+    wave in discovery order. Records come wave by wave, each wave's in a
+    uniform order, and the wave that would overshoot keeps only its first
+    records in that order. So the first z records are the crawl of z
+    nodes: whole waves while they fit and a uniform part of the next.
+    Observed edges are the discovery edges into kept nodes, from parent
+    record to child record; a parent's wave precedes its child's, so the
+    parent's record index is the smaller.
     """
     if not 1 <= n_target <= g.node_count:
         raise ValueError(f"need 1 <= n_target <= {g.node_count}, got {n_target}")
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     rng = np.random.default_rng(rng_seed)
-    seeds = np.sort(rng.choice(g.node_count, size=min(n_seeds, g.node_count), replace=False))
-    if seeds.shape[0] > n_target:
-        seeds = np.sort(rng.choice(seeds, size=n_target, replace=False))
+    # A uniform draw comes in uniform order: the seeds' records as drawn.
+    drawn = rng.choice(g.node_count, size=min(n_seeds, g.node_count), replace=False)
+    record_of = np.argsort(drawn)  # record index of each frontier node
+    frontier = drawn[record_of]
 
     visited = np.zeros(g.node_count, dtype=bool)
-    visited[seeds] = True
-    waves = [seeds]
+    visited[drawn] = True
+    waves = [drawn[:n_target]]
     parents = [np.empty(0, dtype=np.int64)]  # record index of each child's parent
-    count = seeds.shape[0]
+    count = waves[0].shape[0]
     while count < n_target:
-        found, parent = _wave(g.indptr, g.indices, waves[-1], visited)
+        found, owner = _wave(g.indptr, g.indices, frontier, visited)
         if found.shape[0] == 0:
             raise ValueError("ran out of reachable nodes before n_target")
-        room = n_target - count
-        if found.shape[0] > room:
-            # Dropped nodes stay visited, so later waves never rediscover them.
-            keep = np.sort(rng.choice(found.shape[0], size=room, replace=False))
-            found, parent = found[keep], parent[keep]
-        parents.append(parent + (count - waves[-1].shape[0]))
-        waves.append(found)
-        count += found.shape[0]
+        # Dropped nodes stay visited, but no wave follows a truncated one.
+        pick = rng.choice(found.shape[0], size=min(n_target - count, found.shape[0]), replace=False)
+        parents.append(record_of[owner[pick]])
+        waves.append(found[pick])
+        record_of = np.empty(found.shape[0], dtype=np.int64)
+        record_of[pick] = np.arange(count, count + pick.shape[0])
+        frontier = found
+        count += pick.shape[0]
 
-    children = np.arange(seeds.shape[0], count)
+    children = np.arange(waves[0].shape[0], count)
     return _records(g, np.concatenate(waves), np.column_stack([np.concatenate(parents), children]))
 
 

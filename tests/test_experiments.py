@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,6 @@ from graphquant.experiments import (
     GraphSpec,
     ResultRow,
     ExperimentResult,
-    nrmse,
     run_experiment,
     summarize,
     write_rows_csv,
@@ -170,6 +170,8 @@ class TestConfig:
 
 
 class TestNrmse:
+    """The reference definition that reference_summarize uses."""
+
     def test_zero_errors(self):
         assert nrmse([0.0, 0.0, 0.0], 0.4) == 0.0
 
@@ -229,6 +231,75 @@ class TestSummarize:
         assert summary[0].failures == 1
         assert summary[0].failure_rate == 0.5
         assert summary[0].reps == 2
+
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["fresh", "fixed_graph"])
+    def test_equals_per_cell_reference_on_pinned_rows(self, fixed):
+        cfg = ExperimentConfig(graph=PINNED_GRAPH, **PINNED_GRID, **(PINNED_FIXED if fixed else {}))
+        result = run_experiment(dataclasses.replace(cfg, replications=8))
+        assert summarize(result) == reference_summarize(result)
+
+    def test_equals_per_cell_reference_on_ragged_cells(self):
+        # Cells of 1 to 250 rows in shuffled order, some failed, some without
+        # an error, some out of range, with truths of mixed signs and zero.
+        rng = np.random.default_rng(3)
+        rows = []
+        for cell in range(120):
+            truth = [0.0, 0.3, -0.4, 1e-3][cell % 4]
+            for rep in range(int(rng.integers(1, 251))):
+                error = float(rng.normal(0.0, 10.0 ** rng.integers(-4, 1)))
+                flags = str(rng.choice(["", "", "", "out_of_range", "failed:no_edges"]))
+                estimate = None if flags.startswith("failed") and rep % 2 else truth + error
+                rows.append(ResultRow(
+                    ("rwrw", "node", "edge")[cell % 3], (0.1, 0.2, 0)[cell // 3 % 3],
+                    10 * (cell // 9 % 3 + 1), rep, experiments.MEASURES[cell // 27 % 4],
+                    experiments.VARIANTS[cell % 3], estimate,
+                    None if estimate is None else error, flags,
+                ))
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        result = ExperimentResult(config=small_config(), rows=rows)
+        assert summarize(result) == reference_summarize(result)
+
+
+def nrmse(errors, truth: float) -> float | None:
+    """NRMSE as summarize defines it, from a list of errors: root mean
+    squared error over the truth's magnitude; None when the truth is 0."""
+    arr = np.asarray(list(errors), dtype=float)
+    if arr.size == 0:
+        raise ValueError("need at least one error")
+    if truth == 0.0:
+        return None
+    return float(np.sqrt(np.mean(arr * arr)) / abs(truth))
+
+
+def reference_summarize(result):
+    """summarize, cell by cell with 1-D reductions, as it was written before
+    it reduced blocks of cells."""
+    groups = {}
+    for row in result.rows:
+        groups.setdefault((row.sampler, row.rate, row.size, row.measure, row.variant), []).append(row)
+    out = []
+    for key in sorted(
+        groups,
+        key=lambda k: (k[0], k[1], k[2], experiments.MEASURES.index(k[3]),
+                       experiments.VARIANTS.index(k[4])),
+    ):
+        rows = groups[key]
+        ok = [r for r in rows if not r.flags.startswith("failed") and r.error is not None]
+        failures = len(rows) - len(ok)
+        flagged = sum(1 for r in rows if r.flags == "out_of_range")
+        if ok:
+            errors = np.sort(np.array([r.error for r in ok], dtype=float))
+            truth_mean = float(np.mean([r.estimate - r.error for r in ok]))
+            ranks = [max(1, math.ceil(pct / 100.0 * len(ok))) for pct in (2.5, 97.5)]
+            band = [float(errors[rank - 1]) for rank in ranks]
+            stats_ = [float(errors.mean()), *band, nrmse(errors, truth_mean)]
+        else:
+            stats_ = [None] * 4
+        out.append(experiments.SummaryRow(
+            *key, len(rows), failures, *stats_, flagged / len(rows), failures / len(rows)
+        ))
+    return out
 
 
 class TestRunExperiment:
@@ -402,20 +473,24 @@ class TestRunExperiment:
         assert all(0.0 <= s.failure_rate <= 1.0 for s in ingroup)
 
     def test_tiny_node_samples_induce_reference_edges(self, monkeypatch):
-        # Every draw of the run above, against the mask over every edge.
+        # Each replication draws once, at the largest size, and measures
+        # every size on a prefix: the draws, and every prefix of them,
+        # against the mask over every edge.
         drawn = []
 
-        def checked(g, n, rng_seed=None):
+        def recorded(g, n, rng_seed=None):
             sample = node_sample(g, n, rng_seed=rng_seed)
-            assert_induced_edges_match(g, sample)
-            drawn.append(n)
+            drawn.append((g, sample))
             return sample
 
-        monkeypatch.setattr(experiments, "node_sample", checked)
+        monkeypatch.setattr(experiments, "node_sample", recorded)
         run_experiment(
-            small_config(samplers=("node",), sample_sizes=(2,), rates=(0.2,), replications=5)
+            small_config(samplers=("node",), sample_sizes=(2, 3), rates=(0.2,), replications=5)
         )
-        assert drawn == [2] * 5
+        assert [len(sample) for _, sample in drawn] == [3] * 5
+        for g, sample in drawn:
+            for z in (1, 2, 3):
+                assert_induced_edges_match(g, sample.prefix(z))
 
     def test_undefined_truth_rows(self):
         # m = 1 seeds no B node, so at minority_frac 0 the graph is all A and
@@ -508,7 +583,11 @@ class TestRunExperiment:
 
     def test_one_group_draw_fails_corrected_rows_only(self):
         # Two labeled nodes often share a group, and then C is undefined.
-        res = run_experiment(small_config(confusion_from_labeled=2, replications=3))
+        # About 60% of draws are one-group (64% of walks' and 59% of node
+        # samples' over 200 replications), so all 40 draws here (20
+        # replications, 2 samplers) or none are one-group with probability
+        # under 0.65**40 + 0.35**40 < 1e-7.
+        res = run_experiment(small_config(confusion_from_labeled=2, replications=20))
         corrected = rows_for(res, variant="corrected")
         undefined = [r for r in corrected if r.flags == "failed:confusion_undefined"]
         assert 0 < len(undefined) < len(corrected)
@@ -629,22 +708,21 @@ class TestPinnedBytes:
     # sha256 of rows.csv and summary.csv, taken under numpy 2.4.6. A change
     # that keeps the output must keep these; numpy may change its random
     # streams in a feature release, which alone would also move them. They
-    # moved last when the edge correction became D(adj C) / det(C)^2, which
-    # rounds differently in the last bits of corrected ingroup and homophily
-    # rows, and when every rate came to share one labeled set per sample,
-    # which draws new labeled nodes for every corrected fixed_graph row.
+    # moved last when each sampler came to draw once per replication, at the
+    # largest size, and to measure every size on a prefix of that draw, which
+    # draws new samples for every row.
     @pytest.mark.parametrize(
         "overrides, rows_sha, summary_sha",
         [
             (
                 {},
-                "477c572096c02d7a23bd7e8e1e462c59e21cd94a4488ad132a9b7324834101d5",
-                "a915e7547818ee1b5956626f82d3056652607d3e5a1c681ddf8ed0db3218e747",
+                "ef2b248b104d0f56d1e30e72cfa0dc21e313d9045d10a57506912a7df2a31fe2",
+                "2e7f38a5336a0ab39ec9951d5bf6dd2aa2f17305285b9a741cd3a2aed96e9752",
             ),
             (
                 PINNED_FIXED,
-                "3e54efcac81f6141fa75e502b8cd23d9d0061a4f44a90ac3b82c28228e02c732",
-                "6b34ded9fe4cd04030e2eee2ac3ea37d5d18536658990b1f9d50cbeaac050d9d",
+                "afe1836c4bc5aba78ff7b3a3402c594338a9e942ab1b9acae3332d3fe79af26c",
+                "885482d26cc771d31f7dcb3bd6bd7db35f929c345eef5c2dc20b3c59bee1d0b1",
             ),
         ],
         ids=["fresh", "fixed_graph"],
@@ -655,12 +733,12 @@ class TestPinnedBytes:
 
     # sha256 of the rows.csv lines other than the walk's visibility rows,
     # header included. The walk's top-quantile estimator alone does not move
-    # them; they moved with the edge correction and the shared labeled set.
+    # them; they moved last with the one draw per sampler and replication.
     @pytest.mark.parametrize(
         "overrides, sha",
         [
-            ({}, "ee4448545ee95382584f8264c95ec1e948d7d5d35a662c1aeb9b105bc3e9ea17"),
-            (PINNED_FIXED, "42b894056c72212f2044c283ef5ac62cd96e1152227439689a59069adb87fd2c"),
+            ({}, "9eb60a06159a48447fe78d63d92caf922fe6cca851bc0786a1c2b2580d473343"),
+            (PINNED_FIXED, "f9ac3224deb84e8125f65cb4f078c415f3733b4e315e8739bf87866aa6594efc"),
         ],
         ids=["fresh", "fixed_graph"],
     )

@@ -574,6 +574,7 @@ class TestFiles:
         assert (tmp_path / "g.labels").read_bytes() == b"0\tA\n1\tB\n2\tB\n3\tA\n"
         # Every node once, in id order; records name nodes by any int64 id.
         sample = node_sample(g, 4, rng_seed=0)
+        sample = sample.take(np.argsort(sample.nodes))
         noisy = with_noisy_labels(sample, [1, 1, 0, 0])
         sample = dataclasses.replace(sample, nodes=np.array([100, 7, 2**63 - 1, -(2**63)]))
         header = b"# node_id degree true_label noisy_label step_index\n"

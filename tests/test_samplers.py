@@ -2,6 +2,8 @@
 quantile, and the resampling reference."""
 
 import dataclasses
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -98,33 +100,60 @@ def waves(sample):
 
 
 def reference_snowball(g, n_target, n_seeds, rng_seed):
-    """Snowball crawl one neighbour at a time, drawing what snowball_sample draws."""
+    """Snowball crawl one neighbour at a time, drawing what snowball_sample
+    draws: the seeds' records as drawn, each later wave's records in the
+    order of one uniform ordered draw from it, and the traversal in
+    frontier order (the seeds ascending, then discovery order)."""
     rng = np.random.default_rng(rng_seed)
+    drawn = rng.choice(g.node_count, size=min(n_seeds, g.node_count), replace=False).tolist()
+    visited = set(drawn)
+    record_of = {u: i for i, u in enumerate(drawn)}
+    accepted = drawn[:n_target]
+    tree = []
+    frontier = sorted(drawn)
+    while len(accepted) < n_target:
+        discovered, parents = [], []
+        for u in frontier:
+            for w in g.indices[g.indptr[u] : g.indptr[u + 1]].tolist():
+                if w not in visited:
+                    visited.add(w)
+                    discovered.append(w)
+                    parents.append(record_of[u])
+        room = n_target - len(accepted)
+        for i in rng.choice(len(discovered), size=min(room, len(discovered)), replace=False).tolist():
+            record_of[discovered[i]] = len(accepted)
+            tree.append((parents[i], len(accepted)))
+            accepted.append(discovered[i])
+        frontier = discovered
+    return accepted, tree
+
+
+def truncated_snowball(g, n_target, n_seeds, rng):
+    """Node set and discovery edges (parent node, child node) of a crawl of
+    exactly n_target nodes by the truncation rule: uniform seeds, a uniform
+    subset of them when they are too many, then whole breadth-first waves
+    while they fit and a uniform subset of the wave that would overshoot."""
     seeds = np.sort(rng.choice(g.node_count, size=min(n_seeds, g.node_count), replace=False))
     if seeds.shape[0] > n_target:
         seeds = np.sort(rng.choice(seeds, size=n_target, replace=False))
     visited = set(seeds.tolist())
     accepted = seeds.tolist()
     tree = []
-    frontier = range(len(accepted))
+    frontier = accepted
     while len(accepted) < n_target:
-        discovered, parents = [], []
-        for at in frontier:
-            u = accepted[at]
+        found = []
+        for u in frontier:
             for w in g.indices[g.indptr[u] : g.indptr[u + 1]].tolist():
                 if w not in visited:
                     visited.add(w)
-                    discovered.append(w)
-                    parents.append(at)
+                    found.append((u, w))
         room = n_target - len(accepted)
-        if len(discovered) > room:
-            keep = np.sort(rng.choice(len(discovered), size=room, replace=False))
-            discovered = [discovered[i] for i in keep]
-            parents = [parents[i] for i in keep]
-        frontier = range(len(accepted), len(accepted) + len(discovered))
-        accepted.extend(discovered)
-        tree.extend(zip(parents, frontier))
-    return accepted, tree
+        if len(found) > room:
+            found = [found[i] for i in np.sort(rng.choice(len(found), size=room, replace=False))]
+        tree.extend(found)
+        frontier = [w for _, w in found]
+        accepted.extend(frontier)
+    return frozenset(accepted), frozenset(tree)
 
 
 # Every sampler with the edge count it implies on a graph, given its draw.
@@ -283,7 +312,7 @@ class TestNodeSample:
     def test_full_sample_is_whole_graph(self):
         g = generate_homophilous_graph(40, 2, 0.3, 0.7, rng_seed=18)
         sample = node_sample(g, g.node_count, rng_seed=19)
-        assert np.array_equal(sample.nodes, np.arange(g.node_count))
+        assert np.array_equal(np.sort(sample.nodes), np.arange(g.node_count))
         assert sample.edge_positions.shape[0] == g.edge_count
         gt = ground_truth(g)
         assert estimate_proportions(sample).b == gt.p.b
@@ -325,7 +354,7 @@ class TestNodeSample:
             g = generate_homophilous_graph(50 + seed, 1 + seed % 4, 0.3, 0.7, rng_seed=seed)
             whole = node_sample(g, g.node_count, rng_seed=seed)
             assert_induced_edges_match(g, whole)
-            assert whole.edge_positions.tolist() == g.edges.tolist()
+            assert whole.nodes[whole.edge_positions].tolist() == g.edges.tolist()
             single = node_sample(g, 1, rng_seed=seed)
             assert_induced_edges_match(g, single)
             assert single.edge_positions.shape == (0, 2)
@@ -420,6 +449,106 @@ class TestSnowball:
                 estimate_proportions(node_sample(g, 100, rng_seed=(32, rep))).b
             )
         assert abs(np.mean(snow) - truth) > abs(np.mean(node) - truth)
+
+
+def assert_same_sample(got, want):
+    for f in dataclasses.fields(Sample):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+class TestPrefix:
+    """The first z records of a sample are a sample of size z: exactly for
+    walks, and in law for node, edge and snowball samples."""
+
+    @pytest.mark.parametrize("seed_mode", [SEED_DEGREE, SEED_UNIFORM])
+    @pytest.mark.parametrize("burn_in", [0, 300])
+    def test_walk_prefix_is_the_shorter_walk(self, seed_mode, burn_in):
+        g = generate_homophilous_graph(500, 3, 0.2, 0.8, rng_seed=80)
+        for seed in range(20):
+            walk = rwrw_walk(g, 3000, seed_mode=seed_mode, burn_in=burn_in, rng_seed=seed)
+            for z in (1, 999, 1500, 2999):
+                assert_same_sample(
+                    walk.prefix(z),
+                    rwrw_walk(g, z, seed_mode=seed_mode, burn_in=burn_in, rng_seed=seed),
+                )
+
+    def test_walk_prefix_across_the_block_boundary(self):
+        # The walk reads its uniforms in blocks of 65536.
+        g = generate_homophilous_graph(200, 2, 0.3, 0.7, rng_seed=81)
+        walk = rwrw_walk(g, 66000, seed_mode=SEED_UNIFORM, burn_in=200, rng_seed=82)
+        for z in (65000, 65336, 65337, 65999):
+            assert_same_sample(
+                walk.prefix(z), rwrw_walk(g, z, seed_mode=SEED_UNIFORM, burn_in=200, rng_seed=82)
+            )
+
+    def test_node_prefix_is_a_uniform_subset(self):
+        # 7000 draws of 6 of 7 nodes, cut to 3: each of the 35 subsets
+        # about 200 times, and each prefix induces the reference edges.
+        g = UndirectedGraph.from_edges(
+            7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 3), (2, 5)], [0, 1, 0, 1, 0, 1, 1]
+        )
+        subsets = {c: i for i, c in enumerate(itertools.combinations(range(7), 3))}
+        counts = np.zeros(len(subsets))
+        for rep in range(7000):
+            prefix = node_sample(g, 6, rng_seed=(83, rep)).prefix(3)
+            counts[subsets[tuple(sorted(prefix.nodes.tolist()))]] += 1
+            assert_induced_edges_match(g, prefix)
+        assert stats.chisquare(counts).pvalue > 0.001
+
+    def test_edge_prefix_is_a_uniform_subset(self):
+        # 11200 draws of all 8 edges, cut to 3 edges: each of the 56 edge
+        # sets about 200 times, each edge with its own two records.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)]
+        g = UndirectedGraph.from_edges(6, edges, [0, 1, 0, 1, 1, 0])
+        pairs = sorted(map(tuple, np.sort(edges, axis=1).tolist()))
+        subsets = {c: i for i, c in enumerate(itertools.combinations(pairs, 3))}
+        counts = np.zeros(len(subsets))
+        for rep in range(11200):
+            prefix = edge_sample(g, 8, rng_seed=(84, rep)).prefix(6)
+            assert prefix.edge_positions.tolist() == [[0, 1], [2, 3], [4, 5]]
+            drawn = sorted(map(tuple, np.sort(prefix.nodes.reshape(-1, 2), axis=1).tolist()))
+            counts[subsets[tuple(drawn)]] += 1
+        assert stats.chisquare(counts).pvalue > 0.001
+
+    def test_snowball_prefix_has_the_truncated_crawl_law(self):
+        # The node set and discovery edges of a 4-record prefix of a 6-node
+        # crawl, against a crawl of exactly 4 nodes by the truncation rule.
+        edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (5, 7), (6, 7)]
+        g = UndirectedGraph.from_edges(8, edges, [0, 1, 0, 1, 0, 1, 0, 1])
+        rng = np.random.default_rng(85)
+        prefixes, crawls = Counter(), Counter()
+        for rep in range(8000):
+            prefix = snowball_sample(g, 6, n_seeds=2, rng_seed=(86, rep)).prefix(4)
+            tree = map(tuple, prefix.nodes[prefix.edge_positions].tolist())
+            prefixes[frozenset(prefix.nodes.tolist()), frozenset(tree)] += 1
+            crawls[truncated_snowball(g, 4, 2, rng)] += 1
+        # Outcomes seen fewer than 20 times in all are pooled into one column.
+        common = [k for k in prefixes.keys() | crawls.keys() if prefixes[k] + crawls[k] >= 20]
+        table = np.array([[c[k] for k in common] + [8000 - sum(c[k] for k in common)]
+                          for c in (prefixes, crawls)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert len(common) > 20
+        assert stats.chi2_contingency(table).pvalue > 0.001
+
+    def test_snowball_traverses_in_frontier_order(self):
+        # A node reached from two frontier nodes belongs to the first in
+        # frontier order (seeds ascending, then discovery order), whatever
+        # order their records took. On K4 with two seeds, both other nodes
+        # hang off the lower seed; on a 4-cycle from one seed, the far node
+        # hangs off the lower of its two neighbours.
+        k4 = UndirectedGraph.from_edges(4, list(itertools.combinations(range(4), 2)), [0, 1, 0, 1])
+        cycle = path_graph(4, labels=[0, 1, 0, 1])
+        cycle = UndirectedGraph.from_edges(4, cycle.edges.tolist() + [(0, 3)], [0, 1, 0, 1])
+        for g, n_seeds, parents_wave in ((k4, 2, slice(0, 2)), (cycle, 1, slice(1, 3))):
+            higher_first = 0
+            for seed in range(20):
+                sample = snowball_sample(g, 4, n_seeds=n_seeds, rng_seed=seed)
+                frontier = sample.nodes[parents_wave]
+                higher_first += frontier[0] > frontier[1]
+                last = sample.edge_positions[-1]
+                assert sample.nodes[last[0]] == frontier.min()
+                assert last[0] < last[1]
+            assert 0 < higher_first < 20
 
 
 class TestImportanceResample:
