@@ -29,7 +29,8 @@ corrected one.
 Rows and summary cells are NamedTuples whose field order is the CSV
 column order. A replication emits each cell's rows measure by measure,
 each in the three variants, which is the order of the file, so the run
-only sorts them by (sampler, rate, size, replication).
+only sorts them by (sampler, rate, size, replication), and a summary
+lists its cells in the order the rows first hold them.
 
 Everything is deterministic given the master seed: per-purpose RNG
 streams are split from it by counter keys, replications are independent
@@ -93,8 +94,6 @@ VARIANTS = ("no_noise", "uncorrected", "corrected")
 
 # RNG stream tags; every random decision is keyed (master, tag, rep, ...).
 _GRAPH, _NOISE, _SAMPLE, _LABELED = 0, 1, 2, 3
-# Uniform seed nodes of each snowball sample.
-_SNOWBALL_SEEDS = 10
 
 
 def _check_kinds(integers, reals, flags) -> None:
@@ -210,7 +209,8 @@ class ExperimentConfig:
 
 
 class ResultRow(NamedTuple):
-    """One line of rows.csv; the field order is the column order."""
+    """One line of rows.csv; the field order is the column order. A row
+    with an empty estimate or error always carries a ``failed:`` flag."""
 
     sampler: str
     rate: float
@@ -315,9 +315,7 @@ def _draw_sample(cfg: ExperimentConfig, g: UndirectedGraph, sampler: str, seed):
         return node_sample(g, size, rng_seed=seed)
     if sampler == "edge":
         return edge_sample(g, _records_for(sampler, size) // 2, rng_seed=seed)
-    if sampler == "snowball":
-        return snowball_sample(g, size, n_seeds=_SNOWBALL_SEEDS, rng_seed=seed)
-    raise ValueError(f"unknown sampler {sampler!r}")
+    return snowball_sample(g, size, rng_seed=seed)
 
 
 def _measure(sample, top) -> tuple:
@@ -469,68 +467,51 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
     heterophilous graph) keeps it nonnegative; it is None when that truth
     is 0, which keeps such cells out of NRMSE tables.
 
-    One stable sort puts the rows in cell order. The cells with k usable
-    rows (neither failed nor without an error) are reduced together, as a
-    C-ordered (cells x k) block along its rows; each row of such a block
-    rounds as the 1-D reduction of that cell alone would.
+    Cells come in the order their first rows appear, which is file order
+    for ``run_experiment``'s rows. A row counts toward its cell's
+    statistics unless its flag starts with ``failed``; by ``ResultRow``'s
+    contract every other row has an estimate and an error. The cells with
+    k usable rows are reduced together, as a C-ordered (cells x k) block
+    along its rows; each row of such a block rounds as the 1-D reduction
+    of that cell alone would.
     """
     rows = result.rows
-    if not rows:
-        return []
     cells: dict[tuple, int] = {}  # cell key, as its first row has it, to first-seen index
-    seen = [cells.setdefault(key, len(cells)) for key in map(itemgetter(0, 1, 2, 4, 5), rows)]
+    keys = map(itemgetter(0, 1, 2, 4, 5), rows)
+    cell_of = np.array([cells.setdefault(key, len(cells)) for key in keys], dtype=np.int64)
     estimate, error, flags = (list(map(itemgetter(i), rows)) for i in (6, 7, 8))
-    keys = list(cells)
-    ranked = sorted(
-        range(len(keys)),
-        key=lambda c: (*keys[c][:3], MEASURES.index(keys[c][3]), VARIANTS.index(keys[c][4])),
-    )
-    position = np.empty(len(keys), dtype=np.int64)
-    position[ranked] = np.arange(len(keys))
-    cell_of = position[seen]
-    order = np.argsort(cell_of, kind="stable")  # cell by cell, each in row order
+    usable = np.array([not f.startswith("failed") for f in flags], dtype=bool)
+    out_of_range = np.array([f == "out_of_range" for f in flags], dtype=bool)
+    n_rows = np.bincount(cell_of, minlength=len(cells))
+    ok = np.bincount(cell_of[usable], minlength=len(cells))
+    flagged = np.bincount(cell_of[out_of_range], minlength=len(cells))
 
-    failed = np.array([f.startswith("failed") for f in flags])
-    usable = ~failed & np.not_equal(np.array(error, dtype=object), None)
-    out_of_range = np.array([f == "out_of_range" for f in flags])
-    n_rows = np.bincount(cell_of, minlength=len(keys))
-    ok = np.bincount(cell_of[usable], minlength=len(keys))
-    flagged = np.bincount(cell_of[out_of_range], minlength=len(keys))
-
+    # A failed row may read NaN here; it is never gathered below.
     errors = np.array(error, dtype=float)
     truths = np.array(estimate, dtype=float) - errors
+    order = np.argsort(cell_of, kind="stable")  # cell by cell, each in row order
     usable_rows = order[usable[order]]
     ok_starts = np.cumsum(ok) - ok
-    stats: dict[int, tuple] = {}
+    stats = [(None,) * 4] * len(cells)
     for k in np.unique(ok[ok > 0]).tolist():
         block_cells = np.flatnonzero(ok == k)
         block = usable_rows[ok_starts[block_cells][:, None] + np.arange(k)]
         errs = np.sort(errors[block], axis=1)
+        rms = np.sqrt((errs * errs).mean(axis=1)).tolist()
+        truth_mean = truths[block].mean(axis=1).tolist()
         columns = (
-            errs.mean(axis=1),
-            errs[:, _nearest_rank(2.5, k)],
-            errs[:, _nearest_rank(97.5, k)],
-            np.sqrt((errs * errs).mean(axis=1)),
-            truths[block].mean(axis=1),
+            errs.mean(axis=1).tolist(),
+            errs[:, _nearest_rank(2.5, k)].tolist(),
+            errs[:, _nearest_rank(97.5, k)].tolist(),
+            [None if t == 0.0 else r / abs(t) for r, t in zip(rms, truth_mean)],
         )
-        stats.update(zip(block_cells.tolist(), zip(*(c.tolist() for c in columns))))
+        for cell, stat in zip(block_cells.tolist(), zip(*columns)):
+            stats[cell] = stat
 
-    out: list[SummaryRow] = []
-    for cell, first_seen in enumerate(ranked):
-        n = int(n_rows[cell])
-        failures = n - int(ok[cell])
-        if cell in stats:
-            mean_error, p_lo, p_hi, rms, truth_mean = stats[cell]
-            cell_nrmse = None if truth_mean == 0.0 else rms / abs(truth_mean)
-        else:
-            mean_error = p_lo = p_hi = cell_nrmse = None
-        out.append(
-            SummaryRow(
-                *keys[first_seen], n, failures, mean_error, p_lo, p_hi, cell_nrmse,
-                int(flagged[cell]) / n, failures / n,
-            )
-        )
-    return out
+    return [
+        SummaryRow(*key, n, n - k, *stat, f / n, (n - k) / n)
+        for key, n, k, f, stat in zip(cells, n_rows.tolist(), ok.tolist(), flagged.tolist(), stats)
+    ]
 
 
 def _write_csv(path, rows, row_type) -> None:

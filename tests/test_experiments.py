@@ -222,6 +222,9 @@ class TestSummarize:
         summary = summarize(self._result([0.1, -0.1], truth=0.0))
         assert summary[0].nrmse is None
 
+    def test_no_rows_no_cells(self):
+        assert summarize(ExperimentResult(config=small_config(), rows=[])) == []
+
     def test_failed_rows_counted(self):
         rows = [
             ResultRow("node", 0.1, 10, 0, "ingroup", "corrected", 0.5, 0.1, ""),
@@ -239,9 +242,53 @@ class TestSummarize:
         result = run_experiment(dataclasses.replace(cfg, replications=8))
         assert summarize(result) == reference_summarize(result)
 
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            ("fresh", None),
+            ("one_group_labeled", "failed:confusion_undefined"),
+            ("files", None),
+            ("undefined_truth", "failed:undefined_truth"),
+            ("tiny_node_samples", "failed:no_edges"),
+        ],
+    )
+    def test_rows_without_error_are_failed(self, tmp_path, case, code):
+        # summarize reads a row's flag alone: the rows of a run keep an
+        # estimate and an error unless the flag starts with "failed:".
+        if case == "files":
+            g = generate_homophilous_graph(120, 3, 0.3, 0.7, rng_seed=3)
+            write_edge_list(g, tmp_path / "g.edges")
+            write_label_file(g, tmp_path / "g.labels")
+        overrides = {
+            "fresh": {},
+            "one_group_labeled": dict(fixed_graph=True, confusion_from_labeled=2, replications=20),
+            "files": dict(
+                graph=GraphSpec(
+                    edge_file=str(tmp_path / "g.edges"), label_file=str(tmp_path / "g.labels")
+                ),
+                sample_sizes=(40,),
+            ),
+            "undefined_truth": dict(graph=GraphSpec(n=300, m=1, minority_frac=0.0)),
+            "tiny_node_samples": dict(samplers=("node",), sample_sizes=(2,), replications=5),
+        }[case]
+        res = run_experiment(small_config(**overrides))
+        assert all(
+            r.flags.startswith("failed:") for r in res.rows if r.estimate is None or r.error is None
+        )
+        if code is not None:
+            assert any(r.flags == code for r in res.rows)
+        failed = Counter(
+            (r.sampler, r.rate, r.size, r.measure, r.variant)
+            for r in res.rows
+            if r.flags.startswith("failed")
+        )
+        summary = summarize(res)
+        assert [s.failures for s in summary] == [failed[s[:5]] for s in summary]
+
     def test_equals_per_cell_reference_on_ragged_cells(self):
-        # Cells of 1 to 250 rows in shuffled order, some failed, some without
-        # an error, some out of range, with truths of mixed signs and zero.
+        # Cells of 1 to 250 rows in shuffled order, some failed (half of
+        # those without an estimate or error), some out of range, with
+        # truths of mixed signs and zero.
         rng = np.random.default_rng(3)
         rows = []
         for cell in range(120):
@@ -259,6 +306,17 @@ class TestSummarize:
         rows = [rows[i] for i in rng.permutation(len(rows))]
         result = ExperimentResult(config=small_config(), rows=rows)
         assert summarize(result) == reference_summarize(result)
+        # The same rows in file order give the cells in file order.
+        rows.sort(key=lambda r: (r.sampler, r.rate, r.size, r.rep, *cell_rank(r.measure, r.variant)))
+        summary = summarize(ExperimentResult(config=small_config(), rows=rows))
+        assert summary == reference_summarize(ExperimentResult(config=small_config(), rows=rows))
+        keys = [s[:5] for s in summary]
+        assert keys == sorted(keys, key=lambda k: (*k[:3], *cell_rank(*k[3:])))
+
+
+def cell_rank(measure: str, variant: str) -> tuple[int, int]:
+    """A row's place within its replication's rows of one cell group."""
+    return experiments.MEASURES.index(measure), experiments.VARIANTS.index(variant)
 
 
 def nrmse(errors, truth: float) -> float | None:
@@ -274,18 +332,13 @@ def nrmse(errors, truth: float) -> float | None:
 
 def reference_summarize(result):
     """summarize, cell by cell with 1-D reductions, as it was written before
-    it reduced blocks of cells."""
+    it reduced blocks of cells; cells in the order their first rows appear."""
     groups = {}
     for row in result.rows:
         groups.setdefault((row.sampler, row.rate, row.size, row.measure, row.variant), []).append(row)
     out = []
-    for key in sorted(
-        groups,
-        key=lambda k: (k[0], k[1], k[2], experiments.MEASURES.index(k[3]),
-                       experiments.VARIANTS.index(k[4])),
-    ):
-        rows = groups[key]
-        ok = [r for r in rows if not r.flags.startswith("failed") and r.error is not None]
+    for key, rows in groups.items():
+        ok = [r for r in rows if not r.flags.startswith("failed")]
         failures = len(rows) - len(ok)
         flagged = sum(1 for r in rows if r.flags == "out_of_range")
         if ok:
@@ -1040,6 +1093,26 @@ class TestCli:
             assert cli_main(argv) == 0
             outs.append((out_dir / "rows.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_run_grid_quick(tmp_path):
+    # scripts/run_grid.py puts src/ on its own path: 4 samplers x 4 rates x
+    # 5 sizes x 2 replications, 12 rows each, and an NRMSE line per measure.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_grid.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--quick", "--reps", "2", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name, row_type, count in (("rows", ResultRow, 1920), ("summary", experiments.SummaryRow, 960)):
+        lines = (tmp_path / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ",".join(row_type._fields)
+        assert len(lines) == 1 + count
+    table = [line.split() for line in proc.stdout.splitlines()]
+    for measure in experiments.MEASURES:
+        (cells,) = [line[1:] for line in table if line[:1] == [measure]]
+        assert len(cells) == 4 * 3  # "corrected / uncorrected" per rate
+        assert all(float(x) >= 0.0 for x in cells[0::3] + cells[2::3])
 
 
 class TestTracerNames:

@@ -602,3 +602,87 @@ class TestUnbiasednessMonteCarlo:
         # Uncorrected mean sits at the analytic bias, not at the truth.
         assert np.mean(walk_unc) == pytest.approx(analytic_m_b, abs=0.01)
         assert abs(np.mean(walk_unc) - truth.p.b) > 0.1
+
+
+class TestDegreeDependentError:
+    """A classifier whose minority recall rises with degree,
+    P(pred b) = 0.5 + 0.45 (1 - 4/d) for b nodes and 0.05 for a nodes, on
+    one 10k-node graph. No single C then corrects every measure."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        g = generate_homophilous_graph(10_000, 4, 0.2, 0.8, rng_seed=1)
+        p_b = np.where(g.labels == 1, 0.5 + 0.45 * (1.0 - 4.0 / g.degrees), 0.05)
+        return g, p_b
+
+    def test_walk_labeled_set_rules(self, graph):
+        # 1000 walks of 3000 steps, each with fresh noise and k = 200 labels.
+        # Labels on k distinct walk nodes (the grid's rule) over-weight the
+        # well-connected b nodes, whose recall is high, so the corrected share
+        # stays low: 11.5 SE at these seeds. Labels on k walk records with
+        # 1/d-weighted counts estimate the node-average C and remove most of
+        # that bias, but an estimated C has its own small-k bias (+3.3 SE
+        # here, 2.1-3.2 SE at other seeds), so only the population C is held
+        # to 3 SE.
+        from graphquant.noise import empirical_confusion
+        from graphquant.samplers import estimate_proportions, rwrw_walk, with_noisy_labels
+
+        g, p_b = graph
+        is_b = g.labels == 1
+
+        def confusion(b_given_a, b_given_b):
+            return ConfusionMatrix(1.0 - b_given_a, 1.0 - b_given_b, b_given_a, b_given_b)
+
+        population = confusion(0.05, p_b[is_b].mean())
+        estimates = {"uncorrected": [], "distinct": [], "weighted": [], "population": []}
+        for rep in range(1000):
+            walk = rwrw_walk(g, 3000, rng_seed=(910, rep))
+            noisy = (np.random.default_rng((911, rep)).random(g.node_count) < p_b).astype(np.int8)
+            measured = estimate_proportions(with_noisy_labels(walk, noisy))
+            rng = np.random.default_rng((912, rep))
+            labeled = rng.choice(np.unique(walk.nodes), size=200, replace=False)
+            records = rng.choice(len(walk), size=200, replace=False)
+            nodes, w = walk.nodes[records], walk.weights[records]
+            true_b, pred_b = is_b[nodes], noisy[nodes] == 1
+            weighted = confusion(
+                (w * ~true_b * pred_b).sum() / (w * ~true_b).sum(),
+                (w * true_b * pred_b).sum() / (w * true_b).sum(),
+            )
+            estimates["uncorrected"].append(measured.b)
+            estimates["distinct"].append(
+                adjust_proportions(measured, empirical_confusion(g.labels[labeled], noisy[labeled])).b
+            )
+            estimates["weighted"].append(adjust_proportions(measured, weighted).b)
+            estimates["population"].append(adjust_proportions(measured, population).b)
+        truth = ground_truth(g).p.b
+        bias = {name: np.mean(v) - truth for name, v in estimates.items()}
+        se = {name: np.std(v, ddof=1) / np.sqrt(len(v)) for name, v in estimates.items()}
+        assert bias["uncorrected"] < bias["distinct"] < 0.0
+        assert bias["distinct"] < -8.0 * se["distinct"]
+        assert abs(bias["weighted"]) < 0.5 * abs(bias["distinct"])
+        assert abs(bias["population"]) < 3.0 * se["population"]
+
+    def test_edge_correction_residual(self, graph):
+        # Exact expectations, no sampling: each edge's measured type is b-b
+        # with probability p_u p_v. The dyadic correction assumes one C for
+        # both endpoints, but an edge's endpoints are degree-weighted and
+        # their errors correlate through degree and homophily. The
+        # node-average C over-corrects (0.636 against a true 0.541, measured
+        # 0.321) and the degree-weighted C (0.571) still misses.
+        g, p_b = graph
+        is_b = g.labels == 1
+        pu, pv = p_b[g.edges[:, 0]], p_b[g.edges[:, 1]]
+        measured = EdgeVector(
+            float(np.mean((1 - pu) * (1 - pv))),
+            float(np.mean(pu * (1 - pv) + pv * (1 - pu))),
+            float(np.mean(pu * pv)),
+        )
+        true_share = ingroup_share(ground_truth(g).s, 1)
+        corrected = [
+            ingroup_share(
+                adjust_edge_proportions(measured, ConfusionMatrix(0.95, 1.0 - q, 0.05, q)), 1
+            )
+            for q in (np.average(p_b[is_b], weights=g.degrees[is_b]), p_b[is_b].mean())
+        ]
+        assert ingroup_share(measured, 1) < true_share < corrected[0] < corrected[1]
+        assert min(abs(c - true_share) for c in corrected) >= 0.02
