@@ -19,7 +19,6 @@ from .noise import (
 )
 from .quantify import (
     EdgeVector,
-    HomophilyIndex,
     PropVector,
     SingularCorrectionError,
     UndefinedShareError,

@@ -24,7 +24,8 @@ no_noise and uncorrected read them as they are, and corrected applies the
 confusion-matrix correction to the noisy ones, as in adjusted classify
 and count. A failure is recorded where it arises, so a measurement
 failure flags both noisy variants and a correction failure only the
-corrected one.
+corrected one. Each domain failure carries its row flag as ``code``
+(``failed:<code>``); any other exception is a bug and raises.
 
 Rows and summary cells are NamedTuples whose field order is the CSV
 column order. A replication emits each cell's rows measure by measure,
@@ -59,7 +60,12 @@ from .graph import (
     generate_homophilous_graph,
     load_graph_files,
 )
-from .noise import ConfusionMatrix, apply_noise, empirical_confusion, symmetric_confusion
+from .noise import (
+    UndefinedConfusionError,
+    apply_noise,
+    empirical_confusion,
+    symmetric_confusion,
+)
 from .quantify import (
     PropVector,
     SingularCorrectionError,
@@ -168,6 +174,8 @@ class ExperimentConfig:
             integers.append(("confusion_from_labeled", self.confusion_from_labeled))
         reals = [("rates", r) for r in self.rates] + [("top_quantile", self.top_quantile)]
         _check_kinds(integers, reals, [("fixed_graph", self.fixed_graph)])
+        # As floats: a float32 rate would leave C in float32, and 0 would write "0".
+        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         for s in self.samplers:
             if s not in SAMPLERS:
                 raise ValueError(f"unknown sampler {s!r}")
@@ -269,13 +277,8 @@ def _graph_for_rep(cfg: ExperimentConfig, rep: int) -> tuple[UndirectedGraph, _T
     return generate(_stream(cfg.master_seed, _GRAPH, rep)), {}
 
 
-# Domain failures and their row flags; any other exception is a bug and raises.
-_FAIL_CODES = (
-    (NoObservedEdgesError, "no_edges"),
-    (SingularCorrectionError, "singular"),
-    (UndefinedShareError, "undefined_share"),
-)
-_FAILURES = tuple(etype for etype, _ in _FAIL_CODES)
+# Domain failures, each naming its row flag in ``code``; any other exception is a bug and raises.
+_FAILURES = (NoObservedEdgesError, SingularCorrectionError, UndefinedConfusionError, UndefinedShareError)
 
 
 def _attempt(fn, *args):
@@ -289,12 +292,14 @@ def _attempt(fn, *args):
         return exc
 
 
-def _entry(result, field: str = "b") -> tuple[float | None, str]:
-    """(estimate, flags) of a vector or index, or of its failure."""
+def _entry(result, out_of_range: bool = False) -> tuple[float | None, str]:
+    """(estimate, flags) of a failure, of a share vector's minority share,
+    or of a derived measure whose inputs give ``out_of_range``."""
     if isinstance(result, Exception):
-        code = next(code for etype, code in _FAIL_CODES if isinstance(result, etype))
-        return None, f"failed:{code}"
-    return getattr(result, field), "out_of_range" if result.out_of_range else ""
+        return None, f"failed:{result.code}"
+    if isinstance(result, PropVector):
+        result, out_of_range = result.b, result.out_of_range
+    return result, "out_of_range" if out_of_range else ""
 
 
 def _records_for(sampler: str, size: int) -> int:
@@ -329,27 +334,27 @@ def _measure(sample, top) -> tuple:
     )
 
 
-def _variants(measured: tuple, correction: ConfusionMatrix | None) -> dict[str, tuple[float | None, str]]:
+def _variants(measured: tuple, correction) -> dict[str, tuple[float | None, str]]:
     """The four measures from measured vectors, corrected when a confusion
-    matrix is given, with per-measure failure isolation."""
+    matrix is given, with per-measure failure isolation; a failed correction
+    fails them all. Rounding is monotone, so in-range inputs give an
+    in-group share in [0, 1] and an index in [-1, 1]: each is flagged by its inputs."""
+    if isinstance(correction, Exception):
+        return dict.fromkeys(MEASURES, _entry(correction))
     p_vec, t_vec, v_vec = measured
     if correction is not None:
         p_vec = _attempt(adjust_proportions, p_vec, correction)
         t_vec = _attempt(adjust_edge_proportions, t_vec, correction)
         v_vec = _attempt(adjust_proportions, v_vec, correction)
     share = _attempt(ingroup_share, t_vec, 1)
-    if isinstance(share, Exception):
-        ingroup = _entry(share)
-    else:
-        # Rounding is monotone, so an in-range t_vec gives a share in [0, 1].
-        ingroup = (share, "out_of_range" if t_vec.out_of_range else "")
     if isinstance(p_vec, Exception) or isinstance(share, Exception):
         homophily = (None, "failed:inputs")
     else:
-        homophily = _entry(_attempt(coleman_homophily, share, p_vec.b), "value")
+        in_range = 0.0 <= share <= 1.0 and 0.0 < p_vec.b < 1.0
+        homophily = _entry(_attempt(coleman_homophily, share, p_vec.b), not in_range)
     return {
         "proportion": _entry(p_vec),
-        "ingroup": ingroup,
+        "ingroup": _entry(share, not isinstance(share, Exception) and t_vec.out_of_range),
         "visibility": _entry(v_vec),
         "homophily": homophily,
     }
@@ -389,10 +394,8 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
                 rng = np.random.default_rng(_stream(cfg.master_seed, _LABELED, rep, si, zi))
                 labeled = rng.choice(seen, size=k, replace=False)
                 gold = g.labels[labeled]
-                # C is undefined when the labeled nodes hold one true group.
                 corrections = [
-                    None if gold.min() == gold.max() else empirical_confusion(gold, noisy[labeled])
-                    for noisy in noisy_maps
+                    _attempt(empirical_confusion, gold, noisy[labeled]) for noisy in noisy_maps
                 ]
             clean = _variants(_measure(base, top), None)
             for ri, rate in enumerate(cfg.rates):
@@ -400,10 +403,7 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
                 noisy_top = _attempt(with_noisy_labels, top, noisy_maps[ri])
                 measured = _measure(noisy_sample, noisy_top)
                 uncorrected = _variants(measured, None)
-                if corrections[ri] is None:
-                    corrected = {m: (None, "failed:confusion_undefined") for m in MEASURES}
-                else:
-                    corrected = _variants(measured, corrections[ri])
+                corrected = _variants(measured, corrections[ri])
                 # Measure-major, as in the file, so a cell's rows need no sort.
                 for measure in MEASURES:
                     truth = truths[measure]

@@ -15,6 +15,12 @@ import numpy as np
 COLUMN_TOL = 1e-12
 
 
+class UndefinedConfusionError(ValueError):
+    """A true class absent from the labeled pairs leaves its column undefined."""
+
+    code = "confusion_undefined"
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """2x2 column-stochastic misclassification matrix.
@@ -77,8 +83,8 @@ def apply_noise(labels, confusion: ConfusionMatrix, rng_seed=None) -> np.ndarray
 def empirical_confusion(truth, predicted) -> ConfusionMatrix:
     """Column-normalized count matrix from (true, predicted) label pairs.
 
-    Raises if one of the true classes is absent, since its column would
-    be undefined.
+    Raises ``UndefinedConfusionError`` if one of the true classes is
+    absent, since its column would be undefined.
     """
     t = np.asarray(truth)
     p = np.asarray(predicted)
@@ -87,7 +93,9 @@ def empirical_confusion(truth, predicted) -> ConfusionMatrix:
     n_a = int((t == 0).sum())
     n_b = int((t == 1).sum())
     if n_a == 0 or n_b == 0:
-        raise ValueError("both true classes must be present to estimate a confusion matrix")
+        raise UndefinedConfusionError(
+            "both true classes must be present to estimate a confusion matrix"
+        )
     return ConfusionMatrix(
         float(((p == 0) & (t == 0)).sum()) / n_a,
         float(((p == 0) & (t == 1)).sum()) / n_b,

@@ -25,9 +25,13 @@ _SUM_TOL = 1e-9
 class SingularCorrectionError(ValueError):
     """Confusion matrix too close to singular to invert."""
 
+    code = "singular"
+
 
 class UndefinedShareError(ValueError):
     """A share or index whose defining denominator is zero."""
+
+    code = "undefined_share"
 
 
 @dataclass(frozen=True)
@@ -70,12 +74,6 @@ class EdgeVector(_ShareVector):
     aa: float
     ab: float
     bb: float
-
-
-@dataclass(frozen=True)
-class HomophilyIndex:
-    value: float
-    out_of_range: bool = False
 
 
 def _checked_det(confusion: ConfusionMatrix, power: int = 1) -> float:
@@ -126,22 +124,20 @@ def ingroup_share(edge_shares: EdgeVector, group: int) -> float:
     return 2.0 * own / denom
 
 
-def coleman_homophily(s_g: float, p_g: float) -> HomophilyIndex:
+def coleman_homophily(s_g: float, p_g: float) -> float:
     """Coleman's homophily index: in-group tie excess over random mixing.
 
     The excess s_g - p_g is normalized by the headroom above (1 - p_g) or
     below (p_g) random mixing, so 1 means perfect homophily, 0 random
     mixing and -1 perfect heterophily. Undefined when the group is the
     whole population or empty. Corrected inputs may fall outside [0, 1];
-    the value is still computed and flagged. Rounding is monotone, so
-    in-range inputs give a value in [-1, 1]: the flag reads the inputs.
+    the value is still computed. Rounding is monotone, so in-range inputs
+    give a value in [-1, 1], and a caller flags the index by its inputs.
     """
     if p_g == 0.0 or p_g == 1.0:
         raise UndefinedShareError(f"homophily undefined for group proportion {p_g}")
     diff = s_g - p_g
-    value = diff / (1.0 - p_g) if diff >= 0.0 else diff / p_g
-    flagged = not (0.0 <= s_g <= 1.0 and 0.0 < p_g < 1.0)
-    return HomophilyIndex(value=value, out_of_range=flagged)
+    return diff / (1.0 - p_g) if diff >= 0.0 else diff / p_g
 
 
 def variance_inflation_nodes(confusion: ConfusionMatrix) -> float:

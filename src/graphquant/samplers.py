@@ -60,6 +60,8 @@ SEED_UNIFORM = "uniform_with_burnin"
 class NoObservedEdgesError(ValueError):
     """The sample contains no usable edge observations."""
 
+    code = "no_edges"
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -80,27 +82,20 @@ class Sample:
     def __len__(self) -> int:
         return self.nodes.shape[0]
 
+    def _subset(self, idx, edge_positions: np.ndarray) -> "Sample":
+        """The records at ``idx``, a slice or index array, with the given observed edges."""
+        fields = ("nodes", "degrees", "labels", "weights")
+        records = {name: getattr(self, name)[idx] for name in fields}
+        return dataclasses.replace(self, edge_positions=edge_positions, **records)
+
     def prefix(self, count: int) -> "Sample":
         """The first ``count`` records and the observed edges between them."""
         pos = self.edge_positions
-        return Sample(
-            nodes=self.nodes[:count],
-            degrees=self.degrees[:count],
-            labels=self.labels[:count],
-            weights=self.weights[:count],
-            edge_positions=pos[pos.max(axis=1) < count],
-            burn_in=self.burn_in,
-        )
+        return self._subset(slice(count), pos[pos.max(axis=1) < count])
 
     def take(self, idx) -> "Sample":
         """The records at ``idx`` with their weights, and no observed edges."""
-        return Sample(
-            nodes=self.nodes[idx],
-            degrees=self.degrees[idx],
-            labels=self.labels[idx],
-            weights=self.weights[idx],
-            edge_positions=np.empty((0, 2), dtype=np.int64),
-        )
+        return self._subset(idx, np.empty((0, 2), dtype=np.int64))
 
 
 def _records(g: UndirectedGraph, nodes, edge_positions, weights=None, burn_in=0) -> Sample:
@@ -377,7 +372,7 @@ def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
 
     def h_for(p_g: float, group: int) -> float | None:
         try:
-            return coleman_homophily(ingroup_share(s, group), p_g).value
+            return coleman_homophily(ingroup_share(s, group), p_g)
         except UndefinedShareError:
             return None
 

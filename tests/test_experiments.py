@@ -1,5 +1,6 @@
 """Experiment harness: configs, determinism, summaries, NRMSE, CLI."""
 
+import csv
 import dataclasses
 import hashlib
 import importlib.util
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from conftest import assert_induced_edges_match, rows_for
 from graphquant import experiments, ground_truth
@@ -34,10 +37,12 @@ from graphquant.graph import (
     write_edge_list,
     write_label_file,
 )
-from graphquant.noise import ConfusionMatrix, apply_noise
+from graphquant.noise import ConfusionMatrix, UndefinedConfusionError, apply_noise
 from graphquant.quantify import (
     EdgeVector,
     PropVector,
+    SingularCorrectionError,
+    UndefinedShareError,
     adjust_edge_proportions,
     adjust_proportions,
 )
@@ -167,6 +172,26 @@ class TestConfig:
         cfg = small_config(sample_sizes=(301,), replications=1)
         with pytest.raises(ValueError):
             run_experiment(cfg)
+
+    def test_rates_are_stored_as_floats(self, tmp_path):
+        # A float32 rate once left C in float32, whose corrected shares
+        # missed the sum tolerance; a JSON integer rate wrote "0".
+        configs = {
+            "float32": ExperimentConfig(
+                graph=GraphSpec(n=2000, m=4), rates=(np.float32(0.2),),
+                sample_sizes=(200, 300), replications=2,
+            ),
+            "json_int": ExperimentConfig.from_dict(json.loads(
+                '{"graph": {"n": 300, "m": 3}, "samplers": ["node"], "rates": [0, 0.1],'
+                ' "sample_sizes": [50], "replications": 1}'
+            )),
+        }
+        expected = {"float32": {repr(float(np.float32(0.2)))}, "json_int": {"0.0", "0.1"}}
+        for name, cfg in configs.items():
+            assert all(type(r) is float for r in cfg.rates)
+            write_rows_csv(run_experiment(cfg), tmp_path / f"{name}.csv")
+            with open(tmp_path / f"{name}.csv", encoding="utf-8") as fh:
+                assert {row["rate"] for row in csv.DictReader(fh)} == expected[name]
 
 
 class TestNrmse:
@@ -739,6 +764,73 @@ class TestRunExperiment:
         assert one_way["homophily"] == (-1.0, "")
 
 
+class TestVariants:
+    """Row flags of the four measures from measured (or corrected) vectors."""
+
+    @pytest.mark.parametrize(
+        "failure_type, flag",
+        [
+            (NoObservedEdgesError, "failed:no_edges"),
+            (SingularCorrectionError, "failed:singular"),
+            (UndefinedConfusionError, "failed:confusion_undefined"),
+            (UndefinedShareError, "failed:undefined_share"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value.__name__,
+    )
+    def test_domain_failure_flags(self, failure_type, flag):
+        # The flag vocabulary that readers of rows.csv rely on.
+        assert failure_type in experiments._FAILURES
+        assert experiments._entry(failure_type("reason")) == (None, flag)
+
+    def test_failed_correction_fails_every_measure(self):
+        # The correction's flag wins over a measured failure.
+        measured = (PropVector(0.7, 0.3), NoObservedEdgesError("none"), PropVector(0.6, 0.4))
+        out = experiments._variants(measured, UndefinedConfusionError("one group"))
+        assert out == dict.fromkeys(experiments.MEASURES, (None, "failed:confusion_undefined"))
+
+    def test_out_of_range_inputs_flagged(self):
+        # An in-group share above 1 gives an index above 1, and a minority
+        # share outside (0, 1) flags the index while the share is in range.
+        p = PropVector(0.6, 0.4)
+        out = experiments._variants((p, EdgeVector(0.5, -0.1, 0.6), p), None)
+        share, flags = out["ingroup"]
+        assert share > 1.0 and flags == "out_of_range"
+        index, flags = out["homophily"]
+        assert index > 1.0 and flags == "out_of_range"
+        out = experiments._variants((p, EdgeVector(0.45, 0.1, 0.45), p), None)
+        assert out["ingroup"] == (pytest.approx(0.9), "")
+        assert out["homophily"] == (pytest.approx(0.5 / 0.6), "")
+        low = PropVector(1.2, -0.2)
+        out = experiments._variants((low, EdgeVector(0.45, 0.1, 0.45), p), None)
+        assert out["proportion"] == (-0.2, "out_of_range")
+        assert out["ingroup"] == (pytest.approx(0.9), "")
+        assert out["homophily"][1] == "out_of_range"
+
+    # Rounding is monotone, so in-range vectors give an in-group share in
+    # [0, 1] and an index in [-1, 1], and neither is flagged.
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(1.0, 0.0, 0.5)
+    @example(0.0, 1.0, 0.5)
+    @example(1.0, 0.0, 1.0 - 2.0**-53)
+    @example(1.0 - 2.0**-53, 2.0**-53, 5e-324)
+    @example(5e-324, 1.0 - 2.0**-53, 1.0 - 2.0**-53)
+    @example(2.0**-53, 0.0, 5e-324)
+    def test_in_range_inputs_give_unflagged_derived_measures(self, bb, ab, b):
+        assume(bb + ab <= 1.0 and 2.0 * bb + ab > 0.0)
+        t = EdgeVector(1.0 - bb - ab, ab, bb)
+        p = PropVector(1.0 - b, b)
+        assume(not t.out_of_range)
+        out = experiments._variants((p, t, p), None)
+        share, flags = out["ingroup"]
+        assert 0.0 <= share <= 1.0 and flags == ""
+        index, flags = out["homophily"]
+        assert -1.0 <= index <= 1.0 and flags == ""
+
+
 PINNED_GRAPH = GraphSpec(n=400, m=3, minority_frac=0.25, ingroup_pref=0.7)
 PINNED_GRID = dict(rates=(0.0, 0.2), sample_sizes=(30, 90), replications=3, master_seed=5)
 
@@ -953,18 +1045,21 @@ class TestCli:
         [(["--config", "cfg.json", "--seed", "-1"], "master_seed must be nonnegative"),
          (["--config", "cfg.json", "--threads", "0"], "threads must be positive"),
          (["--config", "oversized.json"], "sample size 500 exceeds graph size 300"),
-         (["--config", "no_file.json"], "[Errno 2] No such file or directory: 'absent.edges'")],
+         (["--config", "no_file.json"], "[Errno 2] No such file or directory: 'absent.edges'"),
+         (["--config", "fractional_m.json"], "m must be an integer, got 3.5")],
     )
     def test_refused_experiment_leaves_no_directory(
         self, tmp_path, monkeypatch, capsys, argv, message
     ):
-        # The last two configs are valid and refused only while the grid runs.
+        # The oversized and no_file configs are valid and refused only while
+        # the grid runs; fractional_m is refused when it is read.
         monkeypatch.chdir(tmp_path)
         configs = {
             "cfg.json": dataclasses.asdict(small_config(replications=1)),
             "oversized.json": {"graph": {"n": 300, "m": 3}, "samplers": ["node"], "rates": [0.1],
                                "sample_sizes": [500], "replications": 1},
             "no_file.json": {"graph": {"edge_file": "absent.edges", "label_file": "absent.labels"}},
+            "fractional_m.json": {"graph": {"n": 300, "m": 3.5}},
         }
         for name, cfg in configs.items():
             Path(name).write_text(json.dumps(cfg))
@@ -1006,9 +1101,11 @@ class TestCli:
         assert capsys.readouterr().err == "graphquant: error: give --rate or --matrix, not both\n"
         assert not out.exists()
 
-    def test_walk_writes_file_ids(self, tmp_path):
+    @pytest.mark.parametrize("rate", [["--rate", "0.2"], []], ids=["rate", "no_rate"])
+    def test_walk_writes_file_ids(self, tmp_path, rate):
         # Sparse ids: the walk runs on dense ids 0..3, the audit file names
-        # each node, its degree and its label as the input files do.
+        # each node, its degree and its label as the input files do. With
+        # no classifier the noisy column reads NA.
         edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
         pairs = [(100, 200), (200, 300), (300, 400), (400, 100), (100, 300)]
         groups = {100: "A", 200: "B", 300: "B", 400: "A"}
@@ -1017,14 +1114,15 @@ class TestCli:
         degree = Counter(node for pair in pairs for node in pair)
         out = tmp_path / "records.txt"
         argv = ["walk", "--edges", str(edges), "--labels", str(labels), "--steps", "40",
-                "--rate", "0.2", "--seed", "4", "--out", str(out)]
+                "--seed", "4", "--out", str(out)] + rate
         assert cli_main(argv) == 0
         body = [l.split() for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(body) == 40
-        for node, deg, true_label, _, _ in body:
+        for node, deg, true_label, noisy_label, _ in body:
             assert int(node) in groups
             assert int(deg) == degree[int(node)]
             assert true_label == groups[int(node)]
+            assert noisy_label in (("A", "B") if rate else ("NA",))
 
     def test_correct_matches_closed_form(self, capsys):
         code = cli_main(["correct", "--rate", "0.2", "--prop", "0.68", "0.32"])
@@ -1034,13 +1132,19 @@ class TestCli:
         assert payload["proportions"]["b"] == pytest.approx(0.2, abs=1e-12)
         assert payload["variance_inflation"] == pytest.approx(1 / 0.36, abs=1e-9)
 
-    def test_correct_edge_vector(self, capsys):
-        code = cli_main(
-            ["correct", "--matrix", "0.8", "0.2", "0.2", "0.8", "--edge", "0.5", "0.3", "0.2"]
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [["--matrix", "0.8", "0.2", "0.2", "0.8"], ["--rate", "0.2", "--prop", "0.68", "0.32"]],
+        ids=["edge", "prop_and_edge"],
+    )
+    def test_correct_edge_vector(self, argv, capsys):
+        # Given both vectors, one call corrects each.
+        code = cli_main(["correct"] + argv + ["--edge", "0.5", "0.3", "0.2"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert sum(payload["edges"][k] for k in ("aa", "ab", "bb")) == pytest.approx(1.0)
+        if "--prop" in argv:
+            assert payload["proportions"]["b"] == pytest.approx(0.2, abs=1e-12)
 
     @pytest.mark.parametrize(
         "argv, key",

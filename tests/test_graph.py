@@ -196,8 +196,8 @@ class TestGroundTruth:
             else:
                 top = np.argsort(-g.degrees, kind="stable")[: int(n * q)]
                 assert gt.visibility_b == np.count_nonzero(g.labels[top]) / top.shape[0]
-            assert gt.homophily_a == coleman_homophily(ingroup_share(s, 0), 1.0 - p_b).value
-            assert gt.homophily_b == coleman_homophily(ingroup_share(s, 1), p_b).value
+            assert gt.homophily_a == coleman_homophily(ingroup_share(s, 0), 1.0 - p_b)
+            assert gt.homophily_b == coleman_homophily(ingroup_share(s, 1), p_b)
 
     @pytest.mark.parametrize("quantile", [2.0, 0.0, -1.0, float("nan")])
     def test_top_quantile_outside_unit_interval_refused(self, quantile):
