@@ -17,14 +17,19 @@ a sample of that size. Rows of different sizes in one replication thus
 share random numbers; each summary cell holds one size, and its rows
 are independent across replications.
 
-Each sample is measured once per label set (its true labels, then each
-rate's noisy labels): group shares, edge-type shares and the group shares
-of its top-quantile records. The variants come from these stored vectors:
-no_noise and uncorrected read them as they are, and corrected applies the
-confusion-matrix correction to the noisy ones, as in adjusted classify
-and count. A failure is recorded where it arises, so a measurement
-failure flags both noisy variants and a correction failure only the
-corrected one. Each domain failure carries its row flag as ``code``
+A replication keeps one (label sets x nodes) int8 table: the true labels,
+then each rate's noisy labels. Each draw gathers it once, and one pass per
+size measures every label set: the group shares from one reduction over
+the size's first columns, the edge-type shares from one ``bincount`` over
+the edges inside the prefix (the draw's edges sorted once by their later
+endpoint), and the group shares of the top-quantile records from one
+ranking of the whole draw, cut at the size. Estimated confusion matrices
+grade every rate on one labeled set in one comparison. The variants come
+from these stored vectors: no_noise and uncorrected read them as they
+are, and corrected applies the confusion-matrix correction to the noisy
+ones, as in adjusted classify and count. A failure is recorded where it
+arises, so a measurement failure flags both noisy variants and a
+correction failure only the corrected one. Each domain failure carries its row flag as ``code``
 (``failed:<code>``); any other exception is a bug and raises.
 
 Rows and summary cells are NamedTuples whose field order is the CSV
@@ -67,6 +72,7 @@ from .noise import (
     symmetric_confusion,
 )
 from .quantify import (
+    EdgeVector,
     PropVector,
     SingularCorrectionError,
     UndefinedShareError,
@@ -81,18 +87,20 @@ from .samplers import (
     check_quantile,
     check_walk,
     edge_sample,
-    estimate_edge_vector,
-    estimate_proportions,
+    edge_type_shares,
     ground_truth,
+    minority_shares,
     node_sample,
+    rank_records,
     rwrw_walk,
     snowball_sample,
-    top_records,
-    with_noisy_labels,
+    top_cut,
 )
 
 # Names perfbench/tracing.py still wraps; nothing in the package defines or calls them.
 adjust_visibility = importance_resample = top_quantile_indices = None
+# Names it wraps that the grid no longer calls, each bound to the real function.
+from .samplers import estimate_edge_vector, estimate_proportions, with_noisy_labels  # noqa: E402
 
 SAMPLERS = ("rwrw", "node", "edge", "snowball")
 MEASURES = ("proportion", "ingroup", "visibility", "homophily")
@@ -167,6 +175,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.graph, GraphSpec):
             raise ValueError(f"graph must be a GraphSpec, got {self.graph!r}")
+        # As tuples, so that a config given lists still hashes.
+        for name in ("samplers", "sample_sizes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         names = ("replications", "master_seed", "burn_in")
         integers = [(name, getattr(self, name)) for name in names]
         integers += [("sample_sizes", z) for z in self.sample_sizes]
@@ -323,15 +334,27 @@ def _draw_sample(cfg: ExperimentConfig, g: UndirectedGraph, sampler: str, seed):
     return snowball_sample(g, size, rng_seed=seed)
 
 
-def _measure(sample, top) -> tuple:
-    """Group shares, edge-type shares and top-quantile group shares of the
-    sample's labels, each a vector or its failure. ``top`` holds the
-    top-quantile records, or the failure of selecting them."""
-    return (
-        _attempt(estimate_proportions, sample),
-        _attempt(estimate_edge_vector, sample),
-        _attempt(estimate_proportions, top),
-    )
+def _measure(labels, weights, edges, ranked, quantile: float) -> list[tuple]:
+    """Group shares, edge-type shares and top-quantile group shares of
+    each label set, a row of ``labels``, over the records that ``weights``
+    weigh: one triple per set, each entry a vector or its failure.
+    ``edges`` holds the observed edges and ``ranked`` the records in
+    top-quantile order."""
+    sets = labels.shape[0]
+    props = minority_shares(weights, labels[:, : weights.shape[0]]).tolist()
+    edge = _attempt(edge_type_shares, labels, edges)
+    if isinstance(edge, Exception):
+        edge = [edge] * sets
+    else:
+        edge = [EdgeVector(*shares) for shares in edge.tolist()]
+    top = _attempt(top_cut, ranked, weights, quantile)
+    if isinstance(top, Exception):
+        top = [top] * sets
+    else:
+        idx, top_weights = top
+        shares = minority_shares(top_weights, np.take(labels, idx, axis=1))
+        top = [PropVector(1.0 - b, b) for b in shares.tolist()]
+    return [(PropVector(1.0 - b, b), t, v) for b, t, v in zip(props, edge, top)]
 
 
 def _variants(measured: tuple, correction) -> dict[str, tuple[float | None, str]]:
@@ -371,39 +394,48 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
         known[cfg.top_quantile] = {m: est for m, (est, _) in _variants(population, None).items()}
     truths = known[cfg.top_quantile]
 
+    # One label table: the true labels, then each rate's noisy labels, per node.
     confusions = [symmetric_confusion(r) for r in cfg.rates]
-    noisy_maps = [
-        apply_noise(g.labels, confusions[ri], _stream(cfg.master_seed, _NOISE, rep, ri))
-        for ri in range(len(cfg.rates))
-    ]
+    table = np.empty((1 + len(cfg.rates), g.node_count), dtype=np.int8)
+    table[0] = g.labels
+    for ri, confusion in enumerate(confusions):
+        table[1 + ri] = apply_noise(g.labels, confusion, _stream(cfg.master_seed, _NOISE, rep, ri))
 
     rows: list[ResultRow] = []
     for si, sampler in enumerate(cfg.samplers):
         drawn = _draw_sample(cfg, g, sampler, _stream(cfg.master_seed, _SAMPLE, rep, si))
+        # Every size is a prefix of the draw: its label sets are the first
+        # columns, its edges those whose later endpoint comes before the
+        # cut, and its top-quantile order the draw's, cut the same way.
+        labels = np.take(table, drawn.nodes, axis=1)
+        ranked = rank_records(drawn)
+        later = drawn.edge_positions.max(axis=1)
+        by_later = np.argsort(later, kind="stable")
+        edges, later = drawn.edge_positions[by_later], later[by_later]
         for zi, size in enumerate(cfg.sample_sizes):
-            base = drawn.prefix(_records_for(sampler, size))
-            # Weights depend only on degrees, so every label set shares one selection.
-            top = _attempt(top_records, base, cfg.top_quantile)
+            count = _records_for(sampler, size)
+            measured = _measure(
+                labels,
+                drawn.weights[:count],
+                edges[: np.searchsorted(later, count)],
+                ranked[ranked < count],
+                cfg.top_quantile,
+            )
             corrections = confusions
             if cfg.confusion_from_labeled is not None:
                 # k labeled nodes among the distinct nodes the sample saw (a sort and
                 # a mask: np.unique hashes, 10x slower), graded against every rate.
-                seen = np.sort(base.nodes)
+                seen = np.sort(drawn.nodes[:count])
                 seen = seen[np.append(True, seen[1:] != seen[:-1])]
                 k = min(cfg.confusion_from_labeled, seen.shape[0])
                 rng = np.random.default_rng(_stream(cfg.master_seed, _LABELED, rep, si, zi))
                 labeled = rng.choice(seen, size=k, replace=False)
-                gold = g.labels[labeled]
-                corrections = [
-                    _attempt(empirical_confusion, gold, noisy[labeled]) for noisy in noisy_maps
-                ]
-            clean = _variants(_measure(base, top), None)
+                graded = _attempt(empirical_confusion, table[0, labeled], table[1:, labeled])
+                corrections = [graded] * len(cfg.rates) if isinstance(graded, Exception) else graded
+            clean = _variants(measured[0], None)
             for ri, rate in enumerate(cfg.rates):
-                noisy_sample = with_noisy_labels(base, noisy_maps[ri])
-                noisy_top = _attempt(with_noisy_labels, top, noisy_maps[ri])
-                measured = _measure(noisy_sample, noisy_top)
-                uncorrected = _variants(measured, None)
-                corrected = _variants(measured, corrections[ri])
+                uncorrected = _variants(measured[1 + ri], None)
+                corrected = _variants(measured[1 + ri], corrections[ri])
                 # Measure-major, as in the file, so a cell's rows need no sort.
                 for measure in MEASURES:
                     truth = truths[measure]

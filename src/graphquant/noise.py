@@ -80,28 +80,34 @@ def apply_noise(labels, confusion: ConfusionMatrix, rng_seed=None) -> np.ndarray
     return np.where(flip, 1 - arr, arr).astype(np.int8)
 
 
-def empirical_confusion(truth, predicted) -> ConfusionMatrix:
+def empirical_confusion(truth, predicted):
     """Column-normalized count matrix from (true, predicted) label pairs.
 
-    Raises ``UndefinedConfusionError`` if one of the true classes is
-    absent, since its column would be undefined.
+    ``predicted`` is one label per pair, or a (classifiers x pairs) table
+    with one classifier's labels per row, which gives a list of matrices,
+    one per row, from one comparison. Raises ``UndefinedConfusionError``
+    if one of the true classes is absent, since its column would be
+    undefined.
     """
     t = np.asarray(truth)
     p = np.asarray(predicted)
-    if t.shape != p.shape or t.ndim != 1:
-        raise ValueError("label lists must be equal-length and one-dimensional")
+    if t.ndim != 1 or p.ndim not in (1, 2) or p.shape[-1:] != t.shape:
+        raise ValueError("predicted labels must be one list, or rows of lists, as long as truth")
     n_a = int((t == 0).sum())
     n_b = int((t == 1).sum())
     if n_a == 0 or n_b == 0:
         raise UndefinedConfusionError(
             "both true classes must be present to estimate a confusion matrix"
         )
-    return ConfusionMatrix(
-        float(((p == 0) & (t == 0)).sum()) / n_a,
-        float(((p == 0) & (t == 1)).sum()) / n_b,
-        float(((p == 1) & (t == 0)).sum()) / n_a,
-        float(((p == 1) & (t == 1)).sum()) / n_b,
+    # Per row: predicted 0 among true a, 0 among true b, 1 among a, 1 among b.
+    counts = np.stack(
+        [((p == x) & (t == y)).sum(axis=-1) for x in (0, 1) for y in (0, 1)], axis=-1
     )
+    matrices = [
+        ConfusionMatrix(aa / n_a, ab / n_b, ba / n_a, bb / n_b)
+        for aa, ab, ba, bb in counts.reshape(-1, 4).tolist()
+    ]
+    return matrices if p.ndim == 2 else matrices[0]
 
 
 def dyadic_matrix(entries) -> tuple[tuple[float, float, float], ...]:

@@ -33,6 +33,15 @@ the sampled nodes' rows that are sampled and greater than the row's
 node, so finding them costs the sample's total degree, not a scan of
 every edge, and they come in the graph's edge order.
 
+Each estimator formula is written once and takes a table of label sets,
+one row per set over the same records: ``minority_shares`` (the weighted
+group share), ``edge_type_shares`` (one ``bincount`` of edge types) and
+``top_cut`` (the weighted top-quantile cut of records ranked by
+``rank_records``). ``estimate_proportions``, ``estimate_edge_vector`` and
+``top_records`` apply them to one sample; the experiment grid applies
+them to every label set and prefix of a draw in one pass, and a stable
+ranking of the whole draw, cut at a prefix, is the prefix's own ranking.
+
 Visibility is the group-share estimate over the top-quantile records,
 ``estimate_proportions(top_records(sample, q))``: a weighted degree
 quantile, which on a walk undoes the degree bias as the RWRW ratio
@@ -282,28 +291,65 @@ def check_quantile(quantile: float) -> None:
         raise ValueError(f"top_quantile must lie in (0, 1], got {quantile}")
 
 
-def top_records(sample: Sample, quantile: float) -> Sample:
-    """The top-quantile records by (-degree, node id), taken whole while
-    their cumulative weight stays within ``sum(w) * count / n``, where
-    ``count = floor(n * quantile)``; the next record carries the weight
-    left over. Unit weights give exactly the first ``count`` records.
-    Raises ``UndefinedShareError`` when ``count`` is 0, and refuses a
-    quantile outside (0, 1] with a plain ``ValueError``."""
-    check_quantile(quantile)
-    n = len(sample)
+def rank_records(sample: Sample) -> np.ndarray:
+    """Record indices by (-degree, node id), tied records in record order.
+    The sort is stable, so the indices below z keep the order a sort of
+    the first z records alone gives them."""
+    return np.lexsort((sample.nodes, -np.asarray(sample.degrees, dtype=np.int64)))
+
+
+def top_cut(ranked: np.ndarray, weights: np.ndarray, quantile: float):
+    """The top-quantile records of the ``ranked`` record indices and their
+    weights: taken whole while their cumulative weight stays within
+    ``sum(w) * count / n``, where ``n`` records are ranked and ``count =
+    floor(n * quantile)``, and the next record carries the weight left
+    over. Unit weights give exactly the first ``count`` records. Raises
+    ``UndefinedShareError`` when ``count`` is 0."""
+    n = ranked.shape[0]
     count = int(n * quantile)
     if count < 1:
         raise UndefinedShareError("top quantile selects no records")
-    order = np.lexsort((sample.nodes, -np.asarray(sample.degrees, dtype=np.int64)))
-    cum = np.cumsum(sample.weights[order])
+    w = weights[ranked]
+    cum = np.cumsum(w)
     budget = cum[-1] * count / n
     whole = int(np.searchsorted(cum, budget, side="right"))
     left = budget - (cum[whole - 1] if whole else 0.0)
     if whole == n or left <= 0.0:
-        return sample.take(order[:whole])
-    top = sample.take(order[: whole + 1])
-    top.weights[-1] = left
-    return top
+        return ranked[:whole], w[:whole]
+    w[whole] = left
+    return ranked[: whole + 1], w[: whole + 1]
+
+
+def top_records(sample: Sample, quantile: float) -> Sample:
+    """The records ``top_cut`` picks from the whole sample, ranked by
+    ``rank_records``, with their weights. Refuses a quantile outside
+    (0, 1] with a plain ``ValueError``."""
+    check_quantile(quantile)
+    idx, weights = top_cut(rank_records(sample), sample.weights, quantile)
+    return dataclasses.replace(sample.take(idx), weights=weights)
+
+
+def minority_shares(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Weighted minority share of each label set: ``labels`` holds one set
+    per row (or is one set) over the records that ``weights`` weigh. Each
+    row of the C-ordered block of weighted indicators rounds as the 1-D
+    sum of that row alone would; another layout may not."""
+    block = np.multiply(weights, labels == 1, order="C")
+    return block.sum(axis=-1) / weights.sum()
+
+
+def edge_type_shares(labels: np.ndarray, edge_positions: np.ndarray) -> np.ndarray:
+    """Edge-type shares (aa, ab, bb) of each label set over the observed
+    edges, shaped ``labels.shape[:-1] + (3,)``: one ``bincount`` over
+    every set, each offset by 3 times its row."""
+    edges = edge_positions.shape[0]
+    if edges == 0:
+        raise NoObservedEdgesError("sample observed no edges")
+    pair = labels[..., edge_positions[:, 0]].astype(np.int64) + labels[..., edge_positions[:, 1]]
+    rows = pair.reshape(-1, edges)
+    keys = rows + 3 * np.arange(rows.shape[0])[:, None]
+    counts = np.bincount(keys.ravel(), minlength=3 * rows.shape[0])
+    return counts.reshape(labels.shape[:-1] + (3,)) / edges
 
 
 def estimate_proportions(sample: Sample) -> PropVector:
@@ -316,18 +362,13 @@ def estimate_proportions(sample: Sample) -> PropVector:
     """
     if len(sample) == 0:
         raise ValueError("empty sample")
-    share_b = float((sample.weights * (sample.labels == 1)).sum() / sample.weights.sum())
+    share_b = float(minority_shares(sample.weights, sample.labels))
     return PropVector(1.0 - share_b, share_b)
 
 
 def estimate_edge_vector(sample: Sample) -> EdgeVector:
     """Edge-type shares (aa, ab, bb) over the sample's observed edges."""
-    pos = sample.edge_positions
-    if pos.shape[0] == 0:
-        raise NoObservedEdgesError("sample observed no edges")
-    pair = sample.labels[pos[:, 0]].astype(np.int64) + sample.labels[pos[:, 1]]
-    shares = np.bincount(pair, minlength=3) / pos.shape[0]
-    return EdgeVector(*shares.tolist())
+    return EdgeVector(*edge_type_shares(sample.labels, sample.edge_positions).tolist())
 
 
 @dataclass(frozen=True)

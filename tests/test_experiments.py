@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_induced_edges_match, rows_for
@@ -37,7 +37,13 @@ from graphquant.graph import (
     write_edge_list,
     write_label_file,
 )
-from graphquant.noise import ConfusionMatrix, UndefinedConfusionError, apply_noise
+from graphquant.noise import (
+    ConfusionMatrix,
+    UndefinedConfusionError,
+    apply_noise,
+    empirical_confusion,
+    symmetric_confusion,
+)
 from graphquant.quantify import (
     EdgeVector,
     PropVector,
@@ -47,6 +53,8 @@ from graphquant.quantify import (
     adjust_proportions,
 )
 from graphquant.samplers import (
+    SEED_DEGREE,
+    SEED_UNIFORM,
     NoObservedEdgesError,
     edge_sample,
     estimate_edge_vector,
@@ -172,6 +180,14 @@ class TestConfig:
         cfg = small_config(sample_sizes=(301,), replications=1)
         with pytest.raises(ValueError):
             run_experiment(cfg)
+
+    def test_lists_are_stored_as_tuples(self):
+        # A frozen config given lists directly once kept them and could not
+        # be hashed; from_dict always passed tuples.
+        listed = small_config(samplers=["rwrw", "node"], rates=[0.0, 0.2], sample_sizes=[80])
+        assert hash(listed) == hash(small_config())
+        assert listed == small_config()
+        assert all(type(getattr(listed, name)) is tuple for name in ("samplers", "rates", "sample_sizes"))
 
     def test_rates_are_stored_as_floats(self, tmp_path):
         # A float32 rate once left C in float32, whose corrected shares
@@ -378,6 +394,118 @@ def reference_summarize(result):
             *key, len(rows), failures, *stats_, flagged / len(rows), failures / len(rows)
         ))
     return out
+
+
+def reference_replication_rows(cfg, rep):
+    """_replication_rows as it was written before it measured every size
+    and label set of a draw in one pass: each (sample, size, rate) as its
+    own noisy copy, its prefix sorted for its own top quantile, and each
+    rate's confusion matrix graded alone."""
+    g, known = experiments._graph_for_rep(cfg, rep)
+    if cfg.top_quantile not in known:
+        gt = ground_truth(g, cfg.top_quantile)
+        vis = gt.visibility_b
+        top = UndefinedShareError("no top quantile") if vis is None else PropVector(1.0 - vis, vis)
+        population = (gt.p, gt.s, top)
+        known[cfg.top_quantile] = {
+            m: est for m, (est, _) in experiments._variants(population, None).items()
+        }
+    truths = known[cfg.top_quantile]
+    attempt, stream = experiments._attempt, experiments._stream
+
+    def measure(sample, top):
+        return (
+            attempt(estimate_proportions, sample),
+            attempt(estimate_edge_vector, sample),
+            attempt(estimate_proportions, top),
+        )
+
+    confusions = [symmetric_confusion(r) for r in cfg.rates]
+    noisy_maps = [
+        apply_noise(g.labels, confusions[ri], stream(cfg.master_seed, experiments._NOISE, rep, ri))
+        for ri in range(len(cfg.rates))
+    ]
+    rows = []
+    for si, sampler in enumerate(cfg.samplers):
+        seed = stream(cfg.master_seed, experiments._SAMPLE, rep, si)
+        drawn = experiments._draw_sample(cfg, g, sampler, seed)
+        for zi, size in enumerate(cfg.sample_sizes):
+            base = drawn.prefix(experiments._records_for(sampler, size))
+            top = attempt(top_records, base, cfg.top_quantile)
+            corrections = confusions
+            if cfg.confusion_from_labeled is not None:
+                seen = np.unique(base.nodes)
+                k = min(cfg.confusion_from_labeled, seen.shape[0])
+                key = (cfg.master_seed, experiments._LABELED, rep, si, zi)
+                labeled = np.random.default_rng(stream(*key)).choice(seen, size=k, replace=False)
+                gold = g.labels[labeled]
+                corrections = [
+                    attempt(empirical_confusion, gold, noisy[labeled]) for noisy in noisy_maps
+                ]
+            clean = experiments._variants(measure(base, top), None)
+            for ri, rate in enumerate(cfg.rates):
+                noisy_top = attempt(with_noisy_labels, top, noisy_maps[ri])
+                measured = measure(with_noisy_labels(base, noisy_maps[ri]), noisy_top)
+                uncorrected = experiments._variants(measured, None)
+                corrected = experiments._variants(measured, corrections[ri])
+                for measure_name in experiments.MEASURES:
+                    truth = truths[measure_name]
+                    for variant, est in zip(experiments.VARIANTS, (clean, uncorrected, corrected)):
+                        estimate, flags = est[measure_name]
+                        if truth is None and not flags.startswith("failed"):
+                            flags = "failed:undefined_truth"
+                        error = None if estimate is None or truth is None else estimate - truth
+                        rows.append(ResultRow(
+                            sampler, rate, size, rep, measure_name, variant, estimate, error, flags
+                        ))
+    return rows
+
+
+@st.composite
+def replication_configs(draw):
+    """Small grids over every sampler: sizes from 1 (no top quantile, node
+    samples without edges), singular edge corrections at rate 0.4999,
+    one-group labeled sets, both walk seed modes with burn-in, and fresh
+    or fixed graphs."""
+    graph = GraphSpec(
+        n=draw(st.integers(12, 40)),
+        m=draw(st.integers(1, 3)),
+        minority_frac=draw(st.sampled_from([0.0, 0.2, 0.5])),
+        ingroup_pref=draw(st.sampled_from([0.2, 0.8])),
+    )
+    return ExperimentConfig(
+        graph=graph,
+        samplers=draw(st.permutations(experiments.SAMPLERS)),
+        rates=draw(st.lists(
+            st.sampled_from([0.0, 0.1, 0.3, 0.4999]), min_size=1, max_size=3, unique=True
+        )),
+        sample_sizes=draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True)),
+        replications=4,
+        top_quantile=draw(st.sampled_from([0.2, 0.5, 1.0])),
+        master_seed=draw(st.integers(0, 2**20)),
+        fixed_graph=draw(st.booleans()),
+        seed_mode=draw(st.sampled_from([SEED_DEGREE, SEED_UNIFORM])),
+        burn_in=draw(st.integers(0, 30)),
+        confusion_from_labeled=draw(st.sampled_from([None, 2, 5])),
+    )
+
+
+class TestReplicationReference:
+    @settings(max_examples=120, deadline=None)
+    @given(cfg=replication_configs(), rep=st.integers(0, 3))
+    @example(
+        cfg=ExperimentConfig(
+            graph=GraphSpec(n=30, m=2, minority_frac=0.3, ingroup_pref=0.7),
+            rates=(0.0, 0.4999), sample_sizes=(1, 2, 3), replications=2, top_quantile=1.0,
+            master_seed=3, seed_mode=SEED_UNIFORM, burn_in=5, confusion_from_labeled=2,
+        ),
+        rep=1,
+    )
+    def test_rows_equal_the_per_copy_replication(self, cfg, rep):
+        # One measurement pass per draw gives the rows, bit for bit, that a
+        # noisy copy, a sort and a grading per (sample, size, rate) give.
+        got = experiments._replication_rows(cfg, rep)
+        assert repr(got) == repr(reference_replication_rows(cfg, rep))
 
 
 class TestRunExperiment:
@@ -642,10 +770,10 @@ class TestRunExperiment:
     def test_programming_errors_raise(self, monkeypatch):
         # A plain ValueError from an estimator is a bug, not a domain
         # failure, so it must not turn into a failed row.
-        def broken(sample):
+        def broken(labels, edge_positions):
             raise ValueError("bug")
 
-        monkeypatch.setattr(experiments, "estimate_edge_vector", broken)
+        monkeypatch.setattr(experiments, "edge_type_shares", broken)
         with pytest.raises(ValueError, match="bug"):
             run_experiment(small_config(replications=1))
 
@@ -673,53 +801,45 @@ class TestRunExperiment:
         assert all(r.flags != "failed:confusion_undefined" for r in res.rows if r.variant != "corrected")
 
     def test_rates_share_one_labeled_set(self, monkeypatch):
-        # Noisy maps carry each node's id beside its label (label + 2 id), so
-        # the nodes each empirical_confusion call grades can be read back;
-        # the samples see the label alone. Per (sampler, size), every rate
-        # grades its noisy labels on one set of labeled nodes.
+        # Per (sampler, size), one empirical_confusion call grades every
+        # rate's noisy labels, a (rates x k) table, against the true labels
+        # of one set of k labeled nodes; the 0.0 rate's row is that truth.
         cfg = small_config(
             rates=(0.0, 0.1, 0.2), sample_sizes=(60, 80), confusion_from_labeled=30
         )
-        ids = 2 * np.arange(cfg.graph.n)
-        noise, relabel, grade = (
-            experiments.apply_noise, experiments.with_noisy_labels, experiments.empirical_confusion
-        )
-        calls = []
+        grade, calls = experiments.empirical_confusion, []
 
         def recorded(truth, predicted):
-            calls.append((predicted // 2, truth))
-            return grade(truth, predicted % 2)
+            calls.append((truth, predicted))
+            return grade(truth, predicted)
 
-        monkeypatch.setattr(experiments, "apply_noise", lambda *args: noise(*args) + ids)
-        monkeypatch.setattr(experiments, "with_noisy_labels", lambda s, noisy: relabel(s, noisy % 2))
         monkeypatch.setattr(experiments, "empirical_confusion", recorded)
         experiments._replication_rows(cfg, 0)
-        g, _ = experiments._graph_for_rep(cfg, 0)
-        assert len(calls) == len(cfg.samplers) * len(cfg.sample_sizes) * len(cfg.rates)
-        for cell in range(0, len(calls), len(cfg.rates)):
-            nodes, truth = calls[cell]
-            assert np.unique(nodes).size == nodes.size == 30
-            assert np.array_equal(truth, g.labels[nodes])
-            for other_nodes, other_truth in calls[cell + 1 : cell + len(cfg.rates)]:
-                assert np.array_equal(other_nodes, nodes)
-                assert np.array_equal(other_truth, truth)
+        assert len(calls) == len(cfg.samplers) * len(cfg.sample_sizes)
+        for truth, predicted in calls:
+            assert truth.shape == (30,)
+            assert predicted.shape == (len(cfg.rates), 30)
+            assert np.array_equal(predicted[0], truth)
+            assert not np.array_equal(predicted[2], truth)
 
     def test_each_label_set_measured_once(self, monkeypatch):
-        # Per (sampler, size): group, edge-type and top-quantile shares of
-        # the true labels and of each rate's noisy labels, once each.
+        # Per (sampler, size), one pass measures a table of every label set:
+        # the true labels and each rate's noisy labels. Group shares of the
+        # records and of the top-quantile records, and edge-type shares.
         cfg = small_config(rates=(0.0, 0.1, 0.2), sample_sizes=(60, 80))
         calls = Counter()
-        for name in ("estimate_proportions", "estimate_edge_vector"):
-            def counted(*args, _name=name, _original=getattr(experiments, name)):
-                calls[_name] += 1
+        for name, labels_at in (("minority_shares", 1), ("edge_type_shares", 0)):
+            def counted(*args, _name=name, _at=labels_at, _original=getattr(experiments, name)):
+                calls[_name, args[_at].shape[0]] += 1
                 return _original(*args)
 
             monkeypatch.setattr(experiments, name, counted)
         experiments._replication_rows(cfg, 0)
-        label_sets = len(cfg.samplers) * len(cfg.sample_sizes) * (1 + len(cfg.rates))
+        cells = len(cfg.samplers) * len(cfg.sample_sizes)
+        label_sets = 1 + len(cfg.rates)
         assert calls == {
-            "estimate_proportions": 2 * label_sets,
-            "estimate_edge_vector": label_sets,
+            ("minority_shares", label_sets): 2 * cells,
+            ("edge_type_shares", label_sets): cells,
         }
 
     def test_failures_stay_with_their_variant(self):

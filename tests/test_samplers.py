@@ -28,8 +28,10 @@ from graphquant.samplers import (
     estimate_edge_vector,
     estimate_proportions,
     node_sample,
+    rank_records,
     rwrw_walk,
     snowball_sample,
+    top_cut,
     top_records,
     with_noisy_labels,
     write_sample_records,
@@ -772,6 +774,48 @@ class TestTopRecords:
         with pytest.raises(ValueError, match=r"^top_quantile must lie in \(0, 1\]") as exc:
             top_records(walk, quantile)
         assert not isinstance(exc.value, UndefinedShareError)
+
+
+class TestTopCutOfPrefix:
+    """The top quantile of every prefix from one ranking of the whole draw."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["walk", "edge"]),
+        n=st.integers(4, 60),
+        size=st.integers(2, 120),
+        quantile=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        seed=st.integers(0, 2**31),
+    )
+    def test_one_ranking_gives_each_prefix_its_own_cut(self, kind, n, size, quantile, seed):
+        # Walks revisit nodes and edge samples repeat endpoints, so records
+        # tie on (degree, node); the stable sort keeps them in record order
+        # on both sides.
+        g = generate_homophilous_graph(n, 2, 0.3, 0.7, rng_seed=seed)
+        if kind == "walk":
+            drawn = rwrw_walk(g, size, rng_seed=seed + 1)
+        else:
+            drawn = edge_sample(g, min(size, g.edge_count), rng_seed=seed + 1)
+        ranked = rank_records(drawn)
+        for count in range(1, len(drawn) + 1):
+            prefix = drawn.prefix(count)
+            if int(count * quantile) < 1:
+                with pytest.raises(UndefinedShareError):
+                    top_cut(ranked[ranked < count], drawn.weights, quantile)
+                continue
+            idx, weights = top_cut(ranked[ranked < count], drawn.weights, quantile)
+            own_idx, own_weights = top_cut(rank_records(prefix), prefix.weights, quantile)
+            assert np.array_equal(idx, own_idx)
+            assert np.array_equal(weights, own_weights)
+            top = top_records(prefix, quantile)
+            assert np.array_equal(top.nodes, drawn.nodes[idx])
+            assert np.array_equal(top.weights, weights)
+
+    def test_ties_are_exercised(self):
+        g = generate_homophilous_graph(30, 2, 0.3, 0.7, rng_seed=5)
+        for drawn in (rwrw_walk(g, 200, rng_seed=6), edge_sample(g, 40, rng_seed=7)):
+            keys = np.column_stack([drawn.degrees, drawn.nodes])
+            assert np.unique(keys, axis=0).shape[0] < len(drawn)
 
 
 class TestWalkSeed:
