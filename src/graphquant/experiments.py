@@ -12,25 +12,33 @@ process, and its truths are computed once per top quantile and kept in
 the same cache slot.
 
 Each sampler draws once per replication, at the largest size, and every
-size is measured on a prefix of that draw (``Sample.prefix``), which is
-a sample of that size. Rows of different sizes in one replication thus
-share random numbers; each summary cell holds one size, and its rows
-are independent across replications.
+size is measured on the draw's first records, which are a sample of that
+size: ``Sample.prefix`` is the definition the tests check the grid's cuts
+against. Rows of different sizes in one replication thus share random
+numbers; each summary cell holds one size, and its rows are independent
+across replications.
 
 A replication keeps one (label sets x nodes) int8 table: the true labels,
-then each rate's noisy labels. Each draw gathers it once, and one pass per
-size measures every label set: the group shares from one reduction over
-the size's first columns, the edge-type shares from one ``bincount`` over
-the edges inside the prefix (the draw's edges sorted once by their later
-endpoint), and the group shares of the top-quantile records from one
-ranking of the whole draw, cut at the size. Estimated confusion matrices
-grade every rate on one labeled set in one comparison. The variants come
-from these stored vectors: no_noise and uncorrected read them as they
-are, and corrected applies the confusion-matrix correction to the noisy
-ones, as in adjusted classify and count. A failure is recorded where it
-arises, so a measurement failure flags both noisy variants and a
-correction failure only the corrected one. Each domain failure carries its row flag as ``code``
-(``failed:<code>``); any other exception is a bug and raises.
+then each rate's noisy labels. Each draw gathers it once and is measured
+in one pass that returns arrays over (size x label set): the group shares
+from one reduction per size over the size's first columns, the edge-type
+shares from pair codes computed once per draw and counted at each size's
+edge cut (the draw's edges sorted once by their later endpoint), and the
+group shares of the top-quantile records from one ranking of the whole
+draw, cut at each size. The distinct nodes a draw saw come from one
+first-occurrence pass, so each size's pool of labeled nodes is a mask;
+estimated confusion matrices grade every rate on one labeled set in one
+count.
+
+The variants come from one array pass over every (sampler, size, rate,
+variant) of the replication (``_variants``): no_noise and uncorrected read
+the measured shares as they are, and corrected applies the confusion-matrix
+correction to the noisy ones, as in adjusted classify and count. The
+formulas are ``quantify``'s kernels, which its functions on single vectors
+also call. A failure is recorded where it arises, so a measurement failure
+flags both noisy variants and a correction failure only the corrected one.
+Each domain failure carries its row flag as ``code`` (``failed:<code>``);
+any other exception is a bug and raises.
 
 Rows and summary cells are NamedTuples whose field order is the CSV
 column order. A replication emits each cell's rows measure by measure,
@@ -47,6 +55,7 @@ change the output bytes.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -72,14 +81,14 @@ from .noise import (
     symmetric_confusion,
 )
 from .quantify import (
-    EdgeVector,
-    PropVector,
     SingularCorrectionError,
     UndefinedShareError,
-    adjust_edge_proportions,
-    adjust_proportions,
-    coleman_homophily,
-    ingroup_share,
+    coleman_index,
+    correct_edge_shares,
+    correct_shares,
+    ingroup_shares,
+    outside_unit,
+    singular,
 )
 from .samplers import (
     SEED_DEGREE,
@@ -87,7 +96,7 @@ from .samplers import (
     check_quantile,
     check_walk,
     edge_sample,
-    edge_type_shares,
+    edge_type_counts,
     ground_truth,
     minority_shares,
     node_sample,
@@ -100,6 +109,7 @@ from .samplers import (
 # Names perfbench/tracing.py still wraps; nothing in the package defines or calls them.
 adjust_visibility = importance_resample = top_quantile_indices = None
 # Names it wraps that the grid no longer calls, each bound to the real function.
+from .quantify import adjust_edge_proportions, adjust_proportions, coleman_homophily, ingroup_share  # noqa: E402
 from .samplers import estimate_edge_vector, estimate_proportions, with_noisy_labels  # noqa: E402
 
 SAMPLERS = ("rwrw", "node", "edge", "snowball")
@@ -290,27 +300,30 @@ def _graph_for_rep(cfg: ExperimentConfig, rep: int) -> tuple[UndirectedGraph, _T
 
 # Domain failures, each naming its row flag in ``code``; any other exception is a bug and raises.
 _FAILURES = (NoObservedEdgesError, SingularCorrectionError, UndefinedConfusionError, UndefinedShareError)
+# Row flags by code. Codes from _FAILED on are failures: the domain failures',
+# a derived measure's failed inputs, and an estimate without a truth.
+_FLAGS = (
+    "", "out_of_range", *(f"failed:{f.code}" for f in _FAILURES), "failed:inputs", "failed:undefined_truth"
+)
+_OUT_OF_RANGE, _FAILED, _INPUTS, _UNDEFINED_TRUTH = 1, 2, len(_FLAGS) - 2, len(_FLAGS) - 1
+
+
+def _code(failure) -> int:
+    """Row flag code of a domain failure, given as its class or an instance."""
+    return _FLAGS.index(f"failed:{failure.code}")
+
+
+_NO_EDGES, _SINGULAR, _UNDEFINED_SHARE = map(
+    _code, (NoObservedEdgesError, SingularCorrectionError, UndefinedShareError)
+)
 
 
 def _attempt(fn, *args):
-    """``fn(*args)``, or the domain failure it raised. A failure passed as
-    the first argument comes straight back, so it flows down a chain."""
-    if isinstance(args[0], Exception):
-        return args[0]
+    """``fn(*args)``, or the domain failure it raised."""
     try:
         return fn(*args)
     except _FAILURES as exc:
         return exc
-
-
-def _entry(result, out_of_range: bool = False) -> tuple[float | None, str]:
-    """(estimate, flags) of a failure, of a share vector's minority share,
-    or of a derived measure whose inputs give ``out_of_range``."""
-    if isinstance(result, Exception):
-        return None, f"failed:{result.code}"
-    if isinstance(result, PropVector):
-        result, out_of_range = result.b, result.out_of_range
-    return result, "out_of_range" if out_of_range else ""
 
 
 def _records_for(sampler: str, size: int) -> int:
@@ -334,64 +347,104 @@ def _draw_sample(cfg: ExperimentConfig, g: UndirectedGraph, sampler: str, seed):
     return snowball_sample(g, size, rng_seed=seed)
 
 
-def _measure(labels, weights, edges, ranked, quantile: float) -> list[tuple]:
-    """Group shares, edge-type shares and top-quantile group shares of
-    each label set, a row of ``labels``, over the records that ``weights``
-    weigh: one triple per set, each entry a vector or its failure.
-    ``edges`` holds the observed edges and ``ranked`` the records in
-    top-quantile order."""
-    sets = labels.shape[0]
-    props = minority_shares(weights, labels[:, : weights.shape[0]]).tolist()
-    edge = _attempt(edge_type_shares, labels, edges)
-    if isinstance(edge, Exception):
-        edge = [edge] * sets
-    else:
-        edge = [EdgeVector(*shares) for shares in edge.tolist()]
-    top = _attempt(top_cut, ranked, weights, quantile)
-    if isinstance(top, Exception):
-        top = [top] * sets
-    else:
-        idx, top_weights = top
-        shares = minority_shares(top_weights, np.take(labels, idx, axis=1))
-        top = [PropVector(1.0 - b, b) for b in shares.tolist()]
-    return [(PropVector(1.0 - b, b), t, v) for b, t, v in zip(props, edge, top)]
+def _measure(labels, drawn, counts, quantile: float):
+    """Minority shares, edge-type shares and top-quantile minority shares
+    of each label set, a row of ``labels``, over the first ``c`` records of
+    the draw for each record count ``c`` in ``counts``: arrays over (size x
+    label set), the edge-type shares along a last axis (aa, ab, bb). A
+    size's edge or top-quantile measure that failed reads NaN, and its code
+    is in the per-size edge and top failure codes that come last."""
+    later = drawn.edge_positions.max(axis=1)
+    by_later = np.argsort(later, kind="stable")
+    # A size's edges are those whose later endpoint comes before its cut.
+    cuts = np.searchsorted(later[by_later], counts)
+    edge_counts = edge_type_counts(labels, drawn.edge_positions[by_later], cuts)
+    with np.errstate(invalid="ignore"):
+        edges = np.moveaxis(edge_counts, 0, 1) / cuts[:, None, None]
+    edge_failed = np.where(cuts == 0, _NO_EDGES, 0)
+    # The draw's ranking, cut at a size, is that size's own ranking.
+    ranked = rank_records(drawn)
+    props, tops, top_failed = [], [], []
+    for count in counts:
+        weights = drawn.weights[:count]
+        props.append(minority_shares(weights, labels[:, :count]))
+        top = _attempt(top_cut, ranked[ranked < count], weights, quantile)
+        if isinstance(top, Exception):
+            tops.append(np.full(labels.shape[0], np.nan))
+            top_failed.append(_code(top))
+        else:
+            idx, top_weights = top
+            tops.append(minority_shares(top_weights, np.take(labels, idx, axis=1)))
+            top_failed.append(0)
+    return np.array(props), edges, np.array(tops), edge_failed, np.array(top_failed)
 
 
-def _variants(measured: tuple, correction) -> dict[str, tuple[float | None, str]]:
-    """The four measures from measured vectors, corrected when a confusion
-    matrix is given, with per-measure failure isolation; a failed correction
-    fails them all. Rounding is monotone, so in-range inputs give an
-    in-group share in [0, 1] and an index in [-1, 1]: each is flagged by its inputs."""
-    if isinstance(correction, Exception):
-        return dict.fromkeys(MEASURES, _entry(correction))
-    p_vec, t_vec, v_vec = measured
+def _variants(b, t, v, failed, correction=None):
+    """The four measures (proportion, in-group share, visibility, Coleman's
+    index) of the minority group in every unit, and their row flag codes,
+    each stacked along a new first axis over arrays shaped like ``b``.
+
+    A unit holds measured vectors: the minority share ``b``, the edge-type
+    shares ``t`` (aa, ab, bb along its first axis) and the top-quantile
+    minority share ``v``. ``failed`` holds the codes of its failed edge and
+    top-quantile measures, 0 where they were measured. ``correction`` is
+    None, or (entries, det, failed, corrected): confusion-matrix entries
+    (row-major along their first axis), determinants, the code of a
+    correction that failed, and where to correct. A failed correction fails
+    every measure; otherwise each measure is flagged by its own failure, by
+    its inputs' for the index, or as out of range. Rounding is monotone, so
+    in-range inputs give an in-group share in [0, 1] and an index in
+    [-1, 1]: each is flagged by its inputs.
+    """
+    edge_failed, top_failed = failed
+    p, top = np.array((1.0 - b, b)), np.array((1.0 - v, v))
+    p_failed = correction_failed = 0
     if correction is not None:
-        p_vec = _attempt(adjust_proportions, p_vec, correction)
-        t_vec = _attempt(adjust_edge_proportions, t_vec, correction)
-        v_vec = _attempt(adjust_proportions, v_vec, correction)
-    share = _attempt(ingroup_share, t_vec, 1)
-    if isinstance(p_vec, Exception) or isinstance(share, Exception):
-        homophily = (None, "failed:inputs")
-    else:
-        in_range = 0.0 <= share <= 1.0 and 0.0 < p_vec.b < 1.0
-        homophily = _entry(_attempt(coleman_homophily, share, p_vec.b), not in_range)
-    return {
-        "proportion": _entry(p_vec),
-        "ingroup": _entry(share, not isinstance(share, Exception) and t_vec.out_of_range),
-        "visibility": _entry(v_vec),
-        "homophily": homophily,
-    }
+        entries, det, correction_failed, corrected = correction
+        # Units left uncorrected, and failed measures, may divide by zero here.
+        with np.errstate(all="ignore"):
+            p = np.where(corrected, correct_shares(*p, entries, det), p)
+            top = np.where(corrected, correct_shares(*top, entries, det), top)
+            t = np.where(corrected, correct_edge_shares(t, entries, det), t)
+        correction_failed = np.where(corrected, correction_failed, 0)
+        p_failed = np.where(corrected & singular(det), _SINGULAR, 0)
+        top_failed = np.where(top_failed > 0, top_failed, p_failed)
+        edge_singular = np.where(corrected & singular(det, 3), _SINGULAR, 0)
+        edge_failed = np.where(edge_failed > 0, edge_failed, edge_singular)
+    share, no_share = ingroup_shares(t[2], t[1])
+    index, no_index = coleman_index(share, p[1])
+    share_failed = np.select(
+        [edge_failed > 0, no_share, outside_unit(*t)],
+        [edge_failed, _UNDEFINED_SHARE, _OUT_OF_RANGE],
+    )
+    codes = (
+        np.select([p_failed > 0, outside_unit(*p)], [p_failed, _OUT_OF_RANGE]),
+        share_failed,
+        np.select([top_failed > 0, outside_unit(*top)], [top_failed, _OUT_OF_RANGE]),
+        np.select(
+            [(p_failed > 0) | (share_failed >= _FAILED), no_index, outside_unit(share, p[1])],
+            [_INPUTS, _UNDEFINED_SHARE, _OUT_OF_RANGE],
+        ),
+    )
+    estimates = np.stack(np.broadcast_arrays(p[1], share, top[1], index))
+    codes = np.where(correction_failed > 0, correction_failed, np.stack(np.broadcast_arrays(*codes)))
+    return estimates, codes
 
 
 def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
     g, known = _graph_for_rep(cfg, rep)
     if cfg.top_quantile not in known:
         gt = ground_truth(g, cfg.top_quantile)
-        # The truths are the four measures of the population's exact vectors.
+        # The truths are the four measures of the population's exact vectors, NaN where undefined.
         vis = gt.visibility_b
-        top = UndefinedShareError("no top quantile") if vis is None else PropVector(1.0 - vis, vis)
-        population = (gt.p, gt.s, top)
-        known[cfg.top_quantile] = {m: est for m, (est, _) in _variants(population, None).items()}
+        top_failed = 0 if vis is not None else _UNDEFINED_SHARE
+        est, codes = _variants(
+            np.array([gt.p.b]),
+            np.array(gt.s.as_tuple())[:, None],
+            np.array([np.nan if vis is None else vis]),
+            (0, top_failed),
+        )
+        known[cfg.top_quantile] = np.where(codes >= _FAILED, np.nan, est)[:, 0]
     truths = known[cfg.top_quantile]
 
     # One label table: the true labels, then each rate's noisy labels, per node.
@@ -401,53 +454,69 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
     for ri, confusion in enumerate(confusions):
         table[1 + ri] = apply_noise(g.labels, confusion, _stream(cfg.master_seed, _NOISE, rep, ri))
 
-    rows: list[ResultRow] = []
+    # Per (sampler, size, rate): each rate's confusion matrix, or the one
+    # estimated from labeled nodes, as entries, determinant and failure code.
+    shape = (len(cfg.samplers), len(cfg.sample_sizes), len(cfg.rates))
+    entries = np.empty(shape + (4,))
+    entries[...] = [c.to_flat() for c in confusions]
+    det = np.empty(shape)
+    det[...] = [c.det for c in confusions]
+    correction_failed = np.zeros(shape[:2], dtype=np.int64)
+    measured = []
     for si, sampler in enumerate(cfg.samplers):
         drawn = _draw_sample(cfg, g, sampler, _stream(cfg.master_seed, _SAMPLE, rep, si))
-        # Every size is a prefix of the draw: its label sets are the first
-        # columns, its edges those whose later endpoint comes before the
-        # cut, and its top-quantile order the draw's, cut the same way.
-        labels = np.take(table, drawn.nodes, axis=1)
-        ranked = rank_records(drawn)
-        later = drawn.edge_positions.max(axis=1)
-        by_later = np.argsort(later, kind="stable")
-        edges, later = drawn.edge_positions[by_later], later[by_later]
-        for zi, size in enumerate(cfg.sample_sizes):
-            count = _records_for(sampler, size)
-            measured = _measure(
-                labels,
-                drawn.weights[:count],
-                edges[: np.searchsorted(later, count)],
-                ranked[ranked < count],
-                cfg.top_quantile,
-            )
-            corrections = confusions
-            if cfg.confusion_from_labeled is not None:
-                # k labeled nodes among the distinct nodes the sample saw (a sort and
-                # a mask: np.unique hashes, 10x slower), graded against every rate.
-                seen = np.sort(drawn.nodes[:count])
-                seen = seen[np.append(True, seen[1:] != seen[:-1])]
-                k = min(cfg.confusion_from_labeled, seen.shape[0])
-                rng = np.random.default_rng(_stream(cfg.master_seed, _LABELED, rep, si, zi))
-                labeled = rng.choice(seen, size=k, replace=False)
-                graded = _attempt(empirical_confusion, table[0, labeled], table[1:, labeled])
-                corrections = [graded] * len(cfg.rates) if isinstance(graded, Exception) else graded
-            clean = _variants(measured[0], None)
-            for ri, rate in enumerate(cfg.rates):
-                uncorrected = _variants(measured[1 + ri], None)
-                corrected = _variants(measured[1 + ri], corrections[ri])
-                # Measure-major, as in the file, so a cell's rows need no sort.
-                for measure in MEASURES:
-                    truth = truths[measure]
-                    for variant, est in zip(VARIANTS, (clean, uncorrected, corrected)):
-                        estimate, flags = est[measure]
-                        if truth is None and not flags.startswith("failed"):
-                            flags = "failed:undefined_truth"
-                        error = None if estimate is None or truth is None else estimate - truth
-                        rows.append(
-                            ResultRow(sampler, rate, size, rep, measure, variant, estimate, error, flags)
-                        )
-    return rows
+        counts = [_records_for(sampler, size) for size in cfg.sample_sizes]
+        measured.append(_measure(np.take(table, drawn.nodes, axis=1), drawn, counts, cfg.top_quantile))
+        if cfg.confusion_from_labeled is None:
+            continue
+        # The distinct nodes of the draw, ascending, and where each first appears.
+        seen, first = np.unique(drawn.nodes, return_index=True)
+        for zi, count in enumerate(counts):
+            # k labeled nodes among the distinct nodes the size saw, graded against every rate.
+            pool = seen[first < count]
+            k = min(cfg.confusion_from_labeled, pool.shape[0])
+            rng = np.random.default_rng(_stream(cfg.master_seed, _LABELED, rep, si, zi))
+            labeled = rng.choice(pool, size=k, replace=False)
+            graded = _attempt(empirical_confusion, table[0, labeled], table[1:, labeled])
+            if isinstance(graded, Exception):
+                entries[si, zi], det[si, zi], correction_failed[si, zi] = np.nan, np.nan, _code(graded)
+            else:
+                entries[si, zi] = [c.to_flat() for c in graded]
+                det[si, zi] = [c.det for c in graded]
+
+    # Units over (sampler, size, rate, variant): the true labels as they are,
+    # then each rate's noisy labels as they are and corrected.
+    props, edges, tops, edge_failed, top_failed = (np.array(x) for x in zip(*measured))
+    label_set = np.array([[0, 1 + ri, 1 + ri] for ri in range(len(cfg.rates))])
+    est, codes = _variants(
+        props[:, :, label_set],
+        np.moveaxis(edges[:, :, label_set], -1, 0),
+        tops[:, :, label_set],
+        (edge_failed[:, :, None, None], top_failed[:, :, None, None]),
+        (
+            np.moveaxis(entries, -1, 0)[..., None],
+            det[..., None],
+            correction_failed[:, :, None, None],
+            np.array([False, False, True]),
+        ),
+    )
+    # Measure-major within each (sampler, size, rate), as in the file, so a
+    # cell's rows need no sort.
+    est, codes = np.moveaxis(est, 0, -2), np.moveaxis(codes, 0, -2)
+    truth = truths[:, None]
+    codes = np.where(np.isnan(truth) & (codes < _FAILED), _UNDEFINED_TRUTH, codes)
+    errors = (est - truth).astype(object)
+    errors[codes >= _FAILED] = None
+    est = est.astype(object)
+    est[(codes >= _FAILED) & (codes != _UNDEFINED_TRUTH)] = None
+    flags = np.array(_FLAGS, dtype=object)[codes]
+    keys = itertools.product(cfg.samplers, cfg.sample_sizes, cfg.rates, MEASURES, VARIANTS)
+    return [
+        ResultRow(sampler, rate, size, rep, measure, variant, estimate, error, flag)
+        for (sampler, size, rate, measure, variant), estimate, error, flag in zip(
+            keys, est.ravel().tolist(), errors.ravel().tolist(), flags.ravel().tolist()
+        )
+    ]
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:

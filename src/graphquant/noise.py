@@ -85,24 +85,28 @@ def empirical_confusion(truth, predicted):
 
     ``predicted`` is one label per pair, or a (classifiers x pairs) table
     with one classifier's labels per row, which gives a list of matrices,
-    one per row, from one comparison. Raises ``UndefinedConfusionError``
-    if one of the true classes is absent, since its column would be
-    undefined.
+    one per row, from one count. Labels must be 0 or 1. Raises
+    ``UndefinedConfusionError`` if one of the true classes is absent,
+    since its column would be undefined.
     """
     t = np.asarray(truth)
     p = np.asarray(predicted)
     if t.ndim != 1 or p.ndim not in (1, 2) or p.shape[-1:] != t.shape:
         raise ValueError("predicted labels must be one list, or rows of lists, as long as truth")
-    n_a = int((t == 0).sum())
-    n_b = int((t == 1).sum())
+    if np.any((p | t) & ~1):  # any label but 0 or 1 sets a higher bit or the sign
+        raise ValueError("labels must be 0 (majority) or 1 (minority)")
+    n_b = int(t.sum())
+    n_a = t.shape[0] - n_b
     if n_a == 0 or n_b == 0:
         raise UndefinedConfusionError(
             "both true classes must be present to estimate a confusion matrix"
         )
-    # Per row: predicted 0 among true a, 0 among true b, 1 among a, 1 among b.
-    counts = np.stack(
-        [((p == x) & (t == y)).sum(axis=-1) for x in (0, 1) for y in (0, 1)], axis=-1
-    )
+    # One count of every (classifier, prediction, truth) triple, keyed
+    # 4 * row + 2 * prediction + truth: per row, predicted 0 among true a,
+    # 0 among true b, 1 among a, 1 among b.
+    rows = p.reshape(-1, t.shape[0]).astype(np.int64)
+    keys = 2 * rows + t + 4 * np.arange(rows.shape[0])[:, None]
+    counts = np.bincount(keys.ravel(), minlength=4 * rows.shape[0])
     matrices = [
         ConfusionMatrix(aa / n_a, ab / n_b, ba / n_a, bb / n_b)
         for aa, ab, ba, bb in counts.reshape(-1, 4).tolist()

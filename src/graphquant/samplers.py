@@ -4,9 +4,10 @@ Four samplers observe a graph through different windows: a degree-biased
 random walk (single chain, uniform transitions over neighbors), uniform
 node sampling, uniform edge sampling, and breadth-first snowball
 expansion, which grows one vectorised wave (``_wave``) at a time over
-the graph's CSR arrays. Each returns the same ``Sample`` record, so
-every estimator below works from sample data alone and never asks which
-sampler ran:
+the graph's CSR arrays, keeping each new node's first occurrence with one
+``np.minimum.at`` over a per-crawl position array. Each returns the same
+``Sample`` record, so every estimator below works from sample data alone
+and never asks which sampler ran:
 
 - ``nodes``, ``degrees`` and ``labels`` hold one entry per record; the
   labels are true groups, or the classifier's after ``with_noisy_labels``.
@@ -35,12 +36,13 @@ every edge, and they come in the graph's edge order.
 
 Each estimator formula is written once and takes a table of label sets,
 one row per set over the same records: ``minority_shares`` (the weighted
-group share), ``edge_type_shares`` (one ``bincount`` of edge types) and
-``top_cut`` (the weighted top-quantile cut of records ranked by
-``rank_records``). ``estimate_proportions``, ``estimate_edge_vector`` and
-``top_records`` apply them to one sample; the experiment grid applies
-them to every label set and prefix of a draw in one pass, and a stable
-ranking of the whole draw, cut at a prefix, is the prefix's own ranking.
+group share), ``edge_type_counts`` (edge types among the first edges, at
+any number of cuts, from one ``bincount``) and ``top_cut`` (the weighted
+top-quantile cut of records ranked by ``rank_records``).
+``estimate_proportions``, ``estimate_edge_vector`` and ``top_records``
+apply them to one sample; the experiment grid applies them to every label
+set and prefix of a draw, and a stable ranking of the whole draw, cut at
+a prefix, is the prefix's own ranking.
 
 Visibility is the group-share estimate over the top-quantile records,
 ``estimate_proportions(top_records(sample, q))``: a weighted degree
@@ -225,19 +227,28 @@ def _neighbours(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
     return indices[slots], np.repeat(np.arange(rows.shape[0]), counts)
 
 
-def _wave(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, visited: np.ndarray):
+# The place of a node that no seed or wave of the crawl has reached yet.
+_UNSEEN = np.iinfo(np.int64).max
+
+
+def _wave(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray, place: np.ndarray):
     """One breadth-first wave: the unvisited neighbours of ``frontier``.
 
     They come in frontier order, each node's neighbours ascending, and a
-    node reached twice belongs to its first discoverer. Returns the new
-    nodes, now marked visited, and the frontier position of each one's
-    discoverer.
+    node reached twice belongs to its first discoverer. ``place`` holds one
+    entry per graph node, ``_UNSEEN`` until a seed or a wave reaches it.
+    One ``np.minimum.at`` writes there each new node's first position among
+    the wave's neighbours, so a neighbour is its node's first occurrence
+    exactly where its position is that place, and no sort is needed.
+    Returns the new nodes, now placed, and the frontier position of each
+    one's discoverer.
     """
     nbrs, owner = _neighbours(indptr, indices, frontier)
-    fresh = ~visited[nbrs]
+    fresh = place[nbrs] == _UNSEEN
     nbrs, owner = nbrs[fresh], owner[fresh]
-    first = np.sort(np.unique(nbrs, return_index=True)[1])
-    visited[nbrs[first]] = True
+    at = np.arange(nbrs.shape[0])
+    np.minimum.at(place, nbrs, at)
+    first = place[nbrs] == at
     return nbrs[first], owner[first]
 
 
@@ -263,16 +274,16 @@ def snowball_sample(g: UndirectedGraph, n_target: int, n_seeds: int = 10, rng_se
     record_of = np.argsort(drawn)  # record index of each frontier node
     frontier = drawn[record_of]
 
-    visited = np.zeros(g.node_count, dtype=bool)
-    visited[drawn] = True
+    place = np.full(g.node_count, _UNSEEN, dtype=np.int64)
+    place[drawn] = -1
     waves = [drawn[:n_target]]
     parents = [np.empty(0, dtype=np.int64)]  # record index of each child's parent
     count = waves[0].shape[0]
     while count < n_target:
-        found, owner = _wave(g.indptr, g.indices, frontier, visited)
+        found, owner = _wave(g.indptr, g.indices, frontier, place)
         if found.shape[0] == 0:
             raise ValueError("ran out of reachable nodes before n_target")
-        # Dropped nodes stay visited, but no wave follows a truncated one.
+        # Dropped nodes stay placed, but no wave follows a truncated one.
         pick = rng.choice(found.shape[0], size=min(n_target - count, found.shape[0]), replace=False)
         parents.append(record_of[owner[pick]])
         waves.append(found[pick])
@@ -293,9 +304,16 @@ def check_quantile(quantile: float) -> None:
 
 def rank_records(sample: Sample) -> np.ndarray:
     """Record indices by (-degree, node id), tied records in record order.
-    The sort is stable, so the indices below z keep the order a sort of
-    the first z records alone gives them."""
-    return np.lexsort((sample.nodes, -np.asarray(sample.degrees, dtype=np.int64)))
+
+    One stable sort of the int64 key ``node - degree * (max node + 1)``,
+    which orders records as the pair does. A degree and a node id are both
+    below the node count N, so the key stays inside int64 while N**2 < 2**63,
+    that is for graphs below about 3·10⁹ nodes. The sort is stable, so the
+    indices below z keep the order a sort of the first z records alone
+    gives them."""
+    nodes = np.asarray(sample.nodes, dtype=np.int64)
+    span = int(nodes.max(initial=0)) + 1
+    return np.argsort(nodes - np.asarray(sample.degrees, dtype=np.int64) * span, kind="stable")
 
 
 def top_cut(ranked: np.ndarray, weights: np.ndarray, quantile: float):
@@ -338,18 +356,21 @@ def minority_shares(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return block.sum(axis=-1) / weights.sum()
 
 
-def edge_type_shares(labels: np.ndarray, edge_positions: np.ndarray) -> np.ndarray:
-    """Edge-type shares (aa, ab, bb) of each label set over the observed
-    edges, shaped ``labels.shape[:-1] + (3,)``: one ``bincount`` over
-    every set, each offset by 3 times its row."""
-    edges = edge_positions.shape[0]
-    if edges == 0:
-        raise NoObservedEdgesError("sample observed no edges")
-    pair = labels[..., edge_positions[:, 0]].astype(np.int64) + labels[..., edge_positions[:, 1]]
-    rows = pair.reshape(-1, edges)
-    keys = rows + 3 * np.arange(rows.shape[0])[:, None]
-    counts = np.bincount(keys.ravel(), minlength=3 * rows.shape[0])
-    return counts.reshape(labels.shape[:-1] + (3,)) / edges
+def edge_type_counts(labels: np.ndarray, edge_positions: np.ndarray, cuts) -> np.ndarray:
+    """Edge-type counts (aa, ab, bb) of each label set among the first
+    ``c`` observed edges, for each ``c`` in ``cuts``, shaped
+    ``labels.shape[:-1] + (len(cuts), 3)``. One ``bincount`` counts every
+    set's pair codes in each stretch between consecutive distinct cuts,
+    each key offset by 3 per stretch and by 3 per stretch per set, and a
+    running sum over the stretches gives the counts at every cut."""
+    steps, at = np.unique(cuts, return_inverse=True)
+    used = edge_positions[: steps[-1]]
+    pair = np.atleast_2d(np.take(labels, used[:, 0], axis=-1) + np.take(labels, used[:, 1], axis=-1))
+    stretch = np.repeat(np.arange(steps.shape[0]), np.diff(steps, prepend=0))
+    keys = 3 * (stretch + steps.shape[0] * np.arange(pair.shape[0])[:, None]) + pair
+    counts = np.bincount(keys.ravel(), minlength=3 * steps.shape[0] * pair.shape[0])
+    counts = counts.reshape(labels.shape[:-1] + (steps.shape[0], 3)).cumsum(axis=-2)
+    return counts[..., at, :]
 
 
 def estimate_proportions(sample: Sample) -> PropVector:
@@ -368,7 +389,11 @@ def estimate_proportions(sample: Sample) -> PropVector:
 
 def estimate_edge_vector(sample: Sample) -> EdgeVector:
     """Edge-type shares (aa, ab, bb) over the sample's observed edges."""
-    return EdgeVector(*edge_type_shares(sample.labels, sample.edge_positions).tolist())
+    edges = sample.edge_positions.shape[0]
+    if edges == 0:
+        raise NoObservedEdgesError("sample observed no edges")
+    counts = edge_type_counts(sample.labels, sample.edge_positions, [edges])[0]
+    return EdgeVector(*(counts / edges).tolist())
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ from graphquant.quantify import (
     UndefinedShareError,
     adjust_edge_proportions,
     adjust_proportions,
+    coleman_homophily,
+    ingroup_share,
 )
 from graphquant.samplers import (
     SEED_DEGREE,
@@ -396,22 +398,92 @@ def reference_summarize(result):
     return out
 
 
+def reference_attempt(fn, *args):
+    """``fn(*args)``, or the domain failure it raised. A failure passed as
+    the first argument comes straight back, so it flows down a chain."""
+    if isinstance(args[0], Exception):
+        return args[0]
+    try:
+        return fn(*args)
+    except (NoObservedEdgesError, SingularCorrectionError, UndefinedConfusionError,
+            UndefinedShareError) as exc:
+        return exc
+
+
+def reference_entry(result, out_of_range=False):
+    """(estimate, flags) of a failure, of a share vector's minority share,
+    or of a derived measure whose inputs give ``out_of_range``."""
+    if isinstance(result, Exception):
+        return None, f"failed:{result.code}"
+    if isinstance(result, PropVector):
+        result, out_of_range = result.b, result.out_of_range
+    return result, "out_of_range" if out_of_range else ""
+
+
+def reference_variants(measured, correction):
+    """experiments._variants as it was written before it ran on arrays:
+    the four measures of one set of measured vectors, corrected by one
+    scalar correction when a confusion matrix is given, with per-measure
+    failure isolation; a failed correction fails them all."""
+    if isinstance(correction, Exception):
+        return dict.fromkeys(experiments.MEASURES, reference_entry(correction))
+    p_vec, t_vec, v_vec = measured
+    if correction is not None:
+        p_vec = reference_attempt(adjust_proportions, p_vec, correction)
+        t_vec = reference_attempt(adjust_edge_proportions, t_vec, correction)
+        v_vec = reference_attempt(adjust_proportions, v_vec, correction)
+    share = reference_attempt(ingroup_share, t_vec, 1)
+    if isinstance(p_vec, Exception) or isinstance(share, Exception):
+        homophily = (None, "failed:inputs")
+    else:
+        in_range = 0.0 <= share <= 1.0 and 0.0 < p_vec.b < 1.0
+        homophily = reference_entry(
+            reference_attempt(coleman_homophily, share, p_vec.b), not in_range
+        )
+    return {
+        "proportion": reference_entry(p_vec),
+        "ingroup": reference_entry(
+            share, not isinstance(share, Exception) and t_vec.out_of_range
+        ),
+        "visibility": reference_entry(v_vec),
+        "homophily": homophily,
+    }
+
+
+def array_variants(measured, correction):
+    """experiments._variants on one unit given as reference_variants takes
+    it, and its result in the same form: {measure: (estimate, flags)}."""
+    p, t, v = measured
+    failed = tuple(experiments._code(x) if isinstance(x, Exception) else 0 for x in (t, v))
+    t = (np.nan,) * 3 if isinstance(t, Exception) else t.as_tuple()
+    v = np.nan if isinstance(v, Exception) else v.b
+    if isinstance(correction, Exception):
+        correction = (np.full((4, 1), np.nan), np.array([np.nan]), experiments._code(correction), True)
+    elif correction is not None:
+        correction = (np.array(correction.to_flat())[:, None], np.array([correction.det]), 0, True)
+    est, codes = experiments._variants(
+        np.array([p.b]), np.array(t)[:, None], np.array([v]), failed, correction
+    )
+    return {
+        measure: (None if code >= experiments._FAILED else estimate, experiments._FLAGS[code])
+        for measure, estimate, code in zip(experiments.MEASURES, est[:, 0].tolist(), codes[:, 0].tolist())
+    }
+
+
 def reference_replication_rows(cfg, rep):
     """_replication_rows as it was written before it measured every size
     and label set of a draw in one pass: each (sample, size, rate) as its
     own noisy copy, its prefix sorted for its own top quantile, and each
     rate's confusion matrix graded alone."""
-    g, known = experiments._graph_for_rep(cfg, rep)
-    if cfg.top_quantile not in known:
-        gt = ground_truth(g, cfg.top_quantile)
-        vis = gt.visibility_b
-        top = UndefinedShareError("no top quantile") if vis is None else PropVector(1.0 - vis, vis)
-        population = (gt.p, gt.s, top)
-        known[cfg.top_quantile] = {
-            m: est for m, (est, _) in experiments._variants(population, None).items()
-        }
-    truths = known[cfg.top_quantile]
-    attempt, stream = experiments._attempt, experiments._stream
+    # The graph as the grid gets it; its truths computed here, not read from
+    # the grid's cache.
+    g, _ = experiments._graph_for_rep(cfg, rep)
+    gt = ground_truth(g, cfg.top_quantile)
+    vis = gt.visibility_b
+    top = UndefinedShareError("no top quantile") if vis is None else PropVector(1.0 - vis, vis)
+    population = (gt.p, gt.s, top)
+    truths = {m: est for m, (est, _) in reference_variants(population, None).items()}
+    attempt, stream = reference_attempt, experiments._stream
 
     def measure(sample, top):
         return (
@@ -442,12 +514,12 @@ def reference_replication_rows(cfg, rep):
                 corrections = [
                     attempt(empirical_confusion, gold, noisy[labeled]) for noisy in noisy_maps
                 ]
-            clean = experiments._variants(measure(base, top), None)
+            clean = reference_variants(measure(base, top), None)
             for ri, rate in enumerate(cfg.rates):
                 noisy_top = attempt(with_noisy_labels, top, noisy_maps[ri])
                 measured = measure(with_noisy_labels(base, noisy_maps[ri]), noisy_top)
-                uncorrected = experiments._variants(measured, None)
-                corrected = experiments._variants(measured, corrections[ri])
+                uncorrected = reference_variants(measured, None)
+                corrected = reference_variants(measured, corrections[ri])
                 for measure_name in experiments.MEASURES:
                     truth = truths[measure_name]
                     for variant, est in zip(experiments.VARIANTS, (clean, uncorrected, corrected)):
@@ -770,10 +842,10 @@ class TestRunExperiment:
     def test_programming_errors_raise(self, monkeypatch):
         # A plain ValueError from an estimator is a bug, not a domain
         # failure, so it must not turn into a failed row.
-        def broken(labels, edge_positions):
+        def broken(labels, edge_positions, cuts):
             raise ValueError("bug")
 
-        monkeypatch.setattr(experiments, "edge_type_shares", broken)
+        monkeypatch.setattr(experiments, "edge_type_counts", broken)
         with pytest.raises(ValueError, match="bug"):
             run_experiment(small_config(replications=1))
 
@@ -823,12 +895,13 @@ class TestRunExperiment:
             assert not np.array_equal(predicted[2], truth)
 
     def test_each_label_set_measured_once(self, monkeypatch):
-        # Per (sampler, size), one pass measures a table of every label set:
-        # the true labels and each rate's noisy labels. Group shares of the
-        # records and of the top-quantile records, and edge-type shares.
+        # Each call measures a table of every label set: the true labels and
+        # each rate's noisy labels. Group shares of the records and of the
+        # top-quantile records per (sampler, size); edge-type counts at
+        # every size's cut per sampler.
         cfg = small_config(rates=(0.0, 0.1, 0.2), sample_sizes=(60, 80))
         calls = Counter()
-        for name, labels_at in (("minority_shares", 1), ("edge_type_shares", 0)):
+        for name, labels_at in (("minority_shares", 1), ("edge_type_counts", 0)):
             def counted(*args, _name=name, _at=labels_at, _original=getattr(experiments, name)):
                 calls[_name, args[_at].shape[0]] += 1
                 return _original(*args)
@@ -839,15 +912,15 @@ class TestRunExperiment:
         label_sets = 1 + len(cfg.rates)
         assert calls == {
             ("minority_shares", label_sets): 2 * cells,
-            ("edge_type_shares", label_sets): cells,
+            ("edge_type_counts", label_sets): len(cfg.samplers),
         }
 
     def test_failures_stay_with_their_variant(self):
         # A measurement failure flags both variants; a correction failure
         # flags only the corrected one.
         measured = (PropVector(0.7, 0.3), NoObservedEdgesError("none"), PropVector(0.6, 0.4))
-        uncorrected = experiments._variants(measured, None)
-        corrected = experiments._variants(measured, ConfusionMatrix(0.5, 0.5, 0.5, 0.5))
+        uncorrected = array_variants(measured, None)
+        corrected = array_variants(measured, ConfusionMatrix(0.5, 0.5, 0.5, 0.5))
         assert uncorrected["proportion"] == (0.3, "")
         assert uncorrected["visibility"] == (0.4, "")
         assert corrected["proportion"] == (None, "failed:singular")
@@ -879,7 +952,7 @@ class TestRunExperiment:
         # edges gives an in-group share of -0.0, flagged with the vector,
         # and an index of exactly -1.0, unflagged.
         measured = (PropVector(0.7, 0.3), EdgeVector(1.1, -0.1, 0.0), PropVector(0.6, 0.4))
-        one_way = experiments._variants(measured, None)
+        one_way = array_variants(measured, None)
         assert one_way["ingroup"] == (0.0, "out_of_range")
         assert one_way["homophily"] == (-1.0, "")
 
@@ -900,28 +973,28 @@ class TestVariants:
     def test_domain_failure_flags(self, failure_type, flag):
         # The flag vocabulary that readers of rows.csv rely on.
         assert failure_type in experiments._FAILURES
-        assert experiments._entry(failure_type("reason")) == (None, flag)
+        assert experiments._FLAGS[experiments._code(failure_type("reason"))] == flag
 
     def test_failed_correction_fails_every_measure(self):
         # The correction's flag wins over a measured failure.
         measured = (PropVector(0.7, 0.3), NoObservedEdgesError("none"), PropVector(0.6, 0.4))
-        out = experiments._variants(measured, UndefinedConfusionError("one group"))
+        out = array_variants(measured, UndefinedConfusionError("one group"))
         assert out == dict.fromkeys(experiments.MEASURES, (None, "failed:confusion_undefined"))
 
     def test_out_of_range_inputs_flagged(self):
         # An in-group share above 1 gives an index above 1, and a minority
         # share outside (0, 1) flags the index while the share is in range.
         p = PropVector(0.6, 0.4)
-        out = experiments._variants((p, EdgeVector(0.5, -0.1, 0.6), p), None)
+        out = array_variants((p, EdgeVector(0.5, -0.1, 0.6), p), None)
         share, flags = out["ingroup"]
         assert share > 1.0 and flags == "out_of_range"
         index, flags = out["homophily"]
         assert index > 1.0 and flags == "out_of_range"
-        out = experiments._variants((p, EdgeVector(0.45, 0.1, 0.45), p), None)
+        out = array_variants((p, EdgeVector(0.45, 0.1, 0.45), p), None)
         assert out["ingroup"] == (pytest.approx(0.9), "")
         assert out["homophily"] == (pytest.approx(0.5 / 0.6), "")
         low = PropVector(1.2, -0.2)
-        out = experiments._variants((low, EdgeVector(0.45, 0.1, 0.45), p), None)
+        out = array_variants((low, EdgeVector(0.45, 0.1, 0.45), p), None)
         assert out["proportion"] == (-0.2, "out_of_range")
         assert out["ingroup"] == (pytest.approx(0.9), "")
         assert out["homophily"][1] == "out_of_range"
@@ -944,7 +1017,7 @@ class TestVariants:
         t = EdgeVector(1.0 - bb - ab, ab, bb)
         p = PropVector(1.0 - b, b)
         assume(not t.out_of_range)
-        out = experiments._variants((p, t, p), None)
+        out = array_variants((p, t, p), None)
         share, flags = out["ingroup"]
         assert 0.0 <= share <= 1.0 and flags == ""
         index, flags = out["homophily"]

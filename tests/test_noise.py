@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dyadic_apply, expected_edge_mix_by_enumeration
 from graphquant.noise import (
     ConfusionMatrix,
+    UndefinedConfusionError,
     apply_noise,
     dyadic_matrix,
     empirical_confusion,
@@ -122,6 +123,60 @@ class TestEmpiricalConfusion:
         c = empirical_confusion(true, pred)
         assert c.a_given_a + c.b_given_a == pytest.approx(1.0, abs=1e-12)
         assert c.a_given_b + c.b_given_b == pytest.approx(1.0, abs=1e-12)
+
+
+def four_comparison_confusion(truth, predicted):
+    """empirical_confusion as it was written before it counted with one
+    offset bincount: four comparisons per classifier, each reduced."""
+    t, p = np.asarray(truth), np.asarray(predicted)
+    n_a, n_b = int((t == 0).sum()), int((t == 1).sum())
+    if n_a == 0 or n_b == 0:
+        raise UndefinedConfusionError("one true class")
+    counts = np.stack(
+        [((p == x) & (t == y)).sum(axis=-1) for x in (0, 1) for y in (0, 1)], axis=-1
+    )
+    matrices = [
+        [aa / n_a, ab / n_b, ba / n_a, bb / n_b] for aa, ab, ba, bb in counts.reshape(-1, 4).tolist()
+    ]
+    return matrices if p.ndim == 2 else matrices[0]
+
+
+class TestEmpiricalConfusionCount:
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=1, max_size=6),
+            )
+        ),
+        st.sampled_from([np.int8, np.int64]),
+        st.booleans(),
+    )
+    def test_matches_four_comparison_count(self, pairs, dtype, one_row):
+        # Every classifier's matrix bit for bit, a table or one row alike,
+        # and the one-group refusal in the same cases.
+        truth = np.array(pairs[0], dtype=dtype)
+        predicted = np.array(pairs[1][0] if one_row else pairs[1], dtype=dtype)
+        try:
+            want = four_comparison_confusion(truth, predicted)
+        except UndefinedConfusionError:
+            with pytest.raises(UndefinedConfusionError):
+                empirical_confusion(truth, predicted)
+            return
+        got = empirical_confusion(truth, predicted)
+        if one_row:
+            assert got.to_flat() == want
+        else:
+            assert [c.to_flat() for c in got] == want
+
+    @pytest.mark.parametrize(
+        "truth, predicted",
+        [([0, 1, 2], [0, 1, 1]), ([0, 1, 1], [0, 2, 1]), ([0, 1, 1], [[0, 1, 1], [0, -1, 1]])],
+    )
+    def test_labels_outside_zero_and_one_refused(self, truth, predicted):
+        with pytest.raises(ValueError, match="labels must be 0"):
+            empirical_confusion(truth, predicted)
 
 
 class TestDyadicMatrix:

@@ -18,7 +18,13 @@ from graphquant.quantify import (
     adjust_edge_proportions,
     adjust_proportions,
     coleman_homophily,
+    coleman_index,
+    correct_edge_shares,
+    correct_shares,
     ingroup_share,
+    ingroup_shares,
+    outside_unit,
+    singular,
     variance_inflation_nodes,
 )
 
@@ -321,6 +327,150 @@ class TestColemanHomophily:
     @example(1.0 - 2.0**-53, 5e-324)
     def test_in_range_inputs_give_an_unflagged_index(self, s, p):
         assert -1.0 <= coleman_homophily(s, p) <= 1.0
+
+
+# The scalar formulas as they were written before they became array
+# kernels, one vector at a time in Python floats; None where undefined.
+def scalar_correct(a, b, c):
+    det = c.det
+    if abs(det) < DET_GUARD:
+        return None
+    return (a * c.b_given_b - b * c.a_given_b) / det, (b * c.a_given_a - a * c.b_given_a) / det
+
+
+def scalar_correct_edges(t, c):
+    det = c.det
+    if abs(det**3) < DET_GUARD:
+        return None
+    aa, ab, ba, bb = c.to_flat()
+    adj = dyadic_matrix((bb, -ab, -ba, aa))
+    return tuple((r[0] * t[0] + r[1] * t[1] + r[2] * t[2]) / (det * det) for r in adj)
+
+
+def scalar_ingroup(own, cross):
+    denom = 2.0 * own + cross
+    return None if denom == 0.0 else 2.0 * own / denom
+
+
+def scalar_coleman(s, p):
+    if p == 0.0 or p == 1.0:
+        return None
+    diff = s - p
+    return diff / (1.0 - p) if diff >= 0.0 else diff / p
+
+
+def same_bits(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+# Shares outside [0, 1] as a correction can leave them, the bounds, and 0
+# pairs that leave an in-group share without endpoints.
+SHARES = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(-0.5, 1.5))
+# det(C) = a|a - a|b near the guards (1e-9 for C, 1e-3 for det**3), or 0.
+NEAR_SINGULAR = st.one_of(
+    st.floats(-2e-3, 2e-3), st.sampled_from([0.0, 1e-3, -1e-3, 1e-9, 2e-9])
+)
+
+
+@st.composite
+def kernel_units(draw):
+    """(b, ab, bb, C) per unit: shares, and a confusion matrix that is any,
+    or one whose determinant is near either guard."""
+    units = []
+    for _ in range(draw(st.integers(1, 12))):
+        a_a = draw(st.floats(0.0, 1.0))
+        if draw(st.booleans()):
+            a_b = draw(st.floats(0.0, 1.0))
+        else:
+            det = draw(NEAR_SINGULAR)
+            a_b = a_a - det if 0.0 <= a_a - det <= 1.0 else a_a + det
+        c = ConfusionMatrix(a_a, a_b, 1.0 - a_a, 1.0 - a_b)
+        units.append((draw(SHARES), draw(SHARES), draw(SHARES), c))
+    return units
+
+
+class TestKernels:
+    """The array kernels against the scalar formulas they replaced, bit for
+    bit, and the functions on single vectors against both."""
+
+    @given(kernel_units())
+    def test_kernels_match_scalar_formulas(self, units):
+        b, ab, bb, cs = (list(x) for x in zip(*units))
+        b, ab, bb = np.array(b), np.array(ab), np.array(bb)
+        t = (1.0 - bb - ab, ab, bb)
+        entries = np.array([c.to_flat() for c in cs]).T
+        det = np.array([c.det for c in cs])
+        assert singular(det).tolist() == [scalar_correct(0.5, 0.5, c) is None for c in cs]
+        assert singular(det, 3).tolist() == [scalar_correct_edges((1.0, 0.0, 0.0), c) is None for c in cs]
+        with np.errstate(all="ignore"):
+            shares = correct_shares(1.0 - b, b, entries, det)
+            edges = correct_edge_shares(t, entries, det)
+        for i, c in enumerate(cs):
+            want = scalar_correct(1.0 - b[i], b[i], c)
+            if want is not None:
+                assert all(same_bits(x[i], y) for x, y in zip(shares, want))
+                got = adjust_proportions(PropVector(1.0 - b[i], b[i]), c)
+                assert all(map(same_bits, got.as_tuple(), want))
+                assert got.out_of_range == (not all(0.0 <= v <= 1.0 for v in want))
+            want = scalar_correct_edges([x[i] for x in t], c)
+            if want is not None:
+                assert all(same_bits(x[i], y) for x, y in zip(edges, want))
+                got = adjust_edge_proportions(EdgeVector(*(x[i] for x in t)), c)
+                assert all(map(same_bits, got.as_tuple(), want))
+        # The derived measures of the measured shares and of the corrected
+        # ones where both corrections exist.
+        corrected = ~singular(det, 3) & ~singular(det)
+        for t_vec, p_b, units in ((t, b, range(len(cs))), (edges, shares[1], np.flatnonzero(corrected))):
+            share, no_share = ingroup_shares(t_vec[2], t_vec[1])
+            index, no_index = coleman_index(share, p_b)
+            outside = outside_unit(*t_vec)
+            t_vec, p_b = [x.tolist() for x in t_vec], p_b.tolist()
+            for i in units:
+                want = scalar_ingroup(t_vec[2][i], t_vec[1][i])
+                assert no_share[i] == (want is None)
+                assert outside[i] == (not all(0.0 <= x[i] <= 1.0 for x in t_vec))
+                if want is None:
+                    continue
+                assert same_bits(share[i], want)
+                want_index = scalar_coleman(want, p_b[i])
+                assert no_index[i] == (want_index is None)
+                if want_index is not None:
+                    assert same_bits(index[i], want_index)
+
+    @pytest.mark.parametrize("power, bound", [(1, DET_GUARD), (3, 1e-3)])
+    def test_guard_agrees_with_python_power_at_its_bound(self, power, bound):
+        # numpy's vectorised power may differ from Python's in the last bit
+        # (a few percent of cubes here), but never across the guard: every
+        # double within 3000 ulps of the determinant at the bound, either sign.
+        dets = (np.array([bound]).view(np.int64) + np.arange(-3000, 3001)).view(np.float64)
+        dets = np.concatenate([dets, -dets])
+        want = [abs(d**power) < DET_GUARD for d in dets.tolist()]
+        assert singular(dets, power).tolist() == want
+        assert [bool(singular(d, power)) for d in dets.tolist()] == want
+        assert 0 < sum(want) < len(want)
+
+    @given(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5), SHARES)
+    @example(0.0, 0.0, 0.5)
+    @example(0.3, 0.0, 0.0)
+    @example(0.3, 0.2, 1.0)
+    def test_single_vector_functions_match_scalar_formulas(self, ab, bb, p):
+        # ingroup_share and coleman_homophily raise where the kernels mark
+        # the measure undefined, and otherwise return the scalar value.
+        vector = EdgeVector(1.0 - bb - ab, ab, bb)
+        want = scalar_ingroup(bb, ab)
+        if want is None:
+            with pytest.raises(UndefinedShareError):
+                ingroup_share(vector, 1)
+            return
+        got = ingroup_share(vector, 1)
+        assert type(got) is float and same_bits(got, want)
+        want_index = scalar_coleman(got, p)
+        if want_index is None:
+            with pytest.raises(UndefinedShareError):
+                coleman_homophily(got, p)
+        else:
+            index = coleman_homophily(got, p)
+            assert type(index) is float and same_bits(index, want_index)
 
 
 class TestVarianceInflation:

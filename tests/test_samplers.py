@@ -20,10 +20,14 @@ from graphquant.graph import (
 )
 from graphquant.noise import apply_noise, symmetric_confusion
 from graphquant.samplers import (
+    _UNSEEN,
     SEED_DEGREE,
     SEED_UNIFORM,
     NoObservedEdgesError,
     Sample,
+    _neighbours,
+    _records,
+    _wave,
     edge_sample,
     estimate_edge_vector,
     estimate_proportions,
@@ -451,6 +455,145 @@ class TestSnowball:
                 estimate_proportions(node_sample(g, 100, rng_seed=(32, rep))).b
             )
         assert abs(np.mean(snow) - truth) > abs(np.mean(node) - truth)
+
+
+def reference_wave(indptr, indices, frontier, visited):
+    """_wave as it was written before it kept first occurrences with
+    ``np.minimum.at``: the unvisited neighbours of ``frontier``, each
+    node's first occurrence found by a sort, with a visited mask."""
+    nbrs, owner = _neighbours(indptr, indices, frontier)
+    fresh = ~visited[nbrs]
+    nbrs, owner = nbrs[fresh], owner[fresh]
+    first = np.sort(np.unique(nbrs, return_index=True)[1])
+    visited[nbrs[first]] = True
+    return nbrs[first], owner[first]
+
+
+def reference_wave_crawl(g, n_target, n_seeds, rng_seed):
+    """snowball_sample's crawl, draw for draw, with reference_wave; its
+    records and discovery edges."""
+    rng = np.random.default_rng(rng_seed)
+    drawn = rng.choice(g.node_count, size=min(n_seeds, g.node_count), replace=False)
+    record_of = np.argsort(drawn)
+    frontier = drawn[record_of]
+    visited = np.zeros(g.node_count, dtype=bool)
+    visited[drawn] = True
+    waves, parents = [drawn[:n_target]], [np.empty(0, dtype=np.int64)]
+    count = waves[0].shape[0]
+    while count < n_target:
+        found, owner = reference_wave(g.indptr, g.indices, frontier, visited)
+        pick = rng.choice(found.shape[0], size=min(n_target - count, found.shape[0]), replace=False)
+        parents.append(record_of[owner[pick]])
+        waves.append(found[pick])
+        record_of = np.empty(found.shape[0], dtype=np.int64)
+        record_of[pick] = np.arange(count, count + pick.shape[0])
+        frontier = found
+        count += pick.shape[0]
+    children = np.arange(waves[0].shape[0], count)
+    return np.concatenate(waves), np.column_stack([np.concatenate(parents), children])
+
+
+@st.composite
+def hub_graphs(draw):
+    """Small graphs, not always connected, with up to three hubs joined to
+    most nodes, so frontier nodes share many neighbours."""
+    n = draw(st.integers(3, 40))
+    pairs = set()
+    for hub in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        joined = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        pairs |= {(min(hub, w), max(hub, w)) for w in range(n) if joined[w] and w != hub}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    pairs |= {(min(u, w), max(u, w)) for u, w in extra if u != w}
+    # Every node needs an edge: a node left without one joins the next.
+    touched = {u for pair in pairs for u in pair}
+    pairs |= {(min(u, (u + 1) % n), max(u, (u + 1) % n)) for u in range(n) if u not in touched}
+    return UndirectedGraph.from_edges(n, sorted(pairs), [0] * n, check_connected=False)
+
+
+class TestWave:
+    """The one-pass wave against the sort-based one it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=hub_graphs(), data=st.data())
+    def test_waves_match_sort_based_waves(self, g, data):
+        # Successive waves from a frontier in any order, over nodes some of
+        # which were visited before, until none is left.
+        nodes = st.integers(0, g.node_count - 1)
+        frontier = np.array(data.draw(st.lists(nodes, min_size=1, unique=True)), dtype=np.int64)
+        before = data.draw(st.lists(nodes, unique=True))
+        visited = np.zeros(g.node_count, dtype=bool)
+        visited[frontier] = visited[before] = True
+        place = np.where(visited, -1, _UNSEEN)
+        while frontier.shape[0]:
+            want = reference_wave(g.indptr, g.indices, frontier, visited)
+            got = _wave(g.indptr, g.indices, frontier, place)
+            assert [x.tolist() for x in got] == [x.tolist() for x in want]
+            assert np.array_equal(place != _UNSEEN, visited)
+            frontier = got[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(5, 300),
+        m=st.integers(1, 4),
+        target=st.floats(0.0, 1.0),
+        n_seeds=st.integers(1, 12),
+        seed=st.integers(0, 2**31),
+    )
+    def test_crawl_matches_sort_based_crawl(self, n, m, target, n_seeds, seed):
+        # Hubs of a preferential-attachment graph, and a last wave cut short
+        # whenever the target falls inside a wave.
+        g = generate_homophilous_graph(n, m, 0.3, 0.7, rng_seed=seed)
+        n_target = 1 + int(target * (n - 1))
+        nodes, edges = reference_wave_crawl(g, n_target, n_seeds, seed + 1)
+        sample = snowball_sample(g, n_target, n_seeds=n_seeds, rng_seed=seed + 1)
+        assert sample.nodes.tolist() == nodes.tolist()
+        assert sample.edge_positions.tolist() == edges.tolist()
+
+
+class TestRankRecords:
+    """One stable sort of an int64 key against the two-key lexsort."""
+
+    @staticmethod
+    def lexsorted(sample):
+        return np.lexsort((sample.nodes, -np.asarray(sample.degrees, dtype=np.int64)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 60),
+        steps=st.integers(1, 800),
+        burn_in=st.integers(0, 50),
+        seed=st.integers(0, 2**31),
+    )
+    def test_walk_with_revisits_matches_lexsort(self, n, steps, burn_in, seed):
+        g = generate_homophilous_graph(n, 2, 0.3, 0.7, rng_seed=seed)
+        walk = rwrw_walk(g, steps, burn_in=burn_in, rng_seed=seed + 1)
+        assert np.array_equal(rank_records(walk), self.lexsorted(walk))
+        for count in (1, steps // 2, steps):
+            prefix = walk.prefix(count)
+            assert np.array_equal(rank_records(prefix), self.lexsorted(prefix))
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (50, 1), (2000, 4)])
+    def test_census_matches_lexsort(self, n, m):
+        g = generate_homophilous_graph(n, m, 0.3, 0.7, rng_seed=n)
+        census = _records(g, np.arange(g.node_count), g.edges)
+        assert np.array_equal(rank_records(census), self.lexsorted(census))
+
+    def test_largest_node_does_not_tie_the_next_degree(self):
+        # With a span of the largest id rather than one more, (degree 2,
+        # node 5) would tie (degree 1, node 0) and keep record order.
+        sample = Sample(
+            np.array([0, 5]), np.array([1, 2]), np.zeros(2, dtype=np.int8), np.ones(2), np.empty((0, 2))
+        )
+        assert rank_records(sample).tolist() == self.lexsorted(sample).tolist() == [1, 0]
+
+    def test_key_stays_inside_int64_near_the_bound(self):
+        # Node ids and degrees just below 3·10⁹, repeated, with ties.
+        rng = np.random.default_rng(5)
+        top = 3_000_000_000
+        nodes = np.concatenate([top - 1 - rng.integers(0, 4, 40), rng.integers(0, 4, 40)])
+        degrees = np.concatenate([top - 1 - rng.integers(0, 4, 40), rng.integers(1, 4, 40)])
+        sample = Sample(nodes, degrees, np.zeros(80, dtype=np.int8), np.ones(80), np.empty((0, 2)))
+        assert np.array_equal(rank_records(sample), self.lexsorted(sample))
 
 
 def assert_same_sample(got, want):
