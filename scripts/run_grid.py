@@ -55,7 +55,7 @@ def main() -> int:
     summary = summarize(result)
     write_rows_csv(result, out_dir / "rows.csv")
     write_summary_csv(summary, out_dir / "summary.csv")
-    print(f"{len(result.rows)} rows in {time.time() - started:.0f}s -> {out_dir}/")
+    print(f"{result.codes.size} rows in {time.time() - started:.0f}s -> {out_dir}/")
 
     top_size = max(cfg.sample_sizes)
     print(f"\nrwrw NRMSE at size {top_size} (corrected / uncorrected):")

@@ -136,7 +136,7 @@ def _cmd_experiment(args) -> int:
     summary_path = out_dir / "summary.csv"
     write_rows_csv(result, rows_path)
     write_summary_csv(summarize(result), summary_path)
-    print(f"wrote {rows_path} ({len(result.rows)} rows) and {summary_path}")
+    print(f"wrote {rows_path} ({result.codes.size} rows) and {summary_path}")
     return 0
 
 

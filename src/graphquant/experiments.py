@@ -1,8 +1,8 @@
 """Replicated sampling experiments over graphs, noise rates and sizes.
 
 A run crosses samplers x misclassification rates x sample sizes. Each
-replication generates (or reuses) a graph, draws one noisy label per node
-and rate, lets every sampler observe the same graph, and records the four
+replication generates (or reuses) a graph, lets every sampler draw from
+it, gives the drawn nodes one noisy label per rate, and records the four
 minority-group measures (proportion, in-group edge share, top-quantile
 visibility, Coleman homophily) in three variants: no_noise, uncorrected,
 and corrected. Rows carry the signed error against that replication's
@@ -18,17 +18,19 @@ against. Rows of different sizes in one replication thus share random
 numbers; each summary cell holds one size, and its rows are independent
 across replications.
 
-A replication keeps one (label sets x nodes) int8 table: the true labels,
-then each rate's noisy labels. Each draw gathers it once and is measured
-in one pass that returns arrays over (size x label set): the group shares
-from one reduction per size over the size's first columns, the edge-type
-shares from pair codes computed once per draw and counted at each size's
-edge cut (the draw's edges sorted once by their later endpoint), and the
-group shares of the top-quantile records from one ranking of the whole
-draw, cut at each size. The distinct nodes a draw saw come from one
-first-occurrence pass, so each size's pool of labeled nodes is a mask;
-estimated confusion matrices grade every rate on one labeled set in one
-count.
+A replication keeps one (label sets x records) int8 table over its draws:
+the true labels, then each rate's noisy labels. A rate draws one uniform
+per graph node, as ``apply_noise`` does, and flips labels only at the
+drawn nodes, so a node keeps one label however often it is drawn. Each
+draw is measured in one pass that returns arrays over (size x label set):
+the group shares from one reduction per size over the size's first
+columns, the edge-type shares from pair codes computed once per draw and
+counted at each size's edge cut (the draw's edges sorted once by their
+later endpoint), and the group shares of the top-quantile records from
+one ranking of the whole draw, cut at each size. The distinct nodes a
+draw saw come from one first-occurrence pass, and each size's labeled
+nodes are drawn among the first records of those it saw; estimated
+confusion matrices grade every rate on one labeled set in one count.
 
 The variants come from one array pass over every (sampler, size, rate,
 variant) of the replication (``_variants``): no_noise and uncorrected read
@@ -40,21 +42,21 @@ flags both noisy variants and a correction failure only the corrected one.
 Each domain failure carries its row flag as ``code`` (``failed:<code>``);
 any other exception is a bug and raises.
 
-Rows and summary cells are NamedTuples whose field order is the CSV
-column order. A replication emits each cell's rows measure by measure,
-each in the three variants, which is the order of the file, so the run
-only sorts them by (sampler, rate, size, replication), and a summary
-lists its cells in the order the rows first hold them.
+A replication returns its estimates, errors and flag codes as arrays in
+the file's measure-then-variant order, and the run places each in file
+order by the config's axes, so no row is built or sorted: ``summarize``
+reduces (cells x replications) blocks, the writers format lines, and
+``ExperimentResult.rows`` builds NamedTuple rows only when asked. Rows and
+summary cells are NamedTuples whose field order is the CSV column order.
 
 Everything is deterministic given the master seed: per-purpose RNG
-streams are split from it by counter keys, replications are independent
-tasks, and that stable sort runs before writing, so thread count cannot
-change the output bytes.
+streams are split from it by counter keys, and each replication is an
+independent task placed by its index, so thread count cannot change the
+output bytes.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -63,7 +65,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
-from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -74,12 +75,7 @@ from .graph import (
     generate_homophilous_graph,
     load_graph_files,
 )
-from .noise import (
-    UndefinedConfusionError,
-    apply_noise,
-    empirical_confusion,
-    symmetric_confusion,
-)
+from .noise import UndefinedConfusionError, empirical_confusion, flip_labels, symmetric_confusion
 from .quantify import (
     SingularCorrectionError,
     UndefinedShareError,
@@ -109,6 +105,7 @@ from .samplers import (
 # Names perfbench/tracing.py still wraps; nothing in the package defines or calls them.
 adjust_visibility = importance_resample = top_quantile_indices = None
 # Names it wraps that the grid no longer calls, each bound to the real function.
+from .noise import apply_noise  # noqa: E402
 from .quantify import adjust_edge_proportions, adjust_proportions, coleman_homophily, ingroup_share  # noqa: E402
 from .samplers import estimate_edge_vector, estimate_proportions, with_noisy_labels  # noqa: E402
 
@@ -252,18 +249,43 @@ class ResultRow(NamedTuple):
     flags: str  # "" | "out_of_range" | "failed:<code>"
 
 
-@dataclass
+def _file_axes(cfg: ExperimentConfig) -> tuple:
+    """The values of each key field of a row, in file order."""
+    axes = (sorted(cfg.samplers), sorted(cfg.rates), sorted(cfg.sample_sizes))
+    return (*axes, range(cfg.replications), MEASURES, VARIANTS)
+
+
+@dataclass(eq=False)
 class ExperimentResult:
+    """A run's rows as arrays over the row key axes in file order: each
+    row's estimate, error and flag code, the first two read only where the
+    code lets the row have them. ``rows`` builds the ResultRows on demand."""
+
     config: ExperimentConfig
-    rows: list[ResultRow]
+    estimates: np.ndarray
+    errors: np.ndarray
+    codes: np.ndarray
+
+    def _columns(self, missing) -> tuple[list, list, list]:
+        """Each row's estimate and error (a Python float, or ``missing``) and flag."""
+        codes = self.codes.ravel()
+        est, err = (a.astype(object).ravel() for a in (self.estimates, self.errors))
+        est[(codes >= _FAILED) & (codes != _UNDEFINED_TRUTH)] = missing
+        err[codes >= _FAILED] = missing
+        return est.tolist(), err.tolist(), np.array(_FLAGS, dtype=object)[codes].tolist()
+
+    @property
+    def rows(self) -> list[ResultRow]:
+        keys = itertools.product(*_file_axes(self.config))
+        return [ResultRow(*key, *values) for key, values in zip(keys, zip(*self._columns(None)))]
 
 
 def _stream(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(master),) + tuple(int(k) for k in key))
 
 
-# Row truths of the four measures by top quantile.
-_Truths = dict[float, dict[str, float | None]]
+# The truths of the four measures by top quantile, NaN where undefined.
+_Truths = dict[float, np.ndarray]
 
 # One slot: the graph reused across replications, keyed by what it was
 # built from, with its truths. A new key evicts the old graph and truths.
@@ -431,7 +453,9 @@ def _variants(b, t, v, failed, correction=None):
     return estimates, codes
 
 
-def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
+def _replication_rows(cfg: ExperimentConfig, rep: int):
+    """One replication's estimates, errors and flag codes over (sampler,
+    size, rate, measure, variant), each config axis in its given order."""
     g, known = _graph_for_rep(cfg, rep)
     if cfg.top_quantile not in known:
         gt = ground_truth(g, cfg.top_quantile)
@@ -447,12 +471,21 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
         known[cfg.top_quantile] = np.where(codes >= _FAILED, np.nan, est)[:, 0]
     truths = known[cfg.top_quantile]
 
-    # One label table: the true labels, then each rate's noisy labels, per node.
+    # One label table over every draw's records: the true labels, then each
+    # rate's noisy labels from apply_noise's uniforms, read at the drawn
+    # nodes. The streams are independent, so drawing first changes nothing.
+    draws = [
+        _draw_sample(cfg, g, sampler, _stream(cfg.master_seed, _SAMPLE, rep, si))
+        for si, sampler in enumerate(cfg.samplers)
+    ]
+    nodes = np.concatenate([d.nodes for d in draws])
+    table = np.empty((1 + len(cfg.rates), nodes.shape[0]), dtype=np.int8)
+    table[0] = g.labels[nodes]
     confusions = [symmetric_confusion(r) for r in cfg.rates]
-    table = np.empty((1 + len(cfg.rates), g.node_count), dtype=np.int8)
-    table[0] = g.labels
     for ri, confusion in enumerate(confusions):
-        table[1 + ri] = apply_noise(g.labels, confusion, _stream(cfg.master_seed, _NOISE, rep, ri))
+        u = np.random.default_rng(_stream(cfg.master_seed, _NOISE, rep, ri)).random(g.node_count)
+        table[1 + ri] = flip_labels(table[0], u[nodes], confusion)
+    tables = np.split(table, np.cumsum([len(d) for d in draws])[:-1], axis=1)
 
     # Per (sampler, size, rate): each rate's confusion matrix, or the one
     # estimated from labeled nodes, as entries, determinant and failure code.
@@ -463,21 +496,20 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
     det[...] = [c.det for c in confusions]
     correction_failed = np.zeros(shape[:2], dtype=np.int64)
     measured = []
-    for si, sampler in enumerate(cfg.samplers):
-        drawn = _draw_sample(cfg, g, sampler, _stream(cfg.master_seed, _SAMPLE, rep, si))
+    for si, (sampler, drawn, labels) in enumerate(zip(cfg.samplers, draws, tables)):
         counts = [_records_for(sampler, size) for size in cfg.sample_sizes]
-        measured.append(_measure(np.take(table, drawn.nodes, axis=1), drawn, counts, cfg.top_quantile))
+        measured.append(_measure(labels, drawn, counts, cfg.top_quantile))
         if cfg.confusion_from_labeled is None:
             continue
-        # The distinct nodes of the draw, ascending, and where each first appears.
-        seen, first = np.unique(drawn.nodes, return_index=True)
+        # The first record of each distinct node of the draw, by ascending node.
+        first = np.unique(drawn.nodes, return_index=True)[1]
         for zi, count in enumerate(counts):
             # k labeled nodes among the distinct nodes the size saw, graded against every rate.
-            pool = seen[first < count]
+            pool = first[first < count]
             k = min(cfg.confusion_from_labeled, pool.shape[0])
             rng = np.random.default_rng(_stream(cfg.master_seed, _LABELED, rep, si, zi))
             labeled = rng.choice(pool, size=k, replace=False)
-            graded = _attempt(empirical_confusion, table[0, labeled], table[1:, labeled])
+            graded = _attempt(empirical_confusion, labels[0, labeled], labels[1:, labeled])
             if isinstance(graded, Exception):
                 entries[si, zi], det[si, zi], correction_failed[si, zi] = np.nan, np.nan, _code(graded)
             else:
@@ -500,23 +532,11 @@ def _replication_rows(cfg: ExperimentConfig, rep: int) -> list[ResultRow]:
             np.array([False, False, True]),
         ),
     )
-    # Measure-major within each (sampler, size, rate), as in the file, so a
-    # cell's rows need no sort.
+    # Measure-major within each (sampler, size, rate), as in the file.
     est, codes = np.moveaxis(est, 0, -2), np.moveaxis(codes, 0, -2)
     truth = truths[:, None]
     codes = np.where(np.isnan(truth) & (codes < _FAILED), _UNDEFINED_TRUTH, codes)
-    errors = (est - truth).astype(object)
-    errors[codes >= _FAILED] = None
-    est = est.astype(object)
-    est[(codes >= _FAILED) & (codes != _UNDEFINED_TRUTH)] = None
-    flags = np.array(_FLAGS, dtype=object)[codes]
-    keys = itertools.product(cfg.samplers, cfg.sample_sizes, cfg.rates, MEASURES, VARIANTS)
-    return [
-        ResultRow(sampler, rate, size, rep, measure, variant, estimate, error, flag)
-        for (sampler, size, rate, measure, variant), estimate, error, flag in zip(
-            keys, est.ravel().tolist(), errors.ravel().tolist(), flags.ravel().tolist()
-        )
-    ]
+    return est, est - truth, codes.astype(np.int8)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -524,18 +544,18 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     if threads < 1:
         raise ValueError("threads must be positive")
     reps = range(cfg.replications)
-    rows: list[ResultRow] = []
     if threads == 1:
-        for rep in reps:
-            rows.extend(_replication_rows(cfg, rep))
+        blocks = [_replication_rows(cfg, rep) for rep in reps]
     else:
         chunk = max(1, math.ceil(cfg.replications / (threads * 4)))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for batch in pool.map(partial(_replication_rows, cfg), reps, chunksize=chunk):
-                rows.extend(batch)
-    # Stable: each cell's rows keep their measure-then-variant order.
-    rows.sort(key=attrgetter("sampler", "rate", "size", "rep"))
-    return ExperimentResult(config=cfg, rows=rows)
+            blocks = list(pool.map(partial(_replication_rows, cfg), reps, chunksize=chunk))
+    # Stacked over (rep, sampler, size, rate, measure, variant), then placed in file order.
+    order = np.ix_(*(np.argsort(a, kind="stable") for a in (cfg.samplers, cfg.sample_sizes, cfg.rates)))
+    estimates, errors, codes = (
+        np.stack(b)[(slice(None), *order)].transpose(1, 3, 2, 0, 4, 5) for b in zip(*blocks)
+    )
+    return ExperimentResult(cfg, estimates, errors, codes)
 
 
 def _nearest_rank(pct: float, count: int) -> int:
@@ -568,38 +588,28 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
     heterophilous graph) keeps it nonnegative; it is None when that truth
     is 0, which keeps such cells out of NRMSE tables.
 
-    Cells come in the order their first rows appear, which is file order
-    for ``run_experiment``'s rows. A row counts toward its cell's
-    statistics unless its flag starts with ``failed``; by ``ResultRow``'s
-    contract every other row has an estimate and an error. The cells with
-    k usable rows are reduced together, as a C-ordered (cells x k) block
-    along its rows; each row of such a block rounds as the 1-D reduction
-    of that cell alone would.
+    Cells come in file order. A row counts toward its cell's statistics
+    unless its flag starts with ``failed``; every other row has an estimate
+    and an error. The cells with k usable rows are reduced together, as a
+    C-ordered (cells x k) block along its rows; each row of such a block
+    rounds as the 1-D reduction of that cell alone would.
     """
-    rows = result.rows
-    cells: dict[tuple, int] = {}  # cell key, as its first row has it, to first-seen index
-    keys = map(itemgetter(0, 1, 2, 4, 5), rows)
-    cell_of = np.array([cells.setdefault(key, len(cells)) for key in keys], dtype=np.int64)
-    estimate, error, flags = (list(map(itemgetter(i), rows)) for i in (6, 7, 8))
-    usable = np.array([not f.startswith("failed") for f in flags], dtype=bool)
-    out_of_range = np.array([f == "out_of_range" for f in flags], dtype=bool)
-    n_rows = np.bincount(cell_of, minlength=len(cells))
-    ok = np.bincount(cell_of[usable], minlength=len(cells))
-    flagged = np.bincount(cell_of[out_of_range], minlength=len(cells))
-
-    # A failed row may read NaN here; it is never gathered below.
-    errors = np.array(error, dtype=float)
-    truths = np.array(estimate, dtype=float) - errors
-    order = np.argsort(cell_of, kind="stable")  # cell by cell, each in row order
-    usable_rows = order[usable[order]]
-    ok_starts = np.cumsum(ok) - ok
+    samplers, rates, sizes, reps, measures, variants = _file_axes(result.config)
+    cells = list(itertools.product(samplers, rates, sizes, measures, variants))
+    # (cells x replications), each cell's replications in order.
+    arrays = (result.estimates, result.errors, result.codes)
+    estimate, errors, codes = (np.moveaxis(a, 3, -1).reshape(len(cells), -1) for a in arrays)
+    usable = codes < _FAILED
+    ok = usable.sum(axis=1)
     stats = [(None,) * 4] * len(cells)
     for k in np.unique(ok[ok > 0]).tolist():
         block_cells = np.flatnonzero(ok == k)
-        block = usable_rows[ok_starts[block_cells][:, None] + np.arange(k)]
-        errs = np.sort(errors[block], axis=1)
+        # Each cell's usable rows; a failed row may read NaN or inf, and is not gathered.
+        kept = usable[block_cells]
+        block_errors = errors[block_cells][kept].reshape(-1, k)
+        truth_mean = (estimate[block_cells][kept].reshape(-1, k) - block_errors).mean(axis=1).tolist()
+        errs = np.sort(block_errors, axis=1)
         rms = np.sqrt((errs * errs).mean(axis=1)).tolist()
-        truth_mean = truths[block].mean(axis=1).tolist()
         columns = (
             errs.mean(axis=1).tolist(),
             errs[:, _nearest_rank(2.5, k)].tolist(),
@@ -609,24 +619,35 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
         for cell, stat in zip(block_cells.tolist(), zip(*columns)):
             stats[cell] = stat
 
+    n = len(reps)
+    flagged = (codes == _OUT_OF_RANGE).sum(axis=1)
     return [
         SummaryRow(*key, n, n - k, *stat, f / n, (n - k) / n)
-        for key, n, k, f, stat in zip(cells, n_rows.tolist(), ok.tolist(), flagged.tolist(), stats)
+        for key, k, f, stat in zip(cells, ok.tolist(), flagged.tolist(), stats)
     ]
 
 
-def _write_csv(path, rows, row_type) -> None:
-    """The row type's field names, then one line per row. The csv module
-    writes None as an empty field and a float as its shortest repr."""
+def _line(row) -> str:
+    """A row's line as csv.writer writes it: None as an empty field, and a
+    float as its shortest repr (str, for a Python float)."""
+    return ",".join(["" if x is None else str(x) for x in row]) + "\r\n"
+
+
+def _write_lines(path, row_type, lines) -> None:
+    """The row type's field names, then the lines. No field of either row
+    type needs quoting: they are fixed tokens and numbers."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(row_type._fields)
-        writer.writerows(rows)
+        fh.write(_line(row_type._fields))
+        fh.write("".join(lines))
 
 
 def write_rows_csv(result: ExperimentResult, path) -> None:
-    _write_csv(path, result.rows, ResultRow)
+    """rows.csv, from the result's arrays: str writes each key field as
+    csv.writer does, a float rate as its repr."""
+    heads = map(",".join, itertools.product(*(list(map(str, a)) for a in _file_axes(result.config))))
+    lines = [f"{h},{e},{x},{f}\r\n" for h, e, x, f in zip(heads, *result._columns(""))]
+    _write_lines(path, ResultRow, lines)
 
 
 def write_summary_csv(summary: list[SummaryRow], path) -> None:
-    _write_csv(path, summary, SummaryRow)
+    _write_lines(path, SummaryRow, map(_line, summary))

@@ -4,6 +4,8 @@ Labels are integers: 0 for the majority class (a), 1 for the minority
 class (b). A column-stochastic confusion matrix gives the probability of
 each predicted class conditional on the true class; noise is simulated by
 flipping every node independently according to its true-class column.
+One uniform per node decides its flip (``flip_labels``); the experiment
+grid draws the uniforms ``apply_noise`` would and flips only drawn nodes.
 """
 
 from __future__ import annotations
@@ -74,10 +76,13 @@ def apply_noise(labels, confusion: ConfusionMatrix, rng_seed=None) -> np.ndarray
         raise ValueError("labels must be one-dimensional")
     if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise ValueError("labels must be 0 (majority) or 1 (minority)")
-    rng = np.random.default_rng(rng_seed)
-    u = rng.random(arr.shape[0])
-    flip = np.where(arr == 1, u < confusion.a_given_b, u < confusion.b_given_a)
-    return np.where(flip, 1 - arr, arr).astype(np.int8)
+    return flip_labels(arr, np.random.default_rng(rng_seed).random(arr.shape[0]), confusion)
+
+
+def flip_labels(labels: np.ndarray, u: np.ndarray, confusion: ConfusionMatrix) -> np.ndarray:
+    """Int8 ``labels`` (0 or 1), each flipped where its uniform in ``u``
+    falls below its true class's flip probability, b|a or a|b."""
+    return labels ^ (u < np.array([confusion.b_given_a, confusion.a_given_b])[labels])
 
 
 def empirical_confusion(truth, predicted):

@@ -4,13 +4,16 @@ import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -229,13 +232,19 @@ class TestNrmse:
             nrmse([], 1.0)
 
 
+def grid_result(cfg, estimates, errors, codes) -> ExperimentResult:
+    """A result of the config's grid whose estimates, errors and flag codes
+    are the given values in file order, repeated to fill the grid."""
+    shape = tuple(len(axis) for axis in experiments._file_axes(cfg))
+    return ExperimentResult(cfg, *(np.resize(np.asarray(v), shape) for v in (estimates, errors, codes)))
+
+
 class TestSummarize:
-    def _result(self, errors, truth=0.5):
-        rows = [
-            ResultRow("node", 0.1, 10, i, "proportion", "corrected", truth + e, e, "")
-            for i, e in enumerate(errors)
-        ]
-        return ExperimentResult(config=small_config(), rows=rows)
+    def _result(self, errors, truth=0.5, codes=0):
+        # One (sampler, rate, size): each replication's 12 rows hold its error.
+        cfg = small_config(samplers=("node",), rates=(0.1,), sample_sizes=(10,), replications=len(errors))
+        per_row = np.repeat(errors, 12)
+        return grid_result(cfg, truth + per_row, per_row, codes)
 
     def test_single_replication_band_collapses(self):
         summary = summarize(self._result([0.07]))
@@ -265,19 +274,14 @@ class TestSummarize:
         summary = summarize(self._result([0.1, -0.1], truth=0.0))
         assert summary[0].nrmse is None
 
-    def test_no_rows_no_cells(self):
-        assert summarize(ExperimentResult(config=small_config(), rows=[])) == []
-
     def test_failed_rows_counted(self):
-        rows = [
-            ResultRow("node", 0.1, 10, 0, "ingroup", "corrected", 0.5, 0.1, ""),
-            ResultRow("node", 0.1, 10, 1, "ingroup", "corrected", None, None, "failed:no_edges"),
-        ]
-        summary = summarize(ExperimentResult(config=small_config(), rows=rows))
+        # The second replication's rows failed, and read NaN.
+        codes = np.repeat([0, experiments._NO_EDGES], 12)
+        summary = summarize(self._result([0.1, np.nan], codes=codes))
         assert summary[0].failures == 1
         assert summary[0].failure_rate == 0.5
         assert summary[0].reps == 2
-
+        assert summary[0].mean_error == 0.1
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["fresh", "fixed_graph"])
     def test_equals_per_cell_reference_on_pinned_rows(self, fixed):
@@ -329,30 +333,34 @@ class TestSummarize:
         assert [s.failures for s in summary] == [failed[s[:5]] for s in summary]
 
     def test_equals_per_cell_reference_on_ragged_cells(self):
-        # Cells of 1 to 250 rows in shuffled order, some failed (half of
-        # those without an estimate or error), some out of range, with
-        # truths of mixed signs and zero.
+        # Cells whose usable rows number anything from none to every
+        # replication: each cell fails and flags its rows at its own rates,
+        # so cells of many counts are reduced in blocks together, with
+        # truths of mixed signs and zero. Failed rows read NaN, inf or a
+        # number, and are never gathered.
         rng = np.random.default_rng(3)
-        rows = []
-        for cell in range(120):
-            truth = [0.0, 0.3, -0.4, 1e-3][cell % 4]
-            for rep in range(int(rng.integers(1, 251))):
-                error = float(rng.normal(0.0, 10.0 ** rng.integers(-4, 1)))
-                flags = str(rng.choice(["", "", "", "out_of_range", "failed:no_edges"]))
-                estimate = None if flags.startswith("failed") and rep % 2 else truth + error
-                rows.append(ResultRow(
-                    ("rwrw", "node", "edge")[cell % 3], (0.1, 0.2, 0)[cell // 3 % 3],
-                    10 * (cell // 9 % 3 + 1), rep, experiments.MEASURES[cell // 27 % 4],
-                    experiments.VARIANTS[cell % 3], estimate,
-                    None if estimate is None else error, flags,
-                ))
-        rows = [rows[i] for i in rng.permutation(len(rows))]
-        result = ExperimentResult(config=small_config(), rows=rows)
-        assert summarize(result) == reference_summarize(result)
-        # The same rows in file order give the cells in file order.
-        rows.sort(key=lambda r: (r.sampler, r.rate, r.size, r.rep, *cell_rank(r.measure, r.variant)))
-        summary = summarize(ExperimentResult(config=small_config(), rows=rows))
-        assert summary == reference_summarize(ExperimentResult(config=small_config(), rows=rows))
+        cfg = small_config(
+            samplers=("rwrw", "node", "edge"), rates=(0.2, 0.1, 0.0), sample_sizes=(30, 10, 20),
+            replications=40,
+        )
+        shape = tuple(len(axis) for axis in experiments._file_axes(cfg))
+        cells = shape[:3] + (1,) + shape[4:]
+        truth = rng.choice([0.0, 0.3, -0.4, 1e-3], size=cells)
+        errors = rng.normal(0.0, 10.0 ** rng.integers(-4, 1, size=cells), size=shape)
+        p_failed = np.where(rng.random(cells) < 0.2, rng.integers(0, 2, size=cells), rng.random(cells))
+        u = rng.random(shape)
+        failures = rng.integers(experiments._FAILED, len(experiments._FLAGS), size=shape)
+        codes = np.where(u < p_failed, failures, np.where(u < p_failed + 0.1, experiments._OUT_OF_RANGE, 0))
+        estimates = truth + errors
+        failed = codes >= experiments._FAILED
+        for a in (estimates, errors):
+            a[failed] = rng.choice([np.nan, np.inf, 7.0], size=failed.sum())
+        result = ExperimentResult(cfg, estimates, errors, codes)
+        summary = summarize(result)
+        assert summary == reference_summarize(result)
+        usable = Counter(s.reps - s.failures for s in summary)
+        assert usable[0] > 0 and usable[cfg.replications] > 0 and len(usable) > 20
+        # The cells come in file order.
         keys = [s[:5] for s in summary]
         assert keys == sorted(keys, key=lambda k: (*k[:3], *cell_rank(*k[3:])))
 
@@ -576,8 +584,71 @@ class TestReplicationReference:
     def test_rows_equal_the_per_copy_replication(self, cfg, rep):
         # One measurement pass per draw gives the rows, bit for bit, that a
         # noisy copy, a sort and a grading per (sample, size, rate) give.
-        got = experiments._replication_rows(cfg, rep)
-        assert repr(got) == repr(reference_replication_rows(cfg, rep))
+        # The grid's rows of the replication come in file order.
+        result = run_experiment(dataclasses.replace(cfg, replications=rep + 1))
+        got = [row for row in result.rows if row.rep == rep]
+        want = sorted(reference_replication_rows(cfg, rep), key=itemgetter(0, 1, 2))
+        assert repr(got) == repr(want)
+
+
+class TestNoisyLabelsAtRecords:
+    @pytest.mark.parametrize(
+        "graph",
+        [GraphSpec(n=300, m=3, minority_frac=0.25, ingroup_pref=0.7), GraphSpec(n=300, m=1, minority_frac=0.0)],
+        ids=["two_groups", "one_group"],
+    )
+    def test_labels_equal_the_whole_graph_noise(self, monkeypatch, graph):
+        # The grid flips labels only at the drawn records and the labeled
+        # nodes. There they equal apply_noise's labels of the whole graph
+        # from the same stream, at every rate, 0 included: at each visit of
+        # a node a walk revisits, at each endpoint edges share, and at each
+        # labeled node, one group or two.
+        cfg = small_config(
+            graph=graph, samplers=experiments.SAMPLERS, rates=(0.0, 0.2, 0.45),
+            sample_sizes=(30, 60), confusion_from_labeled=12, replications=3,
+        )
+        measure, grade = experiments._measure, experiments.empirical_confusion
+        measured, graded = [], []
+
+        def recorded_measure(labels, drawn, counts, quantile):
+            measured.append((labels.copy(), drawn.nodes))
+            return measure(labels, drawn, counts, quantile)
+
+        def recorded_grade(truth, predicted):
+            graded.append((truth.copy(), predicted.copy()))
+            return grade(truth, predicted)
+
+        monkeypatch.setattr(experiments, "_measure", recorded_measure)
+        monkeypatch.setattr(experiments, "empirical_confusion", recorded_grade)
+        repeats = Counter()
+        for rep in range(cfg.replications):
+            measured.clear()
+            graded.clear()
+            experiments._replication_rows(cfg, rep)
+            g, _ = experiments._graph_for_rep(cfg, rep)
+            noisy = np.array([
+                apply_noise(g.labels, symmetric_confusion(r),
+                            experiments._stream(cfg.master_seed, experiments._NOISE, rep, ri))
+                for ri, r in enumerate(cfg.rates)
+            ])
+            assert len(measured) == len(cfg.samplers)
+            for sampler, (labels, nodes) in zip(cfg.samplers, measured):
+                assert np.array_equal(labels[0], g.labels[nodes])
+                assert np.array_equal(labels[1:], noisy[:, nodes])
+                repeats[sampler] += np.unique(nodes).shape[0] < nodes.shape[0]
+            # The labeled nodes, drawn as the per-copy replication draws them.
+            assert len(graded) == len(cfg.samplers) * len(cfg.sample_sizes)
+            for i, (truth, predicted) in enumerate(graded):
+                si, zi = divmod(i, len(cfg.sample_sizes))
+                count = experiments._records_for(cfg.samplers[si], cfg.sample_sizes[zi])
+                seen = np.unique(measured[si][1][:count])
+                key = (cfg.master_seed, experiments._LABELED, rep, si, zi)
+                labeled = np.random.default_rng(experiments._stream(*key)).choice(
+                    seen, size=min(cfg.confusion_from_labeled, seen.shape[0]), replace=False
+                )
+                assert np.array_equal(truth, g.labels[labeled])
+                assert np.array_equal(predicted, noisy[:, labeled])
+        assert repeats["rwrw"] > 0 and repeats["edge"] > 0
 
 
 class TestRunExperiment:
@@ -662,6 +733,25 @@ class TestRunExperiment:
             ),
         )
         assert rows == reference
+
+    def test_rows_csv_is_the_sorted_reference(self, tmp_path):
+        # Samplers, rates and sizes all out of order: rows.csv holds the
+        # per-copy replications' rows, stably sorted by (sampler, rate,
+        # size, rep), though the grid sorts nothing; two processes write
+        # the same bytes as one.
+        cfg = small_config(
+            samplers=("snowball", "node", "rwrw", "edge"), rates=(0.3, 0.0, 0.1),
+            sample_sizes=(40, 20, 30), replications=3,
+        )
+        rows = [row for rep in range(cfg.replications) for row in reference_replication_rows(cfg, rep)]
+        rows.sort(key=itemgetter(0, 1, 2, 3))
+        want = csv_writer_bytes(ResultRow, rows)
+        summaries = []
+        for threads in (1, 2):
+            result = run_experiment(cfg, threads=threads)
+            assert written_bytes(write_rows_csv, result) == want
+            summaries.append(written_bytes(write_summary_csv, summarize(result)))
+        assert summaries[0] == summaries[1]
 
     def test_master_seed_changes_rows(self):
         a = run_experiment(small_config(master_seed=1))
@@ -1089,6 +1179,94 @@ class TestPinnedBytes:
         assert got == sha, f"pinned under numpy 2.4.6, running {np.__version__}"
 
 
+# Floats whose shortest repr csv.writer must match: zeros of both signs,
+# the switch points of exponent notation, the smallest subnormal, and the
+# values that are not finite.
+SPECIAL_FLOATS = [0.0, -0.0, 1e-05, 0.0001, 1e16, 9999999999999998.0, 5e-324, math.nan, math.inf,
+                  -math.inf, 0.1, -2.5e-308]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+OPTIONAL_FLOATS = st.none() | FLOATS
+
+
+def csv_writer_bytes(row_type, rows) -> bytes:
+    """The file csv.writer makes of the row type's field names and the rows."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(row_type._fields)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def written_bytes(write, *args) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write(*args, path)
+        return path.read_bytes()
+
+
+class TestLineWriters:
+    """Both CSVs are written as lines, floats from Python floats; their bytes
+    must be those csv.writer makes of the same rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        samplers=st.lists(st.sampled_from(experiments.SAMPLERS), min_size=1, max_size=3, unique=True),
+        rates=st.lists(st.sampled_from([0.0, 1e-05, 0.1, 0.3, 0.49999999999999994]), min_size=1,
+                       max_size=2, unique=True),
+        sizes=st.lists(st.integers(1, 10**6), min_size=1, max_size=2, unique=True),
+        reps=st.integers(1, 2),
+        estimates=st.lists(FLOATS, min_size=1, max_size=24),
+        errors=st.lists(FLOATS, min_size=1, max_size=24),
+        codes=st.lists(st.integers(0, len(experiments._FLAGS) - 1), min_size=1, max_size=24),
+    )
+    @example(
+        samplers=["rwrw"], rates=[0.1], sizes=[10], reps=1, estimates=SPECIAL_FLOATS,
+        errors=SPECIAL_FLOATS[::-1], codes=list(range(len(experiments._FLAGS))),
+    )
+    def test_rows_csv_is_csv_writers(self, samplers, rates, sizes, reps, estimates, errors, codes):
+        # Every flag code: "", out_of_range and each failed:*, whose rows
+        # write an empty estimate or error.
+        cfg = small_config(samplers=samplers, rates=rates, sample_sizes=sizes, replications=reps)
+        result = grid_result(cfg, estimates, errors, np.array(codes, dtype=np.int8))
+        rows = result.rows
+        assert len(rows) == result.codes.size
+        for row in rows:
+            assert type(row.rate) is float and type(row.size) is int and type(row.rep) is int
+            assert all(type(v) in (float, type(None)) for v in (row.estimate, row.error))
+        assert written_bytes(write_rows_csv, result) == csv_writer_bytes(ResultRow, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.builds(
+            experiments.SummaryRow,
+            sampler=st.sampled_from(experiments.SAMPLERS),
+            rate=st.sampled_from([0.0, 1e-05, 0.2]),
+            size=st.integers(1, 10**6),
+            measure=st.sampled_from(experiments.MEASURES),
+            variant=st.sampled_from(experiments.VARIANTS),
+            reps=st.integers(1, 10**4),
+            failures=st.integers(0, 10**4),
+            mean_error=OPTIONAL_FLOATS,
+            p2_5=OPTIONAL_FLOATS,
+            p97_5=OPTIONAL_FLOATS,
+            nrmse=OPTIONAL_FLOATS,
+            out_of_range_rate=FLOATS,
+            failure_rate=FLOATS,
+        ),
+        max_size=20,
+    ))
+    @example([
+        experiments.SummaryRow("node", 0.1, 10, "proportion", "corrected", 3, 1, a, b, c, d, e, f)
+        for a, b, c, d, e, f in zip(
+            [None, *SPECIAL_FLOATS], SPECIAL_FLOATS, [*SPECIAL_FLOATS[1:], None],
+            [None] * 3 + SPECIAL_FLOATS, SPECIAL_FLOATS[::-1], SPECIAL_FLOATS,
+        )
+    ])
+    def test_summary_csv_is_csv_writers(self, summary):
+        want = csv_writer_bytes(experiments.SummaryRow, summary)
+        assert written_bytes(write_summary_csv, summary) == want
+
+
 def assert_mirrored(x, y):
     """y is x with the groups A and B swapped, to 1e-12."""
     if isinstance(x, PropVector):
@@ -1369,8 +1547,11 @@ class TestCli:
         assert code == 0
         assert (out_dir / "rows.csv").exists()
         assert (out_dir / "summary.csv").exists()
-        header = (out_dir / "rows.csv").read_text().splitlines()[0]
-        assert header == "sampler,rate,size,rep,measure,variant,estimate,error,flags"
+        lines = (out_dir / "rows.csv").read_text().splitlines()
+        assert lines[0] == "sampler,rate,size,rep,measure,variant,estimate,error,flags"
+        # The row count printed is the grid's: 2 samplers x 2 rates x 1 size x 2 reps x 12.
+        assert len(lines) == 1 + 96
+        assert "(96 rows)" in capsys.readouterr().out
         header = (out_dir / "summary.csv").read_text().splitlines()[0]
         assert header == (
             "sampler,rate,size,measure,variant,reps,failures,mean_error,p2_5,p97_5,nrmse,"
@@ -1401,6 +1582,7 @@ def test_run_grid_quick(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1920 rows in ")
     for name, row_type, count in (("rows", ResultRow, 1920), ("summary", experiments.SummaryRow, 960)):
         lines = (tmp_path / f"{name}.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(row_type._fields)

@@ -85,6 +85,18 @@ class TestApplyNoise:
         with pytest.raises(ValueError):
             apply_noise(np.array([0, 2], dtype=np.int8), symmetric_confusion(0.1), 1)
 
+    def test_flips_by_true_class_column(self):
+        # The rule as apply_noise wrote it before flip_labels, on the seed's
+        # uniforms: a true a flips where u < b|a, a true b where u < a|b.
+        # An asymmetric matrix tells the two columns apart.
+        labels = (np.random.default_rng(4).random(10_000) < 0.3).astype(np.int8)
+        c = ConfusionMatrix(0.95, 0.4, 0.05, 0.6)
+        u = np.random.default_rng(17).random(labels.shape[0])
+        flip = np.where(labels == 1, u < c.a_given_b, u < c.b_given_a)
+        noisy = apply_noise(labels, c, 17)
+        assert noisy.dtype == np.int8
+        assert np.array_equal(noisy, np.where(flip, 1 - labels, labels))
+
 
 class TestEmpiricalConfusion:
     def test_identical_lists_give_identity(self):
