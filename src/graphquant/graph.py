@@ -5,10 +5,12 @@ label-file reader and both writers. Both readers return one record
 shape, a ``(k, 2)`` int64 array: ``(u, v)`` rows for edge files and
 ``(node id, group code)`` rows for label files. numpy's parser reads
 both files, and one line parser that names the first bad line reads any
-file it refuses. Preprocessing takes these arrays only. One component
-labelling (``_components``) serves both the connectivity check and the
-largest-component cut of preprocessing; it works on the edge list, so no
-traversal is needed.
+file it refuses. Preprocessing takes these arrays only. It compresses
+node ids to dense ones by a presence table over the id span when the ids
+are dense enough that the table needs less memory than a sort, and by
+``np.unique``'s sort otherwise. One component labelling (``_components``)
+serves both the connectivity check and the largest-component cut of
+preprocessing; it works on the edge list, so no traversal is needed.
 """
 
 from __future__ import annotations
@@ -247,6 +249,12 @@ def load_and_preprocess(
     unlabeled. A list, a bool, float or string array, or a group code
     outside 0..2 raises ``ValueError``. Preprocessing its own output is a
     no-op.
+
+    Ids spanning at most two slots per endpoint value are compressed by a
+    presence table over their span, whose ~9 bytes a slot stay below the
+    ~33 bytes a value of a sort's temporaries; sparser ids by a sort. An
+    unstable sort groups the label rows, and each id takes the code of its
+    highest row.
     """
     for records in (edge_records, label_records):
         # A bool casts safely to int64, so the kind is checked as well.
@@ -260,20 +268,13 @@ def load_and_preprocess(
     if ((label_records[:, 1] < 0) | (label_records[:, 1] > MISSING)).any():
         raise ValueError("malformed records: group code outside 0..2")
     pairs = edge_records.astype(np.int64, copy=False)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # np.compress keeps rows several times faster than a boolean index.
+    pairs = np.compress(pairs[:, 0] != pairs[:, 1], pairs, axis=0)
 
     # Dense ids 0..K-1 rise with the original ids, so pair keys lo*K + hi
     # cannot overflow and sort like the original pairs.
-    ids, dense = np.unique(pairs, return_inverse=True)
-    dense = dense.reshape(-1, 2)
-    # Each dense id's group code: its last label row, found after a stable
-    # sort as the last sorted id not above it. An id below the first one
-    # lands on -1, the appended MISSING slot.
-    order = np.argsort(label_records[:, 0], kind="stable")
-    label_ids = np.append(label_records[order, 0], 0)
-    codes = np.append(label_records[order, 1], MISSING)
-    at = np.searchsorted(label_ids[:-1], ids, side="right") - 1
-    code = np.where(label_ids[at] == ids, codes[at], MISSING)
+    ids, dense = _dense_ids(pairs)
+    code = _label_codes(label_records, ids)
     k = ids.shape[0]
     u, v = dense[:, 0], dense[:, 1]
     keys = np.minimum(u, v) * k + np.maximum(u, v)
@@ -303,6 +304,48 @@ def load_and_preprocess(
     return UndirectedGraph.from_edges(
         members.shape[0], edge_arr, code[members], id_map=ids[members], check_connected=False
     )
+
+
+def _dense_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct ids of ``(k, 2)`` int64 pairs, and the pairs as
+    indices into them: by a presence table when the ids span at most two
+    slots per value, else by ``np.unique``, which takes ids spread over all
+    of int64.
+    """
+    # Python ints, so the span of extreme ids cannot wrap. No pairs span
+    # nothing, and their table is empty.
+    low, high = (int(pairs.min()), int(pairs.max())) if pairs.size else (0, -1)
+    span = high - low + 1
+    if span > 2 * pairs.size:
+        ids, dense = np.unique(pairs, return_inverse=True)
+        return ids, dense.reshape(-1, 2)
+    offsets = pairs - low
+    present = np.zeros(span, dtype=bool)
+    present[offsets] = True
+    slots = np.flatnonzero(present)
+    # Only present slots are ever read back, so the rest stay unset.
+    rank = np.empty(span, dtype=np.int64)
+    rank[slots] = np.arange(slots.shape[0])
+    return slots + low, rank[offsets]
+
+
+def _label_codes(label_records: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Each of the sorted ``ids``' group code: that of its last label row,
+    or ``MISSING`` without one.
+
+    The unstable sort may order an id's rows any way, so each run of equal
+    ids takes its highest row index.
+    """
+    order = np.argsort(label_records[:, 0])
+    sorted_ids = label_records[order, 0]
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    starts = np.flatnonzero(first)
+    # An id above every labeled one lands on the appended MISSING slot.
+    run_ids = np.append(sorted_ids[starts], 0)
+    codes = np.append(label_records[np.maximum.reduceat(order, starts), 1], MISSING)
+    at = np.searchsorted(run_ids[:-1], ids)
+    return np.where(run_ids[at] == ids, codes[at], MISSING)
 
 
 def _read_by_line(path, labels: bool = False) -> np.ndarray:

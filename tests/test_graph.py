@@ -424,7 +424,13 @@ class TestPreprocess:
             preprocess([(1, 2)], {1: "A", 2: "B"}, directed_input=True)
         # No edge records, or no label records, as the readers' empty array.
         empty = np.empty((0, 2), np.int64)
-        for edges, labels in ((empty, records_array({1: "A"})), (records_array([(1, 2)]), empty)):
+        for edges, labels in (
+            (empty, records_array({1: "A"})),
+            (records_array([(1, 2)]), empty),
+            # Self loops only: no id is left to take a minimum of.
+            (records_array([(3, 3)]), records_array({3: "A"})),
+            (records_array([(3, 3), (-5, -5)]), empty),
+        ):
             with pytest.raises(ValueError, match="^empty graph after preprocessing$"):
                 load_and_preprocess(edges, labels)
 
@@ -494,14 +500,40 @@ class TestPreprocess:
         labels=st.lists(
             st.tuples(st.integers(0, 25), st.sampled_from([0, 1, MISSING])), min_size=20, max_size=60
         ),
-        spread=st.sampled_from([1, 7, 10**12]),
+        spread=st.sampled_from([1, 7, 10**12, "inside", "past"]),
+        place=st.sampled_from(["zero", "negative", "bottom", "top", "ends"]),
         directed=st.booleans(),
     )
-    def test_matches_reference(self, edges, labels, spread, directed):
-        # Spread ids apart so dense re-indexing is exercised on sparse ids.
+    # Many label rows of one id, which an unstable sort reorders: the last
+    # row's code still wins.
+    @example(
+        edges=[(0, 1), (1, 2), (2, 0)],
+        labels=[(0, 0), (2, 1)] + [(1, (0, MISSING)[i % 2]) for i in range(40)] + [(1, 1)],
+        spread=1,
+        place="zero",
+        directed=False,
+    )
+    def test_matches_reference(self, edges, labels, spread, place, directed):
+        # Spread ids apart so dense re-indexing is exercised on sparse ids,
+        # and place them anywhere in int64; "ends" splits them between its
+        # two ends, whose span an int64 would wrap. "inside" and "past" pick
+        # the spread that puts the span of the non-loop ids just inside or
+        # just past the presence table's bound of two slots per endpoint.
         # Label rows may skip an id or list it more than once.
-        edges = [(u * spread, v * spread) for u, v in edges]
-        labels = [(node * spread, code) for node, code in labels]
+        if spread in ("inside", "past"):
+            used = [x for u, v in edges if u != v for x in (u, v)]
+            width = max(used) - min(used) if used else 0
+            spread = max(1, (2 * len(used) - 1) // width + (spread == "past")) if width else 1
+        lowest, highest = -(2**63), 2**63 - 1
+        place_id = {
+            "zero": lambda n: n * spread,
+            "negative": lambda n: (n - 13) * spread,
+            "bottom": lambda n: lowest + n * spread,
+            "top": lambda n: highest - (25 - n) * spread,
+            "ends": lambda n: lowest + n * spread if n < 13 else highest - (25 - n) * spread,
+        }[place]
+        edges = [(place_id(u), place_id(v)) for u, v in edges]
+        labels = [(place_id(node), code) for node, code in labels]
         try:
             want, ordered = reference_preprocess(edges, labels, directed)
         except ValueError:
