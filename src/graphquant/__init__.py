@@ -24,22 +24,14 @@ from .quantify import (
     UndefinedShareError,
     adjust_edge_proportions,
     adjust_proportions,
-    coleman_homophily,
-    ingroup_share,
     variance_inflation_nodes,
 )
 from .samplers import (
-    GroundTruth,
     Sample,
     edge_sample,
-    estimate_edge_vector,
-    estimate_proportions,
-    ground_truth,
     node_sample,
     rwrw_walk,
     snowball_sample,
-    top_records,
-    with_noisy_labels,
     write_sample_records,
 )
 from .experiments import (
@@ -48,6 +40,7 @@ from .experiments import (
     GraphSpec,
     ResultRow,
     SummaryRow,
+    ground_truth,
     run_experiment,
     summarize,
     write_rows_csv,

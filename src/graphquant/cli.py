@@ -23,6 +23,7 @@ import numpy as np
 from .experiments import (
     ExperimentConfig,
     GraphSpec,
+    ground_truth,
     run_experiment,
     summarize,
     write_rows_csv,
@@ -35,16 +36,11 @@ from .quantify import (
     PropVector,
     adjust_edge_proportions,
     adjust_proportions,
+    coleman_index,
+    ingroup_shares,
     variance_inflation_nodes,
 )
-from .samplers import (
-    SEED_DEGREE,
-    SEED_UNIFORM,
-    ground_truth,
-    rwrw_walk,
-    with_noisy_labels,
-    write_sample_records,
-)
+from .samplers import SEED_DEGREE, SEED_UNIFORM, rwrw_walk, write_sample_records
 
 
 def _confusion_from_args(args) -> ConfusionMatrix:
@@ -57,6 +53,20 @@ def _confusion_from_args(args) -> ConfusionMatrix:
     raise ValueError("provide --rate or --matrix")
 
 
+def _truth_fields(g, top_quantile: float) -> dict:
+    """A graph's exact measures as ``truth`` prints them, None where one is
+    undefined: the census's measured shares and both groups' homophily, the
+    majority's from the kernels that give the minority's truth."""
+    truths, (b, t, v) = ground_truth(g, top_quantile)
+    share_a, no_share = ingroup_shares(t[0], t[1])
+    index_a, no_index = coleman_index(share_a, 1.0 - b)
+    fields = {
+        "p_a": 1.0 - b, "p_b": b, "s_aa": t[0], "s_ab": t[1], "s_bb": t[2], "visibility_b": v,
+        "homophily_a": np.nan if no_share or no_index else index_a, "homophily_b": truths[3],
+    }
+    return {key: None if np.isnan(x) else float(x) for key, x in fields.items()}
+
+
 def _cmd_generate(args) -> int:
     g = generate_homophilous_graph(
         args.n, args.m, args.minority_frac, args.ingroup_pref, args.seed
@@ -67,18 +77,17 @@ def _cmd_generate(args) -> int:
     label_path = prefix.with_suffix(".labels")
     write_edge_list(g, edge_path)
     write_label_file(g, label_path)
-    gt = ground_truth(g)
+    p_b = _truth_fields(g, ExperimentConfig.top_quantile)["p_b"]
     print(
         f"wrote {edge_path} and {label_path}: n={g.node_count} "
-        f"edges={g.edge_count} p_b={gt.p.b:.4f} mean_degree={g.mean_degree:.3f}"
+        f"edges={g.edge_count} p_b={p_b:.4f} mean_degree={g.mean_degree:.3f}"
     )
     return 0
 
 
 def _cmd_truth(args) -> int:
     g = load_graph_files(args.edges, args.labels, directed=args.directed)
-    gt = ground_truth(g, args.top_quantile)
-    payload = {"nodes": g.node_count, "edges": g.edge_count, **gt.as_dict()}
+    payload = {"nodes": g.node_count, "edges": g.edge_count, **_truth_fields(g, args.top_quantile)}
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -97,7 +106,7 @@ def _cmd_walk(args) -> int:
     noisy = None
     if args.rate is not None or args.matrix is not None:
         confusion = _confusion_from_args(args)
-        noisy = with_noisy_labels(sample, apply_noise(g.labels, confusion, seeds[1]))
+        noisy = apply_noise(g.labels, confusion, seeds[1])[sample.nodes]
     # The walk ran on dense ids; the audit file names nodes as the edge file does.
     sample = dataclasses.replace(sample, nodes=g.id_map[sample.nodes])
     write_sample_records(sample, args.out, noisy)

@@ -6,15 +6,16 @@ it, gives the drawn nodes one noisy label per rate, and records the four
 minority-group measures (proportion, in-group edge share, top-quantile
 visibility, Coleman homophily) in three variants: no_noise, uncorrected,
 and corrected. Rows carry the signed error against that replication's
-exact ground truth, the same four measures of the whole graph. A graph
+exact ground truth, the same four measures of the whole graph
+(``ground_truth``): the census, every node once at unit weight with every
+edge observed, measured and derived on the path a draw takes. A graph
 reused across replications (``fixed_graph``, or files) is built once per
 process, and its truths are computed once per top quantile and kept in
 the same cache slot.
 
 Each sampler draws once per replication, at the largest size, and every
 size is measured on the draw's first records, which are a sample of that
-size: ``Sample.prefix`` is the definition the tests check the grid's cuts
-against. Rows of different sizes in one replication thus share random
+size. Rows of different sizes in one replication thus share random
 numbers; each summary cell holds one size, and its rows are independent
 across replications.
 
@@ -25,22 +26,22 @@ drawn nodes, so a node keeps one label however often it is drawn. Each
 draw is measured in one pass that returns arrays over (size x label set):
 the group shares from one reduction per size over the size's first
 columns, the edge-type shares from pair codes computed once per draw and
-counted at each size's edge cut (the draw's edges sorted once by their
-later endpoint), and the group shares of the top-quantile records from
-one ranking of the whole draw, cut at each size. The distinct nodes a
-draw saw come from one first-occurrence pass, and each size's labeled
-nodes are drawn among the first records of those it saw; estimated
-confusion matrices grade every rate on one labeled set in one count.
+counted once, each edge at the first size that holds its later endpoint,
+and the group shares of the top-quantile records from one ranking of the
+whole draw, cut at each size. The distinct nodes a draw saw come from one
+first-occurrence pass, and each size's labeled nodes are drawn among the
+first records of those it saw; estimated confusion matrices grade every
+rate on one labeled set in one count.
 
 The variants come from one array pass over every (sampler, size, rate,
 variant) of the replication (``_variants``): no_noise and uncorrected read
 the measured shares as they are, and corrected applies the confusion-matrix
 correction to the noisy ones, as in adjusted classify and count. The
-formulas are ``quantify``'s kernels, which its functions on single vectors
-also call. A failure is recorded where it arises, so a measurement failure
-flags both noisy variants and a correction failure only the corrected one.
-Each domain failure carries its row flag as ``code`` (``failed:<code>``);
-any other exception is a bug and raises.
+formulas are ``quantify``'s kernels. A failure is recorded where it
+arises, so a measurement failure flags both noisy variants and a
+correction failure only the corrected one. Each domain failure carries its
+row flag as ``code`` (``failed:<code>``); any other exception is a bug and
+raises.
 
 A replication returns its estimates, errors and flag codes as arrays in
 the file's measure-then-variant order, and the run places each in file
@@ -89,11 +90,11 @@ from .quantify import (
 from .samplers import (
     SEED_DEGREE,
     NoObservedEdgesError,
+    Sample,
     check_quantile,
     check_walk,
     edge_sample,
     edge_type_counts,
-    ground_truth,
     minority_shares,
     node_sample,
     rank_records,
@@ -104,10 +105,10 @@ from .samplers import (
 
 # Names perfbench/tracing.py still wraps; nothing in the package defines or calls them.
 adjust_visibility = importance_resample = top_quantile_indices = None
+coleman_homophily = estimate_edge_vector = estimate_proportions = ingroup_share = with_noisy_labels = None
 # Names it wraps that the grid no longer calls, each bound to the real function.
 from .noise import apply_noise  # noqa: E402
-from .quantify import adjust_edge_proportions, adjust_proportions, coleman_homophily, ingroup_share  # noqa: E402
-from .samplers import estimate_edge_vector, estimate_proportions, with_noisy_labels  # noqa: E402
+from .quantify import adjust_edge_proportions, adjust_proportions  # noqa: E402
 
 SAMPLERS = ("rwrw", "node", "edge", "snowball")
 MEASURES = ("proportion", "ingroup", "visibility", "homophily")
@@ -375,15 +376,18 @@ def _measure(labels, drawn, counts, quantile: float):
     the draw for each record count ``c`` in ``counts``: arrays over (size x
     label set), the edge-type shares along a last axis (aa, ab, bb). A
     size's edge or top-quantile measure that failed reads NaN, and its code
-    is in the per-size edge and top failure codes that come last."""
-    later = drawn.edge_positions.max(axis=1)
-    by_later = np.argsort(later, kind="stable")
-    # A size's edges are those whose later endpoint comes before its cut.
-    cuts = np.searchsorted(later[by_later], counts)
-    edge_counts = edge_type_counts(labels, drawn.edge_positions[by_later], cuts)
+    is in the per-size edge and top failure codes that come last.
+
+    A size's edges are those whose later endpoint comes before its count.
+    No sort finds them: ``edge_type_counts`` takes the draw's edges in their
+    own order, puts each at the first count above its later endpoint, and
+    counts them there once. A size's edge total is the sum of its counts in
+    any label set."""
+    edge_counts = edge_type_counts(labels, drawn.edge_positions, counts)
+    totals = edge_counts[0].sum(axis=-1)
     with np.errstate(invalid="ignore"):
-        edges = np.moveaxis(edge_counts, 0, 1) / cuts[:, None, None]
-    edge_failed = np.where(cuts == 0, _NO_EDGES, 0)
+        edges = np.moveaxis(edge_counts, 0, 1) / totals[:, None, None]
+    edge_failed = np.where(totals == 0, _NO_EDGES, 0)
     # The draw's ranking, cut at a size, is that size's own ranking.
     ranked = rank_records(drawn)
     props, tops, top_failed = [], [], []
@@ -453,22 +457,29 @@ def _variants(b, t, v, failed, correction=None):
     return estimates, codes
 
 
+def ground_truth(g: UndirectedGraph, top_quantile: float):
+    """A graph's exact measures: the census, every node once at unit weight
+    with every edge observed, measured as a draw is (``_measure``), and its
+    four measures derived as a sample's are (``_variants``). Returns the
+    four truths, NaN where one is undefined, and the census's measured
+    shares: the minority share, the edge-type shares (aa, ab, bb) and the
+    top-quantile minority share, NaN below 1/q nodes. The top quantile must
+    lie in (0, 1]."""
+    check_quantile(top_quantile)
+    n = g.node_count
+    # Record i is node i, so the edge list holds the census's edge positions.
+    census = Sample(np.arange(n), g.degrees, g.labels, np.ones(n), g.edges)
+    b, t, v, edge_failed, top_failed = _measure(g.labels[None], census, [n], top_quantile)
+    est, codes = _variants(b[0], np.moveaxis(t[0], -1, 0), v[0], (edge_failed, top_failed))
+    return np.where(codes >= _FAILED, np.nan, est)[:, 0], (b[0, 0], t[0, 0], v[0, 0])
+
+
 def _replication_rows(cfg: ExperimentConfig, rep: int):
     """One replication's estimates, errors and flag codes over (sampler,
     size, rate, measure, variant), each config axis in its given order."""
     g, known = _graph_for_rep(cfg, rep)
     if cfg.top_quantile not in known:
-        gt = ground_truth(g, cfg.top_quantile)
-        # The truths are the four measures of the population's exact vectors, NaN where undefined.
-        vis = gt.visibility_b
-        top_failed = 0 if vis is not None else _UNDEFINED_SHARE
-        est, codes = _variants(
-            np.array([gt.p.b]),
-            np.array(gt.s.as_tuple())[:, None],
-            np.array([np.nan if vis is None else vis]),
-            (0, top_failed),
-        )
-        known[cfg.top_quantile] = np.where(codes >= _FAILED, np.nan, est)[:, 0]
+        known[cfg.top_quantile] = ground_truth(g, cfg.top_quantile)[0]
     truths = known[cfg.top_quantile]
 
     # One label table over every draw's records: the true labels, then each

@@ -13,9 +13,10 @@ clipped: clipping would reintroduce bias.
 Each formula is written once, as a kernel that works elementwise on numpy
 arrays or Python floats alike: ``singular``, ``correct_shares``,
 ``correct_edge_shares``, ``ingroup_shares``, ``coleman_index`` and
-``outside_unit``. The functions on single vectors call them and raise the
-domain failures the kernels mark; the experiment grid calls them once on
-arrays of every vector of a replication.
+``outside_unit``. The experiment grid calls them once on arrays of every
+vector of a replication, its ground truth included. The corrections of
+single vectors (``adjust_proportions``, ``adjust_edge_proportions``) call
+them and raise ``SingularCorrectionError`` where the guard marks C.
 """
 
 from __future__ import annotations
@@ -159,36 +160,6 @@ def adjust_edge_proportions(measured: EdgeVector, confusion: ConfusionMatrix) ->
     (``correct_edge_shares``)."""
     det = _checked_det(confusion, 3)
     return EdgeVector(*correct_edge_shares(measured.as_tuple(), confusion.to_flat(), det))
-
-
-def ingroup_share(edge_shares: EdgeVector, group: int) -> float:
-    """Fraction of a group's edge endpoints that attach within the group.
-
-    For group a this is 2*aa / (2*aa + ab), and symmetrically for b.
-    Raises when the group has no edge endpoints at all.
-    """
-    if group not in (0, 1):
-        raise ValueError(f"group must be 0 (a) or 1 (b), got {group}")
-    own = edge_shares.bb if group == 1 else edge_shares.aa
-    share, undefined = ingroup_shares(own, edge_shares.ab)
-    if undefined:
-        raise UndefinedShareError("group has no edge endpoints")
-    return float(share)
-
-
-def coleman_homophily(s_g: float, p_g: float) -> float:
-    """Coleman's homophily index: in-group tie excess over random mixing.
-
-    1 means perfect homophily, 0 random mixing and -1 perfect heterophily
-    (``coleman_index``). Undefined when the group is the whole population
-    or empty. Corrected inputs may fall outside [0, 1]; the value is still
-    computed. Rounding is monotone, so in-range inputs give a value in
-    [-1, 1], and a caller flags the index by its inputs.
-    """
-    index, undefined = coleman_index(s_g, p_g)
-    if undefined:
-        raise UndefinedShareError(f"homophily undefined for group proportion {p_g}")
-    return float(index)
 
 
 def variance_inflation_nodes(confusion: ConfusionMatrix) -> float:

@@ -1,4 +1,4 @@
-"""Graph sampling strategies and the estimators built on their output.
+"""Graph sampling strategies and the estimator formulas run on their output.
 
 Four samplers observe a graph through different windows: a degree-biased
 random walk (single chain, uniform transitions over neighbors), uniform
@@ -10,7 +10,7 @@ the graph's CSR arrays, keeping each new node's first occurrence with one
 and never asks which sampler ran:
 
 - ``nodes``, ``degrees`` and ``labels`` hold one entry per record; the
-  labels are true groups, or the classifier's after ``with_noisy_labels``.
+  labels are true groups.
 - ``weights`` is the per-record weight of share estimates: ``1/d`` for
   walk steps, which undoes the walk's degree bias (the RWRW ratio
   estimator), and 1 for every other sampler.
@@ -20,13 +20,12 @@ and never asks which sampler ran:
   and the discovery edges for snowball samples.
 
 Records come in the order the sampler drew them, so the first z records
-of a sample, with the observed edges between them (``Sample.prefix``),
-are a sample of size z of the same sampler: a walk's first z steps are a
-z-step walk, the first z of a uniform ordered draw of nodes or edges are
-a uniform z-subset, and a snowball crawl's records come wave by wave,
-each wave in a uniform order, so its first z are whole waves and a
-uniform part of the next. One draw at the largest size thus serves every
-smaller size.
+of a sample, with the observed edges between them, are a sample of size
+z of the same sampler: a walk's first z steps are a z-step walk, the
+first z of a uniform ordered draw of nodes or edges are a uniform
+z-subset, and a snowball crawl's records come wave by wave, each wave in
+a uniform order, so its first z are whole waves and a uniform part of the
+next. One draw at the largest size thus serves every smaller size.
 
 Node samples and snowball waves read the same CSR gather
 (``_neighbours``). A node sample's induced edges are the neighbours in
@@ -35,34 +34,30 @@ node, so finding them costs the sample's total degree, not a scan of
 every edge, and they come in the graph's edge order.
 
 Each estimator formula is written once and takes a table of label sets,
-one row per set over the same records: ``minority_shares`` (the weighted
-group share), ``edge_type_counts`` (edge types among the first edges, at
-any number of cuts, from one ``bincount``) and ``top_cut`` (the weighted
-top-quantile cut of records ranked by ``rank_records``).
-``estimate_proportions``, ``estimate_edge_vector`` and ``top_records``
-apply them to one sample; the experiment grid applies them to every label
-set and prefix of a draw, and a stable ranking of the whole draw, cut at
-a prefix, is the prefix's own ranking.
+one row per set over the same records, at every record count of a draw:
+``minority_shares`` (the weighted group share), ``edge_type_counts``
+(edge types among the edges between the first records, at any number of
+counts, from one ``bincount`` over unsorted edges) and ``top_cut`` (the
+weighted top-quantile cut of records ranked by ``rank_records``). A
+stable ranking of the whole draw, cut at a count, is that count's own
+ranking. The experiment grid runs them on every draw, and on the census,
+a graph as a sample of every node, for its exact measures.
 
-Visibility is the group-share estimate over the top-quantile records,
-``estimate_proportions(top_records(sample, q))``: a weighted degree
-quantile, which on a walk undoes the degree bias as the RWRW ratio
+Visibility is the group share over the top-quantile records: a weighted
+degree quantile, which on a walk undoes the degree bias as the RWRW ratio
 estimator does (Gjoka et al., "Walking in Facebook", INFOCOM 2010), and
 with unit weights selects the first floor(n * q) records by (-degree,
-node id). A graph's exact measures (``ground_truth``) are these
-estimators run on the census, the graph as a sample of every node, so a
-sample and its graph share one top-quantile rule.
+node id). A sample and its graph thus share one top-quantile rule.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import GROUP_TOKENS, MISSING, UndirectedGraph
-from .quantify import EdgeVector, PropVector, UndefinedShareError, coleman_homophily, ingroup_share
+from .quantify import UndefinedShareError
 
 SEED_DEGREE = "degree_proportional"
 SEED_UNIFORM = "uniform_with_burnin"
@@ -93,21 +88,6 @@ class Sample:
     def __len__(self) -> int:
         return self.nodes.shape[0]
 
-    def _subset(self, idx, edge_positions: np.ndarray) -> "Sample":
-        """The records at ``idx``, a slice or index array, with the given observed edges."""
-        fields = ("nodes", "degrees", "labels", "weights")
-        records = {name: getattr(self, name)[idx] for name in fields}
-        return dataclasses.replace(self, edge_positions=edge_positions, **records)
-
-    def prefix(self, count: int) -> "Sample":
-        """The first ``count`` records and the observed edges between them."""
-        pos = self.edge_positions
-        return self._subset(slice(count), pos[pos.max(axis=1) < count])
-
-    def take(self, idx) -> "Sample":
-        """The records at ``idx`` with their weights, and no observed edges."""
-        return self._subset(idx, np.empty((0, 2), dtype=np.int64))
-
 
 def _records(g: UndirectedGraph, nodes, edge_positions, weights=None, burn_in=0) -> Sample:
     """Sample of graph nodes; unit weights unless given."""
@@ -119,16 +99,6 @@ def _records(g: UndirectedGraph, nodes, edge_positions, weights=None, burn_in=0)
         edge_positions=np.asarray(edge_positions, dtype=np.int64).reshape(-1, 2),
         burn_in=burn_in,
     )
-
-
-def with_noisy_labels(sample: Sample, noisy_by_node) -> Sample:
-    """Copy of a sample whose labels are noisy labels looked up per node.
-
-    The lookup is a per-node array for the whole graph, so a node keeps
-    one noisy label no matter how often the sample saw it.
-    """
-    arr = np.asarray(noisy_by_node, dtype=np.int8)[sample.nodes]
-    return dataclasses.replace(sample, labels=arr)
 
 
 def check_walk(seed_mode: str, burn_in: int) -> None:
@@ -338,15 +308,6 @@ def top_cut(ranked: np.ndarray, weights: np.ndarray, quantile: float):
     return ranked[: whole + 1], w[: whole + 1]
 
 
-def top_records(sample: Sample, quantile: float) -> Sample:
-    """The records ``top_cut`` picks from the whole sample, ranked by
-    ``rank_records``, with their weights. Refuses a quantile outside
-    (0, 1] with a plain ``ValueError``."""
-    check_quantile(quantile)
-    idx, weights = top_cut(rank_records(sample), sample.weights, quantile)
-    return dataclasses.replace(sample.take(idx), weights=weights)
-
-
 def minority_shares(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Weighted minority share of each label set: ``labels`` holds one set
     per row (or is one set) over the records that ``weights`` weigh. Each
@@ -356,99 +317,32 @@ def minority_shares(weights: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return block.sum(axis=-1) / weights.sum()
 
 
-def edge_type_counts(labels: np.ndarray, edge_positions: np.ndarray, cuts) -> np.ndarray:
-    """Edge-type counts (aa, ab, bb) of each label set among the first
-    ``c`` observed edges, for each ``c`` in ``cuts``, shaped
-    ``labels.shape[:-1] + (len(cuts), 3)``. One ``bincount`` counts every
-    set's pair codes in each stretch between consecutive distinct cuts,
-    each key offset by 3 per stretch and by 3 per stretch per set, and a
-    running sum over the stretches gives the counts at every cut."""
-    steps, at = np.unique(cuts, return_inverse=True)
-    used = edge_positions[: steps[-1]]
-    pair = np.atleast_2d(np.take(labels, used[:, 0], axis=-1) + np.take(labels, used[:, 1], axis=-1))
-    stretch = np.repeat(np.arange(steps.shape[0]), np.diff(steps, prepend=0))
-    keys = 3 * (stretch + steps.shape[0] * np.arange(pair.shape[0])[:, None]) + pair
-    counts = np.bincount(keys.ravel(), minlength=3 * steps.shape[0] * pair.shape[0])
-    counts = counts.reshape(labels.shape[:-1] + (steps.shape[0], 3)).cumsum(axis=-2)
-    return counts[..., at, :]
+def edge_type_counts(labels: np.ndarray, edge_positions: np.ndarray, counts) -> np.ndarray:
+    """Edge-type counts (aa, ab, bb) of each label set among the observed
+    edges between the first ``c`` records, for each record count ``c`` in
+    ``counts``, shaped ``labels.shape[:-1] + (len(counts), 3)``. The edges
+    may come in any order. One ``searchsorted`` puts each edge in the
+    stretch of the first distinct count above its later record, or in one
+    overflow stretch past every count. One ``bincount`` counts every set's
+    pair codes per stretch, each key offset by 3 per stretch and by 3 per
+    stretch per set, and a running sum over the stretches gives the counts
+    at every count."""
+    steps, at = np.unique(counts, return_inverse=True)
+    u, v = edge_positions[:, 0], edge_positions[:, 1]
+    stretch = np.searchsorted(steps, np.maximum(u, v), side="right")
+    pair = np.atleast_2d(np.take(labels, u, axis=-1) + np.take(labels, v, axis=-1))
+    width = steps.shape[0] + 1
+    keys = 3 * (stretch + width * np.arange(pair.shape[0])[:, None]) + pair
+    tally = np.bincount(keys.ravel(), minlength=3 * width * pair.shape[0])
+    tally = tally.reshape(labels.shape[:-1] + (width, 3))[..., :-1, :].cumsum(axis=-2)
+    return tally[..., at, :]
 
 
-def estimate_proportions(sample: Sample) -> PropVector:
-    """Weighted group-share estimate over the sample records.
-
-    Walks are reweighted by inverse degree; node and snowball records
-    count equally; edge samples give the endpoint share, which is
-    degree-biased by design and documents what edge sampling can
-    actually see.
-    """
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    share_b = float(minority_shares(sample.weights, sample.labels))
-    return PropVector(1.0 - share_b, share_b)
-
-
-def estimate_edge_vector(sample: Sample) -> EdgeVector:
-    """Edge-type shares (aa, ab, bb) over the sample's observed edges."""
-    edges = sample.edge_positions.shape[0]
-    if edges == 0:
-        raise NoObservedEdgesError("sample observed no edges")
-    counts = edge_type_counts(sample.labels, sample.edge_positions, [edges])[0]
-    return EdgeVector(*(counts / edges).tolist())
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Exact population measures of a labeled graph."""
-
-    p: PropVector
-    s: EdgeVector
-    visibility_b: float | None
-    homophily_a: float | None
-    homophily_b: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "p_a": self.p.a,
-            "p_b": self.p.b,
-            "s_aa": self.s.aa,
-            "s_ab": self.s.ab,
-            "s_bb": self.s.bb,
-            "visibility_b": self.visibility_b,
-            "homophily_a": self.homophily_a,
-            "homophily_b": self.homophily_b,
-        }
-
-
-def ground_truth(g: UndirectedGraph, top_quantile: float = 0.2) -> GroundTruth:
-    """Exact population measures: the estimators above run on the census,
-    every node once at unit weight with every edge observed.
-
-    As for a sample, visibility is None below 1/q nodes. Homophily for a
-    group is None when that group is empty or is the whole population,
-    where the index is undefined. The top quantile must lie in (0, 1].
-    """
-    # Record i is node i, so the edge list holds the census's edge positions.
-    census = _records(g, np.arange(g.node_count), g.edges)
-    p = estimate_proportions(census)
-    s = estimate_edge_vector(census)
-    try:
-        visibility_b = estimate_proportions(top_records(census, top_quantile)).b
-    except UndefinedShareError:
-        visibility_b = None
-
-    def h_for(p_g: float, group: int) -> float | None:
-        try:
-            return coleman_homophily(ingroup_share(s, group), p_g)
-        except UndefinedShareError:
-            return None
-
-    return GroundTruth(p, s, visibility_b, h_for(p.a, 0), h_for(p.b, 1))
-
-
-def write_sample_records(sample: Sample, path, noisy: Sample | None = None) -> None:
+def write_sample_records(sample: Sample, path, noisy: np.ndarray | None = None) -> None:
     """Audit format: one record per line as ``node_id degree true_label
-    noisy_label step_index``, noisy labels from the copy ``noisy`` or NA."""
-    noisy_codes = np.full(len(sample), MISSING) if noisy is None else noisy.labels
+    noisy_label step_index``, noisy labels from ``noisy``, one int8 label
+    per record, or NA."""
+    noisy_codes = np.full(len(sample), MISSING) if noisy is None else noisy
     tokens = np.array(GROUP_TOKENS)[np.column_stack([sample.labels, noisy_codes])]
     rows = np.column_stack([sample.nodes, sample.degrees, tokens, np.arange(len(sample))])
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,12 +1,15 @@
 """Shared oracles and the acceptance-criteria report hook."""
 
+import dataclasses
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from graphquant.graph import GROUP_TOKENS
 from graphquant.noise import dyadic_matrix
-from graphquant.quantify import EdgeVector, PropVector
+from graphquant.quantify import EdgeVector, PropVector, UndefinedShareError
+from graphquant.samplers import NoObservedEdgesError, Sample, check_quantile, rank_records, top_cut
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -145,3 +148,116 @@ def records_array(records) -> np.ndarray:
         records = records.items()
     rows = [(u, GROUP_TOKENS.index(v) if isinstance(v, str) else v) for u, v in records]
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+# The single-sample chain the grid's array pass replaced. Each function
+# measures one sample, or one vector, and is the definition that the grid's
+# cuts and the census's truths must equal bit for bit.
+
+_RECORD_FIELDS = ("nodes", "degrees", "labels", "weights")
+
+
+def take(sample, idx):
+    """The records at ``idx`` with their weights, and no observed edges."""
+    records = {name: getattr(sample, name)[idx] for name in _RECORD_FIELDS}
+    return dataclasses.replace(sample, edge_positions=np.empty((0, 2), dtype=np.int64), **records)
+
+
+def prefix(sample, count):
+    """The first ``count`` records and the observed edges between them: the
+    sample of size ``count`` that a draw's first records are."""
+    pos = sample.edge_positions
+    records = {name: getattr(sample, name)[:count] for name in _RECORD_FIELDS}
+    return dataclasses.replace(sample, edge_positions=pos[pos.max(axis=1) < count], **records)
+
+
+def with_noisy_labels(sample, noisy_by_node):
+    """Copy of a sample whose labels are noisy labels looked up per node, so
+    a node keeps one noisy label however often the sample saw it."""
+    return dataclasses.replace(sample, labels=np.asarray(noisy_by_node, dtype=np.int8)[sample.nodes])
+
+
+def estimate_proportions(sample) -> PropVector:
+    """Weighted group shares over the sample's records."""
+    if len(sample) == 0:
+        raise ValueError("empty sample")
+    share_b = float(np.multiply(sample.weights, sample.labels == 1).sum() / sample.weights.sum())
+    return PropVector(1.0 - share_b, share_b)
+
+
+def estimate_edge_vector(sample) -> EdgeVector:
+    """Edge-type shares (aa, ab, bb) over the sample's observed edges."""
+    edges = sample.edge_positions.shape[0]
+    if edges == 0:
+        raise NoObservedEdgesError("sample observed no edges")
+    counts = np.bincount(sample.labels[sample.edge_positions].sum(axis=1), minlength=3)
+    return EdgeVector(*(counts / edges).tolist())
+
+
+def top_records(sample, quantile):
+    """The records ``top_cut`` picks from the whole sample, ranked by
+    ``rank_records``, with their weights. Refuses a quantile outside (0, 1]
+    with a plain ``ValueError``."""
+    check_quantile(quantile)
+    idx, weights = top_cut(rank_records(sample), sample.weights, quantile)
+    return dataclasses.replace(take(sample, idx), weights=weights)
+
+
+def ingroup_share(edge_shares: EdgeVector, group: int) -> float:
+    """2*own / (2*own + ab) for group a (0) or b (1); raises when the group
+    has no edge endpoints."""
+    if group not in (0, 1):
+        raise ValueError(f"group must be 0 (a) or 1 (b), got {group}")
+    own = edge_shares.bb if group == 1 else edge_shares.aa
+    denom = 2.0 * own + edge_shares.ab
+    if denom == 0.0:
+        raise UndefinedShareError("group has no edge endpoints")
+    return 2.0 * own / denom
+
+
+def coleman_homophily(s_g: float, p_g: float) -> float:
+    """Coleman's index: the excess s_g - p_g over the headroom above (1 -
+    p_g) or below (p_g) random mixing; raises for an empty or whole group."""
+    if p_g in (0.0, 1.0):
+        raise UndefinedShareError(f"homophily undefined for group proportion {p_g}")
+    diff = s_g - p_g
+    return diff / (1.0 - p_g) if diff >= 0.0 else diff / p_g
+
+
+@dataclass(frozen=True)
+class ReferenceTruth:
+    """Exact population measures of a labeled graph, None where undefined."""
+
+    p: PropVector
+    s: EdgeVector
+    visibility_b: float | None
+    homophily_a: float | None
+    homophily_b: float | None
+
+    def as_dict(self) -> dict:
+        """The measures as the truth command's JSON names and orders them."""
+        return {
+            "p_a": self.p.a, "p_b": self.p.b, "s_aa": self.s.aa, "s_ab": self.s.ab, "s_bb": self.s.bb,
+            "visibility_b": self.visibility_b, "homophily_a": self.homophily_a,
+            "homophily_b": self.homophily_b,
+        }
+
+
+def reference_ground_truth(g, top_quantile: float = 0.2) -> ReferenceTruth:
+    """The single-sample estimators run on the census, every node once at
+    unit weight with every edge observed. Visibility is None below 1/q
+    nodes, and a group's homophily None when the group is empty or whole."""
+    census = Sample(np.arange(g.node_count), g.degrees, g.labels, np.ones(g.node_count), g.edges)
+    p, s = estimate_proportions(census), estimate_edge_vector(census)
+    try:
+        visibility_b = estimate_proportions(top_records(census, top_quantile)).b
+    except UndefinedShareError:
+        visibility_b = None
+
+    def h_for(p_g: float, group: int) -> float | None:
+        try:
+            return coleman_homophily(ingroup_share(s, group), p_g)
+        except UndefinedShareError:
+            return None
+
+    return ReferenceTruth(p, s, visibility_b, h_for(p.a, 0), h_for(p.b, 1))

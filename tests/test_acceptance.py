@@ -12,12 +12,18 @@ import pytest
 
 import conftest
 from conftest import (
+    coleman_homophily,
     dyadic_apply,
     errors_for,
+    estimate_edge_vector,
+    estimate_proportions,
     expected_edge_mix_by_enumeration,
+    ingroup_share,
     measured_edge_proportions,
     measured_proportions,
+    reference_ground_truth,
     rows_for,
+    with_noisy_labels,
 )
 from graphquant.experiments import (
     ExperimentConfig,
@@ -27,7 +33,6 @@ from graphquant.experiments import (
     write_rows_csv,
     write_summary_csv,
 )
-from graphquant import ground_truth
 from graphquant.graph import (
     UndirectedGraph,
     generate_homophilous_graph,
@@ -42,15 +47,8 @@ from graphquant.quantify import (
     PropVector,
     adjust_edge_proportions,
     adjust_proportions,
-    coleman_homophily,
-    ingroup_share,
 )
-from graphquant.samplers import (
-    estimate_edge_vector,
-    estimate_proportions,
-    rwrw_walk,
-    with_noisy_labels,
-)
+from graphquant.samplers import rwrw_walk
 
 MASTER_SEED = 1
 SIZES = (1000, 1500, 2000, 2500, 3000)
@@ -167,7 +165,7 @@ def test_criterion_2_dyadic_correctness():
 
 def test_criterion_3_rwrw_convergence():
     g = generate_homophilous_graph(50, 3, 0.2, 0.8, rng_seed=16)
-    truth = ground_truth(g)
+    truth = reference_ground_truth(g)
     walk = rwrw_walk(g, 1_000_000, rng_seed=160)
     p_hat = estimate_proportions(walk).b
     freq = np.bincount(walk.nodes, minlength=g.node_count) / len(walk)
@@ -284,7 +282,7 @@ def test_criterion_9_perfect_heterophily():
     # Structure mirroring the perfectly heterophilous empirical network:
     # sparse bipartite, minority share 0.4, walk size 3000.
     g = sparse_bipartite(600, 400, 5, seed=12)
-    truth = ground_truth(g)
+    truth = reference_ground_truth(g)
     c = symmetric_confusion(0.2)
     values = []
     for rep in range(500):

@@ -21,7 +21,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_induced_edges_match, rows_for
+from conftest import (
+    assert_induced_edges_match,
+    coleman_homophily,
+    estimate_edge_vector,
+    estimate_proportions,
+    ingroup_share,
+    prefix,
+    reference_ground_truth,
+    rows_for,
+    top_records,
+    with_noisy_labels,
+)
 from graphquant import experiments, ground_truth
 from graphquant.cli import main as cli_main
 from graphquant.experiments import (
@@ -37,6 +48,7 @@ from graphquant.experiments import (
 from graphquant.graph import (
     UndirectedGraph,
     generate_homophilous_graph,
+    load_graph_files,
     write_edge_list,
     write_label_file,
 )
@@ -54,21 +66,15 @@ from graphquant.quantify import (
     UndefinedShareError,
     adjust_edge_proportions,
     adjust_proportions,
-    coleman_homophily,
-    ingroup_share,
 )
 from graphquant.samplers import (
     SEED_DEGREE,
     SEED_UNIFORM,
     NoObservedEdgesError,
     edge_sample,
-    estimate_edge_vector,
-    estimate_proportions,
     node_sample,
     rwrw_walk,
     snowball_sample,
-    top_records,
-    with_noisy_labels,
 )
 
 
@@ -486,7 +492,7 @@ def reference_replication_rows(cfg, rep):
     # The graph as the grid gets it; its truths computed here, not read from
     # the grid's cache.
     g, _ = experiments._graph_for_rep(cfg, rep)
-    gt = ground_truth(g, cfg.top_quantile)
+    gt = reference_ground_truth(g, cfg.top_quantile)
     vis = gt.visibility_b
     top = UndefinedShareError("no top quantile") if vis is None else PropVector(1.0 - vis, vis)
     population = (gt.p, gt.s, top)
@@ -510,7 +516,7 @@ def reference_replication_rows(cfg, rep):
         seed = stream(cfg.master_seed, experiments._SAMPLE, rep, si)
         drawn = experiments._draw_sample(cfg, g, sampler, seed)
         for zi, size in enumerate(cfg.sample_sizes):
-            base = drawn.prefix(experiments._records_for(sampler, size))
+            base = prefix(drawn, experiments._records_for(sampler, size))
             top = attempt(top_records, base, cfg.top_quantile)
             corrections = confusions
             if cfg.confusion_from_labeled is not None:
@@ -611,7 +617,9 @@ class TestNoisyLabelsAtRecords:
         measured, graded = [], []
 
         def recorded_measure(labels, drawn, counts, quantile):
-            measured.append((labels.copy(), drawn.nodes))
+            # The census, the graph's one label set, is measured as well.
+            if labels.shape[0] > 1:
+                measured.append((labels.copy(), drawn.nodes))
             return measure(labels, drawn, counts, quantile)
 
         def recorded_grade(truth, predicted):
@@ -810,14 +818,15 @@ class TestRunExperiment:
             res = run_experiment(dataclasses.replace(cfg, top_quantile=q))
             ((g, _),) = experiments._GRAPH_CACHE.values()
             graphs.append(g)
-            truth = ground_truth(g, q).visibility_b
+            truth = reference_ground_truth(g, q).visibility_b
             rows = rows_for(res, measure="visibility", variant="no_noise")
             rows = [r for r in rows if r.error is not None]
             assert rows
             for r in rows:
                 assert r.estimate - r.error == pytest.approx(truth, abs=1e-12)
         assert graphs[0] is graphs[1] is graphs[2]
-        assert ground_truth(g, 0.2).visibility_b != ground_truth(g, 0.5).visibility_b
+        visibility = [reference_ground_truth(g, q).visibility_b for q in (0.2, 0.5)]
+        assert visibility[0] != visibility[1]
 
     def test_fresh_graphs_vary_truth(self):
         cfg = small_config(rates=(0.2,), replications=3)
@@ -858,7 +867,7 @@ class TestRunExperiment:
         assert [len(sample) for _, sample in drawn] == [3] * 5
         for g, sample in drawn:
             for z in (1, 2, 3):
-                assert_induced_edges_match(g, sample.prefix(z))
+                assert_induced_edges_match(g, prefix(sample, z))
 
     def test_undefined_truth_rows(self):
         # m = 1 seeds no B node, so at minority_frac 0 the graph is all A and
@@ -893,7 +902,7 @@ class TestRunExperiment:
             replications=2,
         )
         res = run_experiment(cfg)
-        truth = ground_truth(g).p.b
+        truth = reference_ground_truth(g).p.b
         row = rows_for(res, sampler="node", measure="proportion", variant="no_noise")[0]
         assert row.estimate - row.error == pytest.approx(truth, abs=1e-12)
 
@@ -911,11 +920,11 @@ class TestRunExperiment:
             write_label_file(g, labels)
             res = run_experiment(cfg)
             row = rows_for(res, sampler="node", measure="proportion", variant="no_noise")[0]
-            assert row.estimate - row.error == pytest.approx(ground_truth(g).p.b, abs=1e-12)
+            truth = reference_ground_truth(g)
+            assert row.estimate - row.error == pytest.approx(truth.p.b, abs=1e-12)
             # The truths cached with the graph are the new contents' too.
             vis = rows_for(res, sampler="node", measure="visibility", variant="no_noise")[0]
-            truth = ground_truth(g).visibility_b
-            assert vis.estimate - vis.error == pytest.approx(truth, abs=1e-12)
+            assert vis.estimate - vis.error == pytest.approx(truth.visibility_b, abs=1e-12)
             # The stale graph of the previous contents is evicted, not kept.
             cached = [key for key in experiments._GRAPH_CACHE if key[0] == str(edges)]
             assert len(cached) == 1
@@ -988,7 +997,8 @@ class TestRunExperiment:
         # Each call measures a table of every label set: the true labels and
         # each rate's noisy labels. Group shares of the records and of the
         # top-quantile records per (sampler, size); edge-type counts at
-        # every size's cut per sampler.
+        # every size's cut per sampler. The census is measured the same way,
+        # with the graph's one label set.
         cfg = small_config(rates=(0.0, 0.1, 0.2), sample_sizes=(60, 80))
         calls = Counter()
         for name, labels_at in (("minority_shares", 1), ("edge_type_counts", 0)):
@@ -1003,6 +1013,8 @@ class TestRunExperiment:
         assert calls == {
             ("minority_shares", label_sets): 2 * cells,
             ("edge_type_counts", label_sets): len(cfg.samplers),
+            ("minority_shares", 1): 2,
+            ("edge_type_counts", 1): 1,
         }
 
     def test_failures_stay_with_their_variant(self):
@@ -1275,6 +1287,92 @@ def assert_mirrored(x, y):
         assert (y.aa, y.ab, y.bb) == pytest.approx((x.bb, x.ab, x.aa), abs=1e-12)
 
 
+def reference_truths(g, top_quantile):
+    """The grid's four truths of the census from the single-sample chain:
+    proportion, in-group share, visibility and homophily of B, None where
+    undefined."""
+    gt = reference_ground_truth(g, top_quantile)
+    share = reference_attempt(ingroup_share, gt.s, 1)
+    share = None if isinstance(share, Exception) else share
+    return [gt.p.b, share, gt.visibility_b, gt.homophily_b]
+
+
+def assert_census_matches_reference(edges, labels, top_quantile, directed=False):
+    """ground_truth's truths and the truth command's JSON, bit for bit,
+    against the single-sample chain on the graph the files hold."""
+    g = load_graph_files(edges, labels, directed=directed)
+    got = [None if np.isnan(x) else repr(x) for x in ground_truth(g, top_quantile)[0].tolist()]
+    assert got == [None if x is None else repr(x) for x in reference_truths(g, top_quantile)]
+    out = Path(edges).with_suffix(".json")
+    argv = ["truth", "--edges", str(edges), "--labels", str(labels),
+            "--top-quantile", repr(top_quantile), "--out", str(out)]
+    assert cli_main(argv + ["--directed"] * directed) == 0
+    payload = {"nodes": g.node_count, "edges": g.edge_count,
+               **reference_ground_truth(g, top_quantile).as_dict()}
+    assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+
+
+def write_graph(g, directory):
+    edges, labels = Path(directory) / "g.edges", Path(directory) / "g.labels"
+    write_edge_list(g, edges)
+    write_label_file(g, labels)
+    return edges, labels
+
+
+class TestCensus:
+    """The census measured and derived on the grid's path equals the
+    single-sample chain's measures of it, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(3, 80),
+        m=st.integers(1, 3),
+        frac=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        pref=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        quantile=st.one_of(st.sampled_from([0.01, 0.05, 1.0]), st.floats(0.001, 1.0)),
+        seed=st.integers(0, 2**31),
+    )
+    # One group only, with visibility below 1/q nodes; and a complete graph.
+    @example(n=12, m=1, frac=0.0, pref=1.0, quantile=0.05, seed=0)
+    @example(n=15, m=1, frac=1.0, pref=0.0, quantile=0.2, seed=1)
+    @example(n=4, m=3, frac=0.5, pref=0.5, quantile=1.0, seed=2)
+    def test_generated_graphs(self, n, m, frac, pref, quantile, seed):
+        assume(m < n)
+        g = generate_homophilous_graph(n, m, frac, pref, rng_seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_census_matches_reference(*write_graph(g, tmp), quantile)
+
+    def test_null_fields_are_exercised(self):
+        g = generate_homophilous_graph(12, 1, 0.0, 1.0, rng_seed=0)
+        assert reference_truths(g, 0.05)[1:] == [None, None, None]
+        assert np.isnan(ground_truth(g, 0.05)[0][1:]).all()
+
+    def test_large_generated_graph(self, tmp_path):
+        # The census reduces a (1 x N) block at N = 20 000.
+        g = generate_homophilous_graph(20_000, 4, 0.2, 0.8, rng_seed=20)
+        assert_census_matches_reference(*write_graph(g, tmp_path), 0.2)
+
+    def test_ingested_directed_file_graph(self, tmp_path):
+        # Sparse ids, one-way edges, a second component and NA labels.
+        g = generate_homophilous_graph(2000, 3, 0.3, 0.7, rng_seed=21)
+        ids = 7 + 1000 * np.random.default_rng(22).permutation(g.node_count)
+        rng = np.random.default_rng(23)
+        one_way = rng.random(g.edge_count) < 0.1
+        lines = [f"{ids[u]} {ids[v]}\n{ids[v]} {ids[u]}\n" for u, v in g.edges[~one_way].tolist()]
+        lines += [f"{ids[u]} {ids[v]}\n" for u, v in g.edges[one_way].tolist()]
+        lines += ["5 6\n6 5\n6 9\n9 6\n"]
+        rng.shuffle(lines)
+        edges, labels = tmp_path / "g.edges", tmp_path / "g.labels"
+        edges.write_text("".join(lines))
+        tokens = np.array(["A", "B"])[g.labels].tolist()
+        tokens[:5] = ["NA"] * 5
+        labels.write_text("".join(f"{i} {t}\n" for i, t in zip(ids.tolist(), tokens)) + "5 A\n6 B\n9 A\n")
+        loaded = load_graph_files(edges, labels, directed=True)
+        assert 1000 < loaded.node_count < g.node_count and loaded.id_map.max() > 10**6
+        for quantile in (0.2, 0.37, 1.0):
+            assert_census_matches_reference(edges, labels, quantile, directed=True)
+
+
 class TestGroupSwap:
     def test_swap_mirrors_pipeline(self):
         # Relabel A as B and B as A, and swap the confusion matrix to match
@@ -1285,7 +1383,7 @@ class TestGroupSwap:
         c = ConfusionMatrix(0.95, 0.4, 0.05, 0.6)
         c_swap = ConfusionMatrix(c.b_given_b, c.b_given_a, c.a_given_b, c.a_given_a)
 
-        gt, gt_swap = ground_truth(g), ground_truth(swapped)
+        gt, gt_swap = reference_ground_truth(g), reference_ground_truth(swapped)
         assert_mirrored(gt.p, gt_swap.p)
         assert_mirrored(gt.s, gt_swap.s)
         assert gt_swap.visibility_b == pytest.approx(1.0 - gt.visibility_b, abs=1e-12)
@@ -1616,7 +1714,10 @@ class TestTracerNames:
         # Only the declared placeholders stand for functions the package dropped.
         placeholders = {attr for module, attr, _ in tracing.WRAPPED
                         if getattr(getattr(graphquant, module), attr) is None}
-        assert placeholders == {"adjust_visibility", "importance_resample", "top_quantile_indices"}
+        assert placeholders == {
+            "adjust_visibility", "importance_resample", "top_quantile_indices", "coleman_homophily",
+            "estimate_edge_vector", "estimate_proportions", "ingroup_share", "with_noisy_labels",
+        }
 
     def test_installed_block_restores_originals(self, tracing):
         import graphquant

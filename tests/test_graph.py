@@ -12,8 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import has_edge, mean_field_mixing, records_array
+from conftest import (
+    coleman_homophily,
+    has_edge,
+    ingroup_share,
+    mean_field_mixing,
+    records_array,
+    reference_ground_truth,
+    take,
+)
 from graphquant import graph, ground_truth
+from graphquant.cli import _truth_fields
 from graphquant.graph import (
     MISSING,
     UndirectedGraph,
@@ -27,8 +36,8 @@ from graphquant.graph import (
     write_edge_list,
     write_label_file,
 )
-from graphquant.quantify import EdgeVector, PropVector, coleman_homophily, ingroup_share
-from graphquant.samplers import node_sample, with_noisy_labels, write_sample_records
+from graphquant.quantify import EdgeVector, PropVector
+from graphquant.samplers import node_sample, write_sample_records
 
 
 # Node id fields for the reader grammar tests: the odd spellings Python's
@@ -142,41 +151,51 @@ def reference_csr(node_count, edges):
     return np.column_stack([lo, hi]), indptr, indices, np.diff(indptr)
 
 
+def edge_shares(fields) -> tuple:
+    return fields["s_aa"], fields["s_ab"], fields["s_bb"]
+
+
 class TestGroundTruth:
+    """The census's exact measures, as ``ground_truth`` gives them and the
+    truth command prints them (``_truth_fields``)."""
+
     def test_complete_bipartite_perfect_heterophily(self):
-        gt = ground_truth(complete_bipartite(2, 3))
-        assert gt.s.as_tuple() == (0.0, 1.0, 0.0)
-        assert gt.homophily_a == -1.0
-        assert gt.homophily_b == -1.0
-        assert gt.p.b == pytest.approx(0.6)
+        gt = _truth_fields(complete_bipartite(2, 3), 0.2)
+        assert edge_shares(gt) == (0.0, 1.0, 0.0)
+        assert gt["homophily_a"] == -1.0
+        assert gt["homophily_b"] == -1.0
+        assert gt["p_b"] == pytest.approx(0.6)
 
     def test_two_cliques_hand_count(self):
         # 2 * C(5,2) + 1 = 21 edges, one of them cross-group.
-        gt = ground_truth(two_cliques_with_bridge(5))
-        assert gt.s.ab == pytest.approx(1.0 / 21.0, abs=1e-12)
-        assert gt.s.aa == pytest.approx(10.0 / 21.0, abs=1e-12)
+        gt = _truth_fields(two_cliques_with_bridge(5), 0.2)
+        assert gt["s_ab"] == pytest.approx(1.0 / 21.0, abs=1e-12)
+        assert gt["s_aa"] == pytest.approx(10.0 / 21.0, abs=1e-12)
         # s_a = 20/21, p_a = 1/2, so H_a = (20/21 - 1/2) / (1/2) = 19/21.
-        assert gt.homophily_a == pytest.approx(19.0 / 21.0, abs=1e-12)
+        assert gt["homophily_a"] == pytest.approx(19.0 / 21.0, abs=1e-12)
 
     def test_single_group_homophily_guarded(self):
         g = UndirectedGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)], [0, 0, 0])
-        gt = ground_truth(g)
-        assert gt.p.as_tuple() == (1.0, 0.0)
-        assert gt.homophily_b is None
-        assert gt.homophily_a is None  # whole-population group is undefined too
+        gt = _truth_fields(g, 0.2)
+        assert (gt["p_a"], gt["p_b"]) == (1.0, 0.0)
+        assert gt["homophily_b"] is None
+        assert gt["homophily_a"] is None  # whole-population group is undefined too
+        # The grid's truths: in-group share and homophily of B undefined.
+        assert np.isnan(ground_truth(g, 0.2)[0][[1, 3]]).all()
 
     def test_shares_sum_to_one(self):
         g = generate_homophilous_graph(500, 3, 0.3, 0.7, rng_seed=2)
-        gt = ground_truth(g)
-        assert gt.p.a + gt.p.b == pytest.approx(1.0, abs=1e-12)
-        assert sum(gt.s.as_tuple()) == pytest.approx(1.0, abs=1e-12)
+        gt = _truth_fields(g, 0.2)
+        assert gt["p_a"] + gt["p_b"] == pytest.approx(1.0, abs=1e-12)
+        assert sum(edge_shares(gt)) == pytest.approx(1.0, abs=1e-12)
 
     def test_visibility_counts_minority_in_top_quintile(self):
         # Hub (B) plus 4 leaves: top 20% of 5 nodes is exactly the hub.
         g = UndirectedGraph.from_edges(
             5, [(0, 1), (0, 2), (0, 3), (0, 4)], [1, 0, 0, 0, 0]
         )
-        assert ground_truth(g, top_quantile=0.2).visibility_b == 1.0
+        assert _truth_fields(g, 0.2)["visibility_b"] == 1.0
+        assert ground_truth(g, 0.2)[0][2] == 1.0
 
     @pytest.mark.parametrize("n", [7, 12, 40, 3000])
     def test_census_equals_hand_count(self, n):
@@ -188,16 +207,16 @@ class TestGroundTruth:
         pair = g.labels[g.edges].sum(axis=1)
         s = EdgeVector(*(np.count_nonzero(pair == k) / g.edge_count for k in range(3)))
         for q in (0.05, 0.2, 0.37, 1.0):
-            gt = ground_truth(g, q)
-            assert gt.p == PropVector(1.0 - p_b, p_b)
-            assert gt.s == s
+            gt = _truth_fields(g, q)
+            assert PropVector(gt["p_a"], gt["p_b"]) == PropVector(1.0 - p_b, p_b)
+            assert EdgeVector(*edge_shares(gt)) == s
             if int(n * q) < 1:
-                assert gt.visibility_b is None
+                assert gt["visibility_b"] is None
             else:
                 top = np.argsort(-g.degrees, kind="stable")[: int(n * q)]
-                assert gt.visibility_b == np.count_nonzero(g.labels[top]) / top.shape[0]
-            assert gt.homophily_a == coleman_homophily(ingroup_share(s, 0), 1.0 - p_b)
-            assert gt.homophily_b == coleman_homophily(ingroup_share(s, 1), p_b)
+                assert gt["visibility_b"] == np.count_nonzero(g.labels[top]) / top.shape[0]
+            assert gt["homophily_a"] == coleman_homophily(ingroup_share(s, 0), 1.0 - p_b)
+            assert gt["homophily_b"] == coleman_homophily(ingroup_share(s, 1), p_b)
 
     @pytest.mark.parametrize("quantile", [2.0, 0.0, -1.0, float("nan")])
     def test_top_quantile_outside_unit_interval_refused(self, quantile):
@@ -205,8 +224,8 @@ class TestGroundTruth:
         # whole graph, and one of 0 or below only its top node.
         g = two_cliques_with_bridge(5)
         with pytest.raises(ValueError, match=r"^top_quantile must lie in \(0, 1\]"):
-            ground_truth(g, top_quantile=quantile)
-        assert ground_truth(g, top_quantile=1.0).visibility_b == 0.5
+            ground_truth(g, quantile)
+        assert _truth_fields(g, 1.0)["visibility_b"] == 0.5
 
 
 class TestGenerator:
@@ -260,7 +279,7 @@ class TestGenerator:
     def test_reference_cell_shape(self):
         g = generate_homophilous_graph(10000, 4, 0.2, 0.8, rng_seed=1)
         assert g.mean_degree == pytest.approx(8.0, abs=0.05)
-        assert ground_truth(g).p.b == pytest.approx(0.2, abs=0.02)
+        assert reference_ground_truth(g).p.b == pytest.approx(0.2, abs=0.02)
         # Power-law tail: the largest hub dwarfs the mean degree.
         assert g.degrees.max() > 10 * g.mean_degree
 
@@ -317,7 +336,8 @@ class TestGenerator:
 
     def test_neutral_preference_gives_no_homophily(self):
         values = [
-            ground_truth(generate_homophilous_graph(1000, 3, 0.5, 0.5, rng_seed=s)).homophily_a
+            reference_ground_truth(generate_homophilous_graph(1000, 3, 0.5, 0.5, rng_seed=s))
+            .homophily_a
             for s in range(50)
         ]
         assert abs(np.mean(values)) < 0.05
@@ -325,13 +345,15 @@ class TestGenerator:
     def test_homophily_increases_with_preference(self):
         neutral = np.mean(
             [
-                ground_truth(generate_homophilous_graph(1000, 3, 0.2, 0.5, rng_seed=s)).homophily_a
+                reference_ground_truth(generate_homophilous_graph(1000, 3, 0.2, 0.5, rng_seed=s))
+                .homophily_a
                 for s in range(50)
             ]
         )
         preferring = np.mean(
             [
-                ground_truth(generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=s)).homophily_a
+                reference_ground_truth(generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=s))
+                .homophily_a
                 for s in range(50)
             ]
         )
@@ -342,7 +364,8 @@ class TestGenerator:
         # Coleman index averages near 0.42 at these parameters. (The
         # majority-group index is higher, near 0.54.)
         h_b = [
-            ground_truth(generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=s)).homophily_b
+            reference_ground_truth(generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=s))
+            .homophily_b
             for s in range(50)
         ]
         assert 0.37 < np.mean(h_b) < 0.47
@@ -606,8 +629,8 @@ class TestFiles:
         assert (tmp_path / "g.labels").read_bytes() == b"0\tA\n1\tB\n2\tB\n3\tA\n"
         # Every node once, in id order; records name nodes by any int64 id.
         sample = node_sample(g, 4, rng_seed=0)
-        sample = sample.take(np.argsort(sample.nodes))
-        noisy = with_noisy_labels(sample, [1, 1, 0, 0])
+        sample = take(sample, np.argsort(sample.nodes))
+        noisy = np.array([1, 1, 0, 0], dtype=np.int8)[sample.nodes]
         sample = dataclasses.replace(sample, nodes=np.array([100, 7, 2**63 - 1, -(2**63)]))
         header = b"# node_id degree true_label noisy_label step_index\n"
         write_sample_records(sample, tmp_path / "noisy.txt", noisy)

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import measured_edge_proportions, measured_proportions
-from graphquant import ground_truth
+from conftest import (
+    coleman_homophily,
+    estimate_proportions,
+    ingroup_share,
+    measured_edge_proportions,
+    measured_proportions,
+    reference_ground_truth,
+    with_noisy_labels,
+)
 from graphquant.graph import generate_homophilous_graph
 from graphquant.noise import ConfusionMatrix, dyadic_matrix, symmetric_confusion
 from graphquant.quantify import (
@@ -17,11 +24,9 @@ from graphquant.quantify import (
     UndefinedShareError,
     adjust_edge_proportions,
     adjust_proportions,
-    coleman_homophily,
     coleman_index,
     correct_edge_shares,
     correct_shares,
-    ingroup_share,
     ingroup_shares,
     outside_unit,
     singular,
@@ -248,22 +253,29 @@ class TestAdjustEdgeProportions:
 
 
 class TestIngroupShare:
+    """The ``ingroup_shares`` kernel on (own, cross) edge shares."""
+
     def test_pure_ingroup(self):
-        assert ingroup_share(EdgeVector(1.0, 0.0, 0.0), 0) == 1.0
+        assert ingroup_shares(1.0, 0.0) == (1.0, False)
 
     def test_pure_crossgroup_is_zero_for_both(self):
-        e = EdgeVector(0.0, 1.0, 0.0)
-        assert ingroup_share(e, 0) == 0.0
-        assert ingroup_share(e, 1) == 0.0
+        # Both groups of EdgeVector(0, 1, 0): own share 0, cross share 1.
+        assert ingroup_shares(0.0, 1.0) == (0.0, False)
+        assert ingroup_shares(np.array([0.0, 0.0]), 1.0)[0].tolist() == [0.0, 0.0]
 
     def test_hand_arithmetic(self):
-        assert ingroup_share(EdgeVector(0.5, 0.3, 0.2), 0) == pytest.approx(1.0 / 1.3)
+        assert ingroup_shares(0.5, 0.3)[0] == pytest.approx(1.0 / 1.3)
 
     def test_no_endpoints_raises(self):
+        # Group b of EdgeVector(1, 0, 0) has no edge endpoints: the kernel
+        # marks it, and the reference definition raises there.
+        assert ingroup_shares(0.0, 0.0)[1]
+        assert ingroup_shares(np.array([0.0, 0.2]), np.array([0.0, 0.0]))[1].tolist() == [True, False]
         with pytest.raises(UndefinedShareError):
             ingroup_share(EdgeVector(1.0, 0.0, 0.0), 1)
 
     def test_bad_group_rejected(self):
+        # The reference definition takes a group, and refuses any but 0 and 1.
         with pytest.raises(ValueError):
             ingroup_share(EdgeVector(1.0, 0.0, 0.0), 2)
 
@@ -281,24 +293,31 @@ class TestIngroupShare:
         assume(bb + ab <= 1.0)
         e = EdgeVector(1.0 - bb - ab, ab, bb)
         assume(not e.out_of_range)
-        for group, own in ((1, e.bb), (0, e.aa)):
-            if 2.0 * own + e.ab > 0.0:
-                assert 0.0 <= ingroup_share(e, group) <= 1.0
+        for own in (e.bb, e.aa):
+            share, undefined = ingroup_shares(own, e.ab)
+            assert undefined == (2.0 * own + e.ab == 0.0)
+            if not undefined:
+                assert 0.0 <= share <= 1.0
 
 
 class TestColemanHomophily:
+    """The ``coleman_index`` kernel on (in-group share, proportion)."""
+
     def test_perfect_homophily(self):
-        assert coleman_homophily(1.0, 0.2) == 1.0
+        assert coleman_index(1.0, 0.2) == (1.0, False)
 
     def test_perfect_heterophily(self):
         # All ties cross-group at p=0.39 gives exactly -1.
-        assert coleman_homophily(0.0, 0.39) == -1.0
+        assert coleman_index(0.0, 0.39) == (-1.0, False)
 
     def test_random_mixing_baseline(self):
-        assert coleman_homophily(0.3, 0.3) == 0.0
+        assert coleman_index(0.3, 0.3) == (0.0, False)
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate_proportion_rejected(self, p):
+        # The kernel marks the index undefined; the reference definition raises.
+        assert coleman_index(0.5, p)[1]
+        assert coleman_index(np.array([0.5, 0.5]), np.array([p, 0.5]))[1].tolist() == [True, False]
         with pytest.raises(UndefinedShareError):
             coleman_homophily(0.5, p)
 
@@ -307,7 +326,8 @@ class TestColemanHomophily:
         st.floats(0.01, 0.99, allow_nan=False),
     )
     def test_sign_and_bounds(self, s, p):
-        h = coleman_homophily(s, p)
+        h, undefined = coleman_index(s, p)
+        assert not undefined
         assert -1.0 <= h <= 1.0
         if s > p:
             assert h > 0.0
@@ -326,7 +346,8 @@ class TestColemanHomophily:
     @example(5e-324, 1.0 - 2.0**-53)
     @example(1.0 - 2.0**-53, 5e-324)
     def test_in_range_inputs_give_an_unflagged_index(self, s, p):
-        assert -1.0 <= coleman_homophily(s, p) <= 1.0
+        index, undefined = coleman_index(s, p)
+        assert not undefined and -1.0 <= index <= 1.0
 
 
 # The scalar formulas as they were written before they became array
@@ -454,8 +475,9 @@ class TestKernels:
     @example(0.3, 0.0, 0.0)
     @example(0.3, 0.2, 1.0)
     def test_single_vector_functions_match_scalar_formulas(self, ab, bb, p):
-        # ingroup_share and coleman_homophily raise where the kernels mark
-        # the measure undefined, and otherwise return the scalar value.
+        # The reference definitions of one vector, ingroup_share and
+        # coleman_homophily, raise where the kernels mark the measure
+        # undefined, and otherwise return the kernels' scalar value.
         vector = EdgeVector(1.0 - bb - ab, ab, bb)
         want = scalar_ingroup(bb, ab)
         if want is None:
@@ -564,7 +586,7 @@ class TestVarianceInflation:
         inv = np.linalg.inv(np.array(dyadic_matrix(c.to_flat())))
         t = corrected_edge_share_draws(g, c, 88)
         empirical = (2 * t[:, 2] / (2 * t[:, 2] + t[:, 1])).var(ddof=1)
-        _, ab, bb = ground_truth(g).s.as_tuple()
+        _, ab, bb = reference_ground_truth(g).s.as_tuple()
         grad = inv.T @ np.array([0.0, -2 * bb, 2 * ab]) / (2 * bb + ab) ** 2
         sigma = edge_share_covariance(g, c)
         assert grad @ sigma @ grad == pytest.approx(empirical, rel=0.15)
@@ -604,7 +626,7 @@ class TestVarianceInflation:
         assert sigma[0, 1:] == pytest.approx(np.cov(z.T)[0, 1:], rel=0.07)
         s = 2 * z[:, 3] / (2 * z[:, 3] + z[:, 2])
         empirical = ((s - z[:, 0]) / (1 - z[:, 0])).var(ddof=1)
-        truth = ground_truth(g)
+        truth = reference_ground_truth(g)
         p, s0 = truth.p.b, ingroup_share(truth.s, 1)
         _, ab, bb = truth.s.as_tuple()
         grad_s = np.array([0.0, -2 * bb, 2 * ab]) / (2 * bb + ab) ** 2
@@ -626,11 +648,11 @@ class TestVarianceInflation:
         # The 10% band leaves out 1/det^2 = 3.31, which is the ratio of
         # corrected to uncorrected variance, not to noise-free variance.
         from graphquant.noise import apply_noise
-        from graphquant.samplers import estimate_proportions, node_sample, with_noisy_labels
+        from graphquant.samplers import node_sample
 
         g = generate_homophilous_graph(10_000, 4, 0.2, 0.8, rng_seed=6)
         c = ConfusionMatrix(0.95, 0.4, 0.05, 0.6)
-        truth = ground_truth(g).p
+        truth = reference_ground_truth(g).p
         p, m = truth.b, measured_proportions(truth, c).b
         n, f = 300, (g.node_count - 300) / (g.node_count - 1)
         det2 = c.det**2
@@ -654,7 +676,7 @@ class TestVarianceInflation:
         # instead, 0.67 of it on this walk, which the 10% band leaves out
         # (eight seed sets gave ratios of 0.96-1.03).
         from graphquant.noise import apply_noise
-        from graphquant.samplers import estimate_proportions, rwrw_walk, with_noisy_labels
+        from graphquant.samplers import rwrw_walk
 
         g = generate_homophilous_graph(10_000, 4, 0.2, 0.8, rng_seed=6)
         c = ConfusionMatrix(0.95, 0.4, 0.05, 0.6)
@@ -691,7 +713,7 @@ class TestVarianceInflation:
         # rejects, but 0.97-1.23 at symmetric rate 0.2: there 2000
         # replications cannot tell the two models apart.
         from graphquant.noise import apply_noise
-        from graphquant.samplers import estimate_proportions, rwrw_walk, with_noisy_labels
+        from graphquant.samplers import rwrw_walk
 
         g = generate_homophilous_graph(2000, 3, 0.2, 0.8, rng_seed=6)
         c = confusion
@@ -715,15 +737,10 @@ class TestUnbiasednessMonteCarlo:
     def test_corrected_walk_and_node_estimates_unbiased(self):
         # Fixed graph, 500 replications of sample -> noise -> correct.
         from graphquant.noise import apply_noise
-        from graphquant.samplers import (
-            estimate_proportions,
-            node_sample,
-            rwrw_walk,
-            with_noisy_labels,
-        )
+        from graphquant.samplers import node_sample, rwrw_walk
 
         g = generate_homophilous_graph(1000, 4, 0.2, 0.8, rng_seed=3)
-        truth = ground_truth(g)
+        truth = reference_ground_truth(g)
         c = symmetric_confusion(0.2)
         analytic_m_b = measured_proportions(truth.p, c).b
         reps = 500
@@ -767,7 +784,7 @@ class TestDegreeDependentError:
         # here, 2.1-3.2 SE at other seeds), so only the population C is held
         # to 3 SE.
         from graphquant.noise import empirical_confusion
-        from graphquant.samplers import estimate_proportions, rwrw_walk, with_noisy_labels
+        from graphquant.samplers import rwrw_walk
 
         g, p_b = graph
         is_b = g.labels == 1
@@ -796,7 +813,7 @@ class TestDegreeDependentError:
             )
             estimates["weighted"].append(adjust_proportions(measured, weighted).b)
             estimates["population"].append(adjust_proportions(measured, population).b)
-        truth = ground_truth(g).p.b
+        truth = reference_ground_truth(g).p.b
         bias = {name: np.mean(v) - truth for name, v in estimates.items()}
         se = {name: np.std(v, ddof=1) / np.sqrt(len(v)) for name, v in estimates.items()}
         assert bias["uncorrected"] < bias["distinct"] < 0.0
@@ -819,7 +836,7 @@ class TestDegreeDependentError:
             float(np.mean(pu * (1 - pv) + pv * (1 - pu))),
             float(np.mean(pu * pv)),
         )
-        true_share = ingroup_share(ground_truth(g).s, 1)
+        true_share = ingroup_share(reference_ground_truth(g).s, 1)
         corrected = [
             ingroup_share(
                 adjust_edge_proportions(measured, ConfusionMatrix(0.95, 1.0 - q, 0.05, q)), 1

@@ -7,12 +7,21 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import assert_induced_edges_match, has_edge
-from graphquant import ground_truth
+from conftest import (
+    assert_induced_edges_match,
+    estimate_edge_vector,
+    estimate_proportions,
+    has_edge,
+    prefix,
+    reference_ground_truth,
+    take,
+    top_records,
+    with_noisy_labels,
+)
 from graphquant.graph import (
     GROUP_TOKENS,
     UndirectedGraph,
@@ -29,15 +38,12 @@ from graphquant.samplers import (
     _records,
     _wave,
     edge_sample,
-    estimate_edge_vector,
-    estimate_proportions,
+    edge_type_counts,
     node_sample,
     rank_records,
     rwrw_walk,
     snowball_sample,
     top_cut,
-    top_records,
-    with_noisy_labels,
     write_sample_records,
 )
 from graphquant.quantify import UndefinedShareError
@@ -69,7 +75,7 @@ def importance_resample(sample: Sample, out_size: int, rng_seed=None) -> Sample:
     rng = np.random.default_rng(rng_seed)
     p = sample.weights / sample.weights.sum()
     idx = rng.choice(len(sample), size=out_size, replace=True, p=p)
-    return dataclasses.replace(sample.take(idx), weights=np.ones(out_size))
+    return dataclasses.replace(take(sample, idx), weights=np.ones(out_size))
 
 
 def walk_visibility(walk, quantile, out_size=None, rng_seed=None):
@@ -77,7 +83,7 @@ def walk_visibility(walk, quantile, out_size=None, rng_seed=None):
     the walk by default), top-quantile selection, then the share estimate
     over the top records."""
     resampled = importance_resample(walk, 10 * len(walk) if out_size is None else out_size, rng_seed)
-    return estimate_proportions(resampled.take(by_degree_then_id(resampled, quantile)))
+    return estimate_proportions(take(resampled, by_degree_then_id(resampled, quantile)))
 
 
 def by_degree_then_id(sample, quantile):
@@ -199,7 +205,7 @@ class TestSampleRecord:
         noisy = apply_noise(g.labels, symmetric_confusion(0.2), 76)
         walk = with_noisy_labels(rwrw_walk(g, 400, rng_seed=70), noisy)
         idx = np.array([5, 0, 5, 399])
-        taken = walk.take(idx)
+        taken = take(walk, idx)
         for name in ("nodes", "degrees", "labels", "weights"):
             assert np.array_equal(getattr(taken, name), getattr(walk, name)[idx])
         assert taken.edge_positions.shape == (0, 2)
@@ -308,7 +314,7 @@ class TestRwrwEstimate:
 
     def test_converges_to_truth(self):
         g = generate_homophilous_graph(50, 3, 0.2, 0.8, rng_seed=16)
-        truth = ground_truth(g)
+        truth = reference_ground_truth(g)
         walk = rwrw_walk(g, 100_000, rng_seed=17)
         p_hat = estimate_proportions(walk).b
         assert p_hat == pytest.approx(truth.p.b, abs=0.02)
@@ -320,7 +326,7 @@ class TestNodeSample:
         sample = node_sample(g, g.node_count, rng_seed=19)
         assert np.array_equal(np.sort(sample.nodes), np.arange(g.node_count))
         assert sample.edge_positions.shape[0] == g.edge_count
-        gt = ground_truth(g)
+        gt = reference_ground_truth(g)
         assert estimate_proportions(sample).b == gt.p.b
         assert estimate_edge_vector(sample).as_tuple() == gt.s.as_tuple()
 
@@ -336,7 +342,7 @@ class TestNodeSample:
 
     def test_estimate_unbiased(self):
         g = generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=21)
-        truth = ground_truth(g).p.b
+        truth = reference_ground_truth(g).p.b
         means = [
             estimate_proportions(node_sample(g, 100, rng_seed=(22, rep))).b
             for rep in range(500)
@@ -381,7 +387,7 @@ class TestEdgeSample:
     def test_full_sample_reproduces_edge_shares(self):
         g = generate_homophilous_graph(40, 2, 0.3, 0.7, rng_seed=23)
         sample = edge_sample(g, g.edge_count, rng_seed=24)
-        gt = ground_truth(g)
+        gt = reference_ground_truth(g)
         assert estimate_edge_vector(sample).as_tuple() == gt.s.as_tuple()
 
     def test_endpoint_share_is_degree_biased(self):
@@ -389,7 +395,7 @@ class TestEdgeSample:
         g = star_graph(4, hub_label=1)
         sample = edge_sample(g, g.edge_count, rng_seed=25)
         assert estimate_proportions(sample).b == pytest.approx(0.5)
-        assert ground_truth(g).p.b == pytest.approx(0.2)
+        assert reference_ground_truth(g).p.b == pytest.approx(0.2)
 
     def test_bounds(self):
         g = triangle()
@@ -445,7 +451,7 @@ class TestSnowball:
     def test_more_biased_than_node_sampling(self):
         # Qualitative check on a homophilous graph over 500 replications.
         g = generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=30)
-        truth = ground_truth(g).p.b
+        truth = reference_ground_truth(g).p.b
         snow, node = [], []
         for rep in range(500):
             snow.append(
@@ -550,6 +556,63 @@ class TestWave:
         assert sample.edge_positions.tolist() == edges.tolist()
 
 
+def loop_edge_type_counts(labels, edge_positions, counts):
+    """Edge-type counts by a loop over every label set, count and edge."""
+    table = np.atleast_2d(labels)
+    out = np.zeros((table.shape[0], len(counts), 3), dtype=np.int64)
+    for si, row in enumerate(table.tolist()):
+        for ci, count in enumerate(counts):
+            for u, v in edge_positions.tolist():
+                if max(u, v) < count:
+                    out[si, ci, row[u] + row[v]] += 1
+    return out.reshape(np.shape(labels)[:-1] + (len(counts), 3))
+
+
+@st.composite
+def edge_count_cases(draw):
+    """A 1-D or 2-D label table over some records, unsorted observed edges
+    between them (none, repeated, or a record with itself), and counts that
+    repeat, come out of order, are 0 or lie past every record."""
+    records = draw(st.integers(1, 25))
+    sets = draw(st.sampled_from([None, 1, 4]))
+    shape = (records,) if sets is None else (sets, records)
+    bits = draw(st.lists(st.integers(0, 1), min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    record = st.integers(0, records - 1)
+    edges = draw(st.lists(st.tuples(record, record), max_size=40))
+    counts = draw(st.lists(st.integers(0, records + 3), min_size=1, max_size=6))
+    labels = np.array(bits, dtype=np.int8).reshape(shape)
+    return labels, np.array(edges, dtype=np.int64).reshape(-1, 2), counts
+
+
+class TestEdgeTypeCounts:
+    """Counts at every record count from unsorted edges, against a loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=edge_count_cases())
+    @example(case=(np.array([0, 1, 1], dtype=np.int8), np.empty((0, 2), dtype=np.int64), [3, 0, 3]))
+    @example(case=(
+        np.array([[0, 1, 1, 0], [1, 1, 0, 0]], dtype=np.int8),
+        np.array([[2, 3], [0, 1], [3, 1], [1, 2]]),
+        [4, 2, 9, 0, 2],
+    ))
+    def test_matches_a_loop_over_edges(self, case):
+        labels, edge_positions, counts = case
+        got = edge_type_counts(labels, edge_positions, counts)
+        assert got.shape == labels.shape[:-1] + (len(counts), 3)
+        assert np.array_equal(got, loop_edge_type_counts(labels, edge_positions, counts))
+
+    def test_edges_need_no_order(self):
+        # Any order of the same edges gives the same counts.
+        g = generate_homophilous_graph(300, 3, 0.3, 0.7, rng_seed=90)
+        walk = rwrw_walk(g, 500, rng_seed=91)
+        table = np.stack([walk.labels, 1 - walk.labels])
+        counts = [1, 250, 499, 500, 10_000]
+        shuffled = np.random.default_rng(92).permutation(walk.edge_positions)
+        want = edge_type_counts(table, walk.edge_positions, counts)
+        assert np.array_equal(edge_type_counts(table, shuffled[:, ::-1], counts), want)
+        assert np.array_equal(want, loop_edge_type_counts(table, walk.edge_positions, counts))
+
+
 class TestRankRecords:
     """One stable sort of an int64 key against the two-key lexsort."""
 
@@ -569,8 +632,8 @@ class TestRankRecords:
         walk = rwrw_walk(g, steps, burn_in=burn_in, rng_seed=seed + 1)
         assert np.array_equal(rank_records(walk), self.lexsorted(walk))
         for count in (1, steps // 2, steps):
-            prefix = walk.prefix(count)
-            assert np.array_equal(rank_records(prefix), self.lexsorted(prefix))
+            head = prefix(walk, count)
+            assert np.array_equal(rank_records(head), self.lexsorted(head))
 
     @pytest.mark.parametrize("n, m", [(2, 1), (50, 1), (2000, 4)])
     def test_census_matches_lexsort(self, n, m):
@@ -613,7 +676,7 @@ class TestPrefix:
             walk = rwrw_walk(g, 3000, seed_mode=seed_mode, burn_in=burn_in, rng_seed=seed)
             for z in (1, 999, 1500, 2999):
                 assert_same_sample(
-                    walk.prefix(z),
+                    prefix(walk, z),
                     rwrw_walk(g, z, seed_mode=seed_mode, burn_in=burn_in, rng_seed=seed),
                 )
 
@@ -623,7 +686,7 @@ class TestPrefix:
         walk = rwrw_walk(g, 66000, seed_mode=SEED_UNIFORM, burn_in=200, rng_seed=82)
         for z in (65000, 65336, 65337, 65999):
             assert_same_sample(
-                walk.prefix(z), rwrw_walk(g, z, seed_mode=SEED_UNIFORM, burn_in=200, rng_seed=82)
+                prefix(walk, z), rwrw_walk(g, z, seed_mode=SEED_UNIFORM, burn_in=200, rng_seed=82)
             )
 
     def test_node_prefix_is_a_uniform_subset(self):
@@ -635,9 +698,9 @@ class TestPrefix:
         subsets = {c: i for i, c in enumerate(itertools.combinations(range(7), 3))}
         counts = np.zeros(len(subsets))
         for rep in range(7000):
-            prefix = node_sample(g, 6, rng_seed=(83, rep)).prefix(3)
-            counts[subsets[tuple(sorted(prefix.nodes.tolist()))]] += 1
-            assert_induced_edges_match(g, prefix)
+            head = prefix(node_sample(g, 6, rng_seed=(83, rep)), 3)
+            counts[subsets[tuple(sorted(head.nodes.tolist()))]] += 1
+            assert_induced_edges_match(g, head)
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_edge_prefix_is_a_uniform_subset(self):
@@ -649,9 +712,9 @@ class TestPrefix:
         subsets = {c: i for i, c in enumerate(itertools.combinations(pairs, 3))}
         counts = np.zeros(len(subsets))
         for rep in range(11200):
-            prefix = edge_sample(g, 8, rng_seed=(84, rep)).prefix(6)
-            assert prefix.edge_positions.tolist() == [[0, 1], [2, 3], [4, 5]]
-            drawn = sorted(map(tuple, np.sort(prefix.nodes.reshape(-1, 2), axis=1).tolist()))
+            head = prefix(edge_sample(g, 8, rng_seed=(84, rep)), 6)
+            assert head.edge_positions.tolist() == [[0, 1], [2, 3], [4, 5]]
+            drawn = sorted(map(tuple, np.sort(head.nodes.reshape(-1, 2), axis=1).tolist()))
             counts[subsets[tuple(drawn)]] += 1
         assert stats.chisquare(counts).pvalue > 0.001
 
@@ -663,9 +726,9 @@ class TestPrefix:
         rng = np.random.default_rng(85)
         prefixes, crawls = Counter(), Counter()
         for rep in range(8000):
-            prefix = snowball_sample(g, 6, n_seeds=2, rng_seed=(86, rep)).prefix(4)
-            tree = map(tuple, prefix.nodes[prefix.edge_positions].tolist())
-            prefixes[frozenset(prefix.nodes.tolist()), frozenset(tree)] += 1
+            head = prefix(snowball_sample(g, 6, n_seeds=2, rng_seed=(86, rep)), 4)
+            tree = map(tuple, head.nodes[head.edge_positions].tolist())
+            prefixes[frozenset(head.nodes.tolist()), frozenset(tree)] += 1
             crawls[truncated_snowball(g, 4, 2, rng)] += 1
         # Outcomes seen fewer than 20 times in all are pooled into one column.
         common = [k for k in prefixes.keys() | crawls.keys() if prefixes[k] + crawls[k] >= 20]
@@ -746,7 +809,7 @@ class TestEstimateEdgeVector:
 
     def test_walk_mean_edge_shares_near_truth(self):
         g = generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=48)
-        truth = np.array(ground_truth(g).s.as_tuple())
+        truth = np.array(reference_ground_truth(g).s.as_tuple())
         totals = np.zeros(3)
         reps = 500
         for rep in range(reps):
@@ -813,7 +876,7 @@ class TestEstimateVisibility:
 
     def test_mean_near_ground_truth(self):
         g = generate_homophilous_graph(1000, 3, 0.2, 0.8, rng_seed=58)
-        truth = ground_truth(g).visibility_b
+        truth = reference_ground_truth(g).visibility_b
         total = 0.0
         reps = 500
         for rep in range(reps):
@@ -869,7 +932,7 @@ class TestTopRecords:
             with pytest.raises(UndefinedShareError):
                 top_records(sample, quantile)
             return
-        want = sample.take(by_degree_then_id(sample, quantile))
+        want = take(sample, by_degree_then_id(sample, quantile))
         got = top_records(sample, quantile)
         for name in ("nodes", "degrees", "labels", "weights"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -941,16 +1004,16 @@ class TestTopCutOfPrefix:
             drawn = edge_sample(g, min(size, g.edge_count), rng_seed=seed + 1)
         ranked = rank_records(drawn)
         for count in range(1, len(drawn) + 1):
-            prefix = drawn.prefix(count)
+            head = prefix(drawn, count)
             if int(count * quantile) < 1:
                 with pytest.raises(UndefinedShareError):
                     top_cut(ranked[ranked < count], drawn.weights, quantile)
                 continue
             idx, weights = top_cut(ranked[ranked < count], drawn.weights, quantile)
-            own_idx, own_weights = top_cut(rank_records(prefix), prefix.weights, quantile)
+            own_idx, own_weights = top_cut(rank_records(head), head.weights, quantile)
             assert np.array_equal(idx, own_idx)
             assert np.array_equal(weights, own_weights)
-            top = top_records(prefix, quantile)
+            top = top_records(head, quantile)
             assert np.array_equal(top.nodes, drawn.nodes[idx])
             assert np.array_equal(top.weights, weights)
 
@@ -983,9 +1046,8 @@ class TestRecords:
         g = star_graph(4)
         walk = rwrw_walk(g, 25, rng_seed=63)
         noisy = apply_noise(g.labels, symmetric_confusion(0.2), 64)
-        tagged = with_noisy_labels(walk, noisy)
         path = tmp_path / "records.txt"
-        write_sample_records(walk, path, tagged)
+        write_sample_records(walk, path, noisy[walk.nodes])
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == 25
         for i, line in enumerate(lines):
