@@ -59,7 +59,9 @@ The result is one JSON object on stdout: a summary that says whether
 every cell passed and whether the two trees' error samples were
 identical, with the failing cells, and the control's summary. ``--out``
 also gets every cell's sample sizes, failure counts, statistics and
-verdicts. Exits 0 when every cell passes, 1 otherwise. Needs numpy only.
+verdicts. A cell whose two error samples are equal element for element
+passes whatever its tests say: its TOSTs may lack the replications to pass
+even then. Exits 0 when every cell passes, 1 otherwise. Needs numpy only.
 """
 
 from __future__ import annotations
@@ -235,13 +237,16 @@ def compare(parent: dict, change: dict, config: dict) -> dict:
                 cell["location"] = {"test": "mean", **tost_mean(x, y)}
                 cell["scale"] = {"test": "variance", **tost_variance_ratio(x, y)}
         else:
-            # Too few errors to test: a pass only when both trees have too few.
-            cell["passes"] = max(x.shape[0], y.shape[0]) < 2
+            # Too few errors to test: a pass only for equal samples or when both trees have too few.
+            cell["passes"] = cell["identical"] or max(x.shape[0], y.shape[0]) < 2
         cells.append(cell)
     tested = [c for c in cells if "ks" in c]
     for cell, rejected in zip(tested, holm([c["ks_p"] for c in tested])):
         cell["ks_rejected"] = rejected
-        cell["passes"] = not rejected and cell["location"]["passes"] and cell["scale"]["passes"]
+        # Equal samples are the same law whatever the TOSTs' power at this n.
+        cell["passes"] = cell["identical"] or (
+            not rejected and cell["location"]["passes"] and cell["scale"]["passes"]
+        )
     failing = [c for c in cells if not c["passes"]]
 
     def ratio_range(test):

@@ -30,8 +30,8 @@ counted once, each edge at the first size that holds its later endpoint,
 and the group shares of the top-quantile records from one ranking of the
 whole draw, cut at each size. The distinct nodes a draw saw come from one
 first-occurrence pass, and each size's labeled nodes are drawn among the
-first records of those it saw; estimated confusion matrices grade every
-rate on one labeled set in one count.
+first records of those it saw; one count grades every rate on every
+(sampler, size)'s labeled set.
 
 The variants come from one array pass over every (sampler, size, rate,
 variant) of the replication (``_variants``): no_noise and uncorrected read
@@ -76,7 +76,7 @@ from .graph import (
     generate_homophilous_graph,
     load_graph_files,
 )
-from .noise import UndefinedConfusionError, empirical_confusion, flip_labels, symmetric_confusion
+from .noise import UndefinedConfusionError, confusion_entries, flip_labels, symmetric_confusion
 from .quantify import (
     SingularCorrectionError,
     UndefinedShareError,
@@ -95,6 +95,7 @@ from .samplers import (
     check_walk,
     edge_sample,
     edge_type_counts,
+    first_records,
     minority_shares,
     node_sample,
     rank_records,
@@ -107,7 +108,7 @@ from .samplers import (
 adjust_visibility = importance_resample = top_quantile_indices = None
 coleman_homophily = estimate_edge_vector = estimate_proportions = ingroup_share = with_noisy_labels = None
 # Names it wraps that the grid no longer calls, each bound to the real function.
-from .noise import apply_noise  # noqa: E402
+from .noise import apply_noise, empirical_confusion  # noqa: E402
 from .quantify import adjust_edge_proportions, adjust_proportions  # noqa: E402
 
 SAMPLERS = ("rwrw", "node", "edge", "snowball")
@@ -498,34 +499,31 @@ def _replication_rows(cfg: ExperimentConfig, rep: int):
         table[1 + ri] = flip_labels(table[0], u[nodes], confusion)
     tables = np.split(table, np.cumsum([len(d) for d in draws])[:-1], axis=1)
 
-    # Per (sampler, size, rate): each rate's confusion matrix, or the one
-    # estimated from labeled nodes, as entries, determinant and failure code.
-    shape = (len(cfg.samplers), len(cfg.sample_sizes), len(cfg.rates))
-    entries = np.empty(shape + (4,))
-    entries[...] = [c.to_flat() for c in confusions]
-    det = np.empty(shape)
-    det[...] = [c.det for c in confusions]
-    correction_failed = np.zeros(shape[:2], dtype=np.int64)
-    measured = []
+    # Entries, determinant and failure code of each rate's confusion matrix, or
+    # per (sampler, size, rate) of the one estimated from labeled nodes.
+    entries, det = np.array([c.to_flat() for c in confusions]), np.array([c.det for c in confusions])
+    correction_failed = np.zeros((1, 1), dtype=np.int64)
+    measured, labeled = [], []
     for si, (sampler, drawn, labels) in enumerate(zip(cfg.samplers, draws, tables)):
         counts = [_records_for(sampler, size) for size in cfg.sample_sizes]
         measured.append(_measure(labels, drawn, counts, cfg.top_quantile))
         if cfg.confusion_from_labeled is None:
             continue
-        # The first record of each distinct node of the draw, by ascending node.
-        first = np.unique(drawn.nodes, return_index=True)[1]
+        first = first_records(drawn.nodes)
         for zi, count in enumerate(counts):
-            # k labeled nodes among the distinct nodes the size saw, graded against every rate.
+            # k labeled nodes among the distinct nodes the size saw, with every label set.
             pool = first[first < count]
             k = min(cfg.confusion_from_labeled, pool.shape[0])
             rng = np.random.default_rng(_stream(cfg.master_seed, _LABELED, rep, si, zi))
-            labeled = rng.choice(pool, size=k, replace=False)
-            graded = _attempt(empirical_confusion, labels[0, labeled], labels[1:, labeled])
-            if isinstance(graded, Exception):
-                entries[si, zi], det[si, zi], correction_failed[si, zi] = np.nan, np.nan, _code(graded)
-            else:
-                entries[si, zi] = [c.to_flat() for c in graded]
-                det[si, zi] = [c.det for c in graded]
+            labeled.append(labels[:, rng.choice(pool, size=k, replace=False)])
+    if labeled:
+        # Every (sampler, size)'s set graded against every rate in one count.
+        pairs = np.concatenate(labeled, axis=1)
+        sets = np.repeat(np.arange(len(labeled)), [s.shape[1] for s in labeled])
+        graded, graded_det, undefined = confusion_entries(pairs[0], pairs[1:], sets, len(labeled))
+        entries = graded.reshape(len(cfg.samplers), len(cfg.sample_sizes), len(cfg.rates), 4)
+        det = graded_det.reshape(entries.shape[:-1])
+        correction_failed = np.where(undefined.reshape(entries.shape[:2]), _code(UndefinedConfusionError), 0)
 
     # Units over (sampler, size, rate, variant): the true labels as they are,
     # then each rate's noisy labels as they are and corrected.

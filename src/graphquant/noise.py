@@ -100,23 +100,30 @@ def empirical_confusion(truth, predicted):
         raise ValueError("predicted labels must be one list, or rows of lists, as long as truth")
     if np.any((p | t) & ~1):  # any label but 0 or 1 sets a higher bit or the sign
         raise ValueError("labels must be 0 (majority) or 1 (minority)")
-    n_b = int(t.sum())
-    n_a = t.shape[0] - n_b
-    if n_a == 0 or n_b == 0:
+    entries, _, undefined = confusion_entries(t, p.reshape(-1, t.shape[0]), np.zeros(t.shape, np.int64), 1)
+    if undefined[0]:
         raise UndefinedConfusionError(
             "both true classes must be present to estimate a confusion matrix"
         )
-    # One count of every (classifier, prediction, truth) triple, keyed
-    # 4 * row + 2 * prediction + truth: per row, predicted 0 among true a,
-    # 0 among true b, 1 among a, 1 among b.
-    rows = p.reshape(-1, t.shape[0]).astype(np.int64)
-    keys = 2 * rows + t + 4 * np.arange(rows.shape[0])[:, None]
-    counts = np.bincount(keys.ravel(), minlength=4 * rows.shape[0])
-    matrices = [
-        ConfusionMatrix(aa / n_a, ab / n_b, ba / n_a, bb / n_b)
-        for aa, ab, ba, bb in counts.reshape(-1, 4).tolist()
-    ]
+    matrices = [ConfusionMatrix(*row) for row in entries[0].tolist()]
     return matrices if p.ndim == 2 else matrices[0]
+
+
+def confusion_entries(truth, predicted, sets, n_sets: int):
+    """Empirical confusion matrices of many labeled sets from one count:
+    ``truth`` and each classifier's row of ``predicted`` hold labels (0 or 1,
+    unchecked) of every set's pairs, and ``sets`` each pair's set, below
+    ``n_sets``. Returns the row-major entries and determinants per (set,
+    classifier), NaN for a set that lacks a true class, and those sets."""
+    k = predicted.shape[0]
+    # Keys 4 * (k * set + classifier) + 2 * prediction + truth, then past them 2 * set + truth.
+    keys = 2 * predicted + truth + 4 * (k * sets + np.arange(k)[:, None])
+    tally = np.bincount(np.concatenate([keys.ravel(), 4 * k * n_sets + 2 * sets + truth]),
+                        minlength=(4 * k + 2) * n_sets)
+    counts, totals = tally[: 4 * k * n_sets].reshape(n_sets, k, 4), tally[4 * k * n_sets :].reshape(-1, 2)
+    undefined = (totals == 0).any(axis=1)
+    entries = counts / np.where(undefined[:, None], np.nan, totals)[:, None, [0, 1, 0, 1]]
+    return entries, entries[..., 0] * entries[..., 3] - entries[..., 1] * entries[..., 2], undefined
 
 
 def dyadic_matrix(entries) -> tuple[tuple[float, float, float], ...]:

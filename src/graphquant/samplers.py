@@ -272,18 +272,39 @@ def check_quantile(quantile: float) -> None:
         raise ValueError(f"top_quantile must lie in (0, 1], got {quantile}")
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of int64 ``keys``, from one sort of
+    the unique composites ``key * R + index`` of R keys, which any sort orders
+    alike: numpy's stable int64 sort is a timsort, several times slower than
+    its default. Composites outside int64 take the stable argsort."""
+    r = keys.shape[0]
+    if int(keys.min(initial=0)) * r < -(2**63) or int(keys.max(initial=0)) * r + r > 2**63:
+        return np.argsort(keys, kind="stable")
+    return np.sort(keys * r + np.arange(r)) % r
+
+
+def first_records(nodes: np.ndarray) -> np.ndarray:
+    """``np.unique(nodes, return_index=True)[1]``: the first record of each
+    distinct node, by ascending node, as the first of its run in stable order."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    order = _stable_order(nodes)
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = np.diff(nodes[order]) != 0  # two int64s differ mod 2**64 too
+    return order[first]
+
+
 def rank_records(sample: Sample) -> np.ndarray:
     """Record indices by (-degree, node id), tied records in record order.
 
-    One stable sort of the int64 key ``node - degree * (max node + 1)``,
+    One stable order of the int64 key ``node - degree * (max node + 1)``,
     which orders records as the pair does. A degree and a node id are both
     below the node count N, so the key stays inside int64 while N**2 < 2**63,
-    that is for graphs below about 3·10⁹ nodes. The sort is stable, so the
+    that is for graphs below about 3·10⁹ nodes. The order is stable, so the
     indices below z keep the order a sort of the first z records alone
     gives them."""
     nodes = np.asarray(sample.nodes, dtype=np.int64)
     span = int(nodes.max(initial=0)) + 1
-    return np.argsort(nodes - np.asarray(sample.degrees, dtype=np.int64) * span, kind="stable")
+    return _stable_order(nodes - np.asarray(sample.degrees, dtype=np.int64) * span)
 
 
 def top_cut(ranked: np.ndarray, weights: np.ndarray, quantile: float):

@@ -90,13 +90,22 @@ class TestStatistics:
         assert cd.compare(short, {key: (np.array([]), 10)}, config)["passes"]
         assert not cd.compare(short, {key: (np.linspace(0, 1, 10), 0)}, config)["passes"]
 
+    def test_equal_samples_pass_where_the_tosts_cannot(self, cd):
+        # Six errors a side are far too few for the TOSTs: equal samples
+        # pass, and one changed element fails.
+        key = ("node", 0.1, 10, "proportion", "corrected")
+        x = np.linspace(-0.1, 0.1, 6)
+        config = cd.CONFIGS["tiny"]
+        assert cd.compare({key: (x, 0)}, {key: (x.copy(), 0)}, config)["passes"]
+        assert not cd.compare({key: (x, 0)}, {key: (np.r_[x[:5], 0.2], 0)}, config)["passes"]
+
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_tree_against_its_own_head(tmp_path):
     # A copy of this tree committed as the HEAD of a new repository: both
     # sides run the same code on the same seeds, so every cell's errors
     # are the same sample and every KS statistic is 0. Six replications are
-    # far too few for the TOSTs to pass, so the verdict is not asked for.
+    # far too few for the TOSTs to pass, but equal samples pass every cell.
     # The control is the parent's replications 6-11 against its 0-5.
     repo = tmp_path / "repo"
     shutil.copytree(ROOT / "src" / "graphquant", repo / "src" / "graphquant",
@@ -112,9 +121,9 @@ def test_tree_against_its_own_head(tmp_path):
          "--config", "tiny", "--reps", "6", "--out", str(out)],
         capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout)
-    assert summary["identical"]
+    assert summary["identical"] and summary["passes"] and not summary["failing_cells"]
     assert summary["cells"] == summary["tested"] == 4 * 2 * 4 * 5
     assert summary["ks_max"] == 0.0 and summary["holm_rejections"] == 0
     assert summary["heavy_tailed"] == 4 * 2 * 2 * 2  # corrected ingroup and homophily

@@ -613,7 +613,7 @@ class TestNoisyLabelsAtRecords:
             graph=graph, samplers=experiments.SAMPLERS, rates=(0.0, 0.2, 0.45),
             sample_sizes=(30, 60), confusion_from_labeled=12, replications=3,
         )
-        measure, grade = experiments._measure, experiments.empirical_confusion
+        measure, grade = experiments._measure, experiments.confusion_entries
         measured, graded = [], []
 
         def recorded_measure(labels, drawn, counts, quantile):
@@ -622,12 +622,13 @@ class TestNoisyLabelsAtRecords:
                 measured.append((labels.copy(), drawn.nodes))
             return measure(labels, drawn, counts, quantile)
 
-        def recorded_grade(truth, predicted):
-            graded.append((truth.copy(), predicted.copy()))
-            return grade(truth, predicted)
+        def recorded_grade(truth, predicted, sets, n_sets):
+            # One call grades every (sampler, size)'s labeled set.
+            graded.extend((truth[sets == i], predicted[:, sets == i]) for i in range(n_sets))
+            return grade(truth, predicted, sets, n_sets)
 
         monkeypatch.setattr(experiments, "_measure", recorded_measure)
-        monkeypatch.setattr(experiments, "empirical_confusion", recorded_grade)
+        monkeypatch.setattr(experiments, "confusion_entries", recorded_grade)
         repeats = Counter()
         for rep in range(cfg.replications):
             measured.clear()
@@ -951,10 +952,10 @@ class TestRunExperiment:
     def test_confusion_programming_errors_raise(self, monkeypatch):
         # Only a one-group draw leaves C undefined; any error from
         # estimating it is a bug and raises.
-        def broken(truth, predicted):
+        def broken(truth, predicted, sets, n_sets):
             raise ValueError("bug")
 
-        monkeypatch.setattr(experiments, "empirical_confusion", broken)
+        monkeypatch.setattr(experiments, "confusion_entries", broken)
         with pytest.raises(ValueError, match="bug"):
             run_experiment(small_config(confusion_from_labeled=40, replications=1))
 
@@ -972,22 +973,25 @@ class TestRunExperiment:
         assert all(r.flags != "failed:confusion_undefined" for r in res.rows if r.variant != "corrected")
 
     def test_rates_share_one_labeled_set(self, monkeypatch):
-        # Per (sampler, size), one empirical_confusion call grades every
-        # rate's noisy labels, a (rates x k) table, against the true labels
-        # of one set of k labeled nodes; the 0.0 rate's row is that truth.
+        # One confusion_entries call grades every (sampler, size)'s set:
+        # per set, every rate's noisy labels, a (rates x k) table, against
+        # the true labels of one set of k labeled nodes; the 0.0 rate's row
+        # is that truth.
         cfg = small_config(
             rates=(0.0, 0.1, 0.2), sample_sizes=(60, 80), confusion_from_labeled=30
         )
-        grade, calls = experiments.empirical_confusion, []
+        grade, calls = experiments.confusion_entries, []
 
-        def recorded(truth, predicted):
-            calls.append((truth, predicted))
-            return grade(truth, predicted)
+        def recorded(truth, predicted, sets, n_sets):
+            calls.append((truth, predicted, sets, n_sets))
+            return grade(truth, predicted, sets, n_sets)
 
-        monkeypatch.setattr(experiments, "empirical_confusion", recorded)
+        monkeypatch.setattr(experiments, "confusion_entries", recorded)
         experiments._replication_rows(cfg, 0)
-        assert len(calls) == len(cfg.samplers) * len(cfg.sample_sizes)
-        for truth, predicted in calls:
+        [(truth_all, predicted_all, sets, n_sets)] = calls
+        assert n_sets == len(cfg.samplers) * len(cfg.sample_sizes)
+        for i in range(n_sets):
+            truth, predicted = truth_all[sets == i], predicted_all[:, sets == i]
             assert truth.shape == (30,)
             assert predicted.shape == (len(cfg.rates), 30)
             assert np.array_equal(predicted[0], truth)

@@ -6,11 +6,13 @@ import os
 import tempfile
 import threading
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import (
     coleman_homophily,
@@ -238,6 +240,26 @@ class TestGenerator:
             generate_homophilous_graph(10, 2, 1.2, 0.8, 1)
         with pytest.raises(ValueError):
             generate_homophilous_graph(10, 2, 0.2, -0.1, 1)
+
+    def test_targets_follow_successive_sampling(self):
+        # At minority_frac 1 nodes 1-3 are in group B and node 0 in A, and
+        # nodes 0-2 have degree 2 when node 3 arrives. Node 3 then chooses 2
+        # of them with per-try weights 1.4 (node 0, 0.7 * 2) and 0.6 (nodes 1
+        # and 2, 0.3 * 2 each), trying again until the two are distinct: the
+        # successive sampling law, P{0,1} = P{0,2} = (1.4/2.6)(0.6/1.2) +
+        # (0.6/2.6)(1.4/2.0) = 0.43077 and P{1,2} = 2 (0.6/2.6)(0.6/2.0) =
+        # 0.13846. Drawing each slot's group by mass alone, then distinct
+        # nodes within it, gives P{1,2} = (1.2/2.6)**2 = 0.213 instead, which
+        # these seeds reject at p about 5e-15.
+        pairs = Counter()
+        for seed in range(2000):
+            g = generate_homophilous_graph(4, 2, 1.0, 0.3, seed)
+            assert g.labels.tolist() == [0, 1, 1, 1]
+            pairs[tuple(g.indices[g.indptr[3] : g.indptr[4]].tolist())] += 1
+        assert set(pairs) <= {(0, 1), (0, 2), (1, 2)}
+        p01 = (1.4 / 2.6) * (0.6 / 1.2) + (0.6 / 2.6) * (1.4 / 2.0)
+        want = 2000 * np.array([p01, p01, 2 * (0.6 / 2.6) * (0.6 / 2.0)])
+        assert stats.chisquare([pairs[0, 1], pairs[0, 2], pairs[1, 2]], want).pvalue > 1e-4
 
     def test_deterministic_under_seed(self):
         a = generate_homophilous_graph(200, 3, 0.2, 0.8, rng_seed=9)

@@ -10,6 +10,7 @@ from graphquant.noise import (
     ConfusionMatrix,
     UndefinedConfusionError,
     apply_noise,
+    confusion_entries,
     dyadic_matrix,
     empirical_confusion,
     symmetric_confusion,
@@ -189,6 +190,53 @@ class TestEmpiricalConfusionCount:
     def test_labels_outside_zero_and_one_refused(self, truth, predicted):
         with pytest.raises(ValueError, match="labels must be 0"):
             empirical_confusion(truth, predicted)
+
+
+@st.composite
+def labeled_sets(draw):
+    """Labeled sets as a grid grades them: each with its own k (pools
+    shorter than ``confusion_from_labeled`` give fewer pairs), some with one
+    true class, and some whose first classifier is the truth (rate 0)."""
+    classifiers = draw(st.integers(1, 4))
+    sets = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, 30))
+        truth = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+        kind = draw(st.sampled_from(["two_classes", "one_class", "rate_zero"]))
+        if kind == "one_class":
+            truth = [truth[0]] * k
+        rows = st.lists(st.integers(0, 1), min_size=k, max_size=k)
+        predicted = [truth if kind == "rate_zero" and i == 0 else draw(rows) for i in range(classifiers)]
+        sets.append((truth, predicted))
+    return sets
+
+
+class TestConfusionEntries:
+    @settings(deadline=None)
+    @given(labeled_sets(), st.sampled_from([np.int8, np.int64]))
+    def test_equals_each_set_graded_alone(self, sets, dtype):
+        # One count over every set's pairs gives each set's matrices bit for
+        # bit, as empirical_confusion and the four-comparison count give
+        # them, and their determinants as ConfusionMatrix.det computes it; a
+        # set with one true class is flagged, with NaN entries.
+        truth = np.concatenate([np.array(t, dtype=dtype) for t, _ in sets])
+        predicted = np.concatenate([np.array(p, dtype=dtype) for _, p in sets], axis=1)
+        ids = np.repeat(np.arange(len(sets)), [len(t) for t, _ in sets])
+        entries, det, undefined = confusion_entries(truth, predicted, ids, len(sets))
+        assert entries.shape == (len(sets), predicted.shape[0], 4)
+        assert det.shape == (len(sets), predicted.shape[0]) and undefined.shape == (len(sets),)
+        for i, (t, p) in enumerate(sets):
+            t, p = np.array(t, dtype=dtype), np.array(p, dtype=dtype)
+            try:
+                want = empirical_confusion(t, p)
+            except UndefinedConfusionError:
+                assert undefined[i] and np.isnan(entries[i]).all() and np.isnan(det[i]).all()
+                with pytest.raises(UndefinedConfusionError):
+                    four_comparison_confusion(t, p)
+                continue
+            assert not undefined[i]
+            assert entries[i].tolist() == [c.to_flat() for c in want] == four_comparison_confusion(t, p)
+            assert det[i].tolist() == [c.det for c in want]
 
 
 class TestDyadicMatrix:

@@ -39,6 +39,7 @@ from graphquant.samplers import (
     _wave,
     edge_sample,
     edge_type_counts,
+    first_records,
     node_sample,
     rank_records,
     rwrw_walk,
@@ -657,6 +658,48 @@ class TestRankRecords:
         degrees = np.concatenate([top - 1 - rng.integers(0, 4, 40), rng.integers(1, 4, 40)])
         sample = Sample(nodes, degrees, np.zeros(80, dtype=np.int8), np.ones(80), np.empty((0, 2)))
         assert np.array_equal(rank_records(sample), self.lexsorted(sample))
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_composite_exactly_at_the_bound(self, past):
+        # Eight records, ties among them, whose smallest key node - degree *
+        # 2**30 is -2**60 at record 0: its composite key * 8 + 0 is -2**63,
+        # the least int64. One past it, -2**60 - 1, the composite would wrap
+        # to the top of int64 and the stable argsort ranks the records.
+        nodes = np.array([past * (2**30 - 1), 2**30 - 1, 3, 0, 2**30 - 1, 7, 3, 0])
+        degrees = np.array([2**30 + past, 1, 2, 2**30, 1, 5, 2, 3])
+        sample = Sample(nodes, degrees, np.zeros(8, dtype=np.int8), np.ones(8), np.empty((0, 2)))
+        assert int((nodes - degrees * 2**30).min()) * 8 == -(2**63) - 8 * past
+        assert np.array_equal(rank_records(sample), self.lexsorted(sample))
+
+
+class TestFirstRecords:
+    """One stable order of unique composites against np.unique's first indices."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 60), steps=st.integers(1, 800), seed=st.integers(0, 2**31))
+    def test_walk_with_revisits_matches_unique(self, n, steps, seed):
+        walk = rwrw_walk(generate_homophilous_graph(n, 2, 0.3, 0.7, rng_seed=seed), steps, rng_seed=seed + 1)
+        assert np.array_equal(first_records(walk.nodes), np.unique(walk.nodes, return_index=True)[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 64).flatmap(
+            lambda r: st.lists(
+                # Small ids, and ids around the largest whose composites fit
+                # int64 among r records: id * r + r - 1 <= 2**63 - 1.
+                st.sampled_from([0, 1, 2, 7] + [min(2**63 // r + d, 2**63 - 1) for d in (-2, -1, 0)]),
+                min_size=r,
+                max_size=r,
+            )
+        )
+    )
+    @example([5])
+    @example([3] * 9)
+    @example([0, 2**60 - 1, 5, 2**60 - 1, 0, 1, 2**60 - 1, 2**60 - 1])  # last composite 2**63 - 1
+    @example([0, 2**60, 5, 2**60, 0, 1, 2**60, 2**60])  # past int64: the stable argsort
+    def test_matches_unique(self, nodes):
+        nodes = np.array(nodes, dtype=np.int64)
+        assert np.array_equal(first_records(nodes), np.unique(nodes, return_index=True)[1])
 
 
 def assert_same_sample(got, want):
